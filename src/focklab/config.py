@@ -188,6 +188,17 @@ class DumpConfig:
     amplitude_floor: float = 1e-15
 
 
+def _grid_size(cfg: dict[str, str], key: str, default: int) -> int:
+    text = cfg.get(key, str(default))
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ConfigError(f"{key} must be an integer >= 1, got {text!r}")
+    return value
+
+
 def dump_config_from_text(text: str) -> DumpConfig:
     cfg = parse_flat_config(text)
     if "output" not in cfg:
@@ -195,11 +206,15 @@ def dump_config_from_text(text: str) -> DumpConfig:
     kind = cfg.get("dump.kind", "amplitudes")
     if kind not in DUMP_KINDS:
         raise ConfigError(f"dump.kind must be one of {', '.join(DUMP_KINDS)}")
+    angles = _grid_size(cfg, "dump.angles", 720)
+    if kind in ("phase", "angular_q") and angles % 2:
+        # The profile's Simpson mass check needs an even point count.
+        raise ConfigError(f"dump.angles must be even for dump.kind = {kind}, got {angles}")
     return DumpConfig(
         spec=state_spec_from_config(cfg),
         truncation=truncation_from_config(cfg),
         output_path=cfg["output"],
         kind=kind,
-        angles=int(cfg.get("dump.angles", "720")),
-        radial=int(cfg.get("dump.radial", "160")),
+        angles=angles,
+        radial=_grid_size(cfg, "dump.radial", 160),
     )

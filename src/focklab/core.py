@@ -190,13 +190,6 @@ def photon_number_distribution(s: StateVector) -> np.ndarray:
     return p
 
 
-def number_moment(s: StateVector, power: int = 1) -> float:
-    """<N^power> from the photon-number distribution."""
-    p = s.probabilities()
-    n = np.arange(s.dim, dtype=np.float64)
-    return float(np.dot(n**power, p))
-
-
 def log_factorial(n: int) -> float:
     """log(n!) via lgamma; log(0!) = 0. Negative arguments are the caller's bug."""
     return math.lgamma(n + 1)

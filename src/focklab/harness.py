@@ -29,7 +29,7 @@ from .exceptions import (
 from .interferometry import linear_entropy, phase_estimation_uncertainty
 from .moments import moment_oracle
 from .phase import barnett_pegg_fluctuations, phase_dispersion, phase_distribution
-from .quasiprob import angular_q, phase_space_grid, q_function
+from .quasiprob import angular_q, phase_space_grid, q_polar, radial_nodes
 from .states import build_state
 from . import witnesses
 
@@ -176,7 +176,8 @@ def dump_state(config: DumpConfig) -> None:
                 writer.writerow([repr(float(theta)), repr(float(value))])
         else:  # husimi_q
             grid = phase_space_grid(state, n_angles=config.angles, n_radial=config.radial)
-            values = q_function(state, grid.beta_samples)
+            _, radii, _ = radial_nodes(state, config.radial)
+            values = q_polar(state, radii, config.angles).ravel()
             writer.writerow(["re_beta", "im_beta", "q"])
             for beta, value in zip(grid.beta_samples, values):
                 writer.writerow(

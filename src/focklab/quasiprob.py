@@ -16,6 +16,20 @@ from .phase import PhaseProfile, simpson_weights, theta_grid
 from .states import StateSpec, normalization_constant
 
 
+def _overlap_weights(mags: np.ndarray, dim: int) -> np.ndarray:
+    """|beta|^n e^{-|beta|^2/2}/sqrt(n!) per (beta, n), assembled in log space.
+
+    Large |beta| and large n never overflow; |beta| = 0 keeps only n = 0.
+    """
+    n = np.arange(dim)
+    half_lf = 0.5 * np.array([log_factorial(k) for k in range(dim)])
+    safe = np.where(mags > 0.0, mags, 1.0)
+    log_mag = np.where(mags > 0.0, np.log(safe), -1.0e18)
+    logw = log_mag[:, None] * n[None, :] - half_lf[None, :] - 0.5 * (mags * mags)[:, None]
+    with np.errstate(under="ignore"):
+        return np.exp(logw)
+
+
 def q_function(s: StateVector, beta) -> float | np.ndarray:
     """Q(beta) = |<beta|s>|^2 / pi, for a scalar or an array of beta values.
 
@@ -25,16 +39,28 @@ def q_function(s: StateVector, beta) -> float | np.ndarray:
     scalar = np.isscalar(beta) or np.asarray(beta).ndim == 0
     betas = np.atleast_1d(np.asarray(beta, dtype=np.complex128)).ravel()
     n = np.arange(s.dim)
-    half_lf = 0.5 * np.array([log_factorial(int(k)) for k in n])
-    mags = np.abs(betas)
-    safe = np.where(mags > 0.0, mags, 1.0)
-    log_mag = np.where(mags > 0.0, np.log(safe), -1.0e18)
-    logw = log_mag[:, None] * n[None, :] - half_lf[None, :] - 0.5 * (mags * mags)[:, None]
-    with np.errstate(under="ignore"):
-        rows = np.exp(logw) * np.exp(-1j * np.angle(betas)[:, None] * n[None, :])
+    phases = np.exp(-1j * np.angle(betas)[:, None] * n[None, :])
+    rows = _overlap_weights(np.abs(betas), s.dim) * phases
     amp = rows @ s.amplitudes
     out = (np.abs(amp) ** 2) / math.pi
     return float(out[0]) if scalar else out.reshape(np.shape(beta))
+
+
+def q_polar(s: StateVector, radii, n_angles: int) -> np.ndarray:
+    """Q(r e^{i theta}) for every radius against ``theta_grid(n_angles)``, shape (radii, angles).
+
+    With theta_j = -pi + 2 pi j / N the overlap at radius r is
+    sum_n c_n (-1)^n w_n(r) e^{-2 pi i n j / N}: one length-N DFT over the
+    Fock index per radius. Indices past N are folded mod N, which the DFT's
+    periodicity makes exact.
+    """
+    radii = np.atleast_1d(np.asarray(radii, dtype=np.float64))
+    signs = np.where(np.arange(s.dim) % 2, -1.0, 1.0)
+    folds = -(-s.dim // n_angles)
+    coeffs = np.zeros((len(radii), folds * n_angles), dtype=np.complex128)
+    coeffs[:, : s.dim] = _overlap_weights(radii, s.dim) * (signs * s.amplitudes)[None, :]
+    amp = np.fft.fft(coeffs.reshape(len(radii), folds, n_angles).sum(axis=1), axis=1)
+    return (amp.real**2 + amp.imag**2) / math.pi
 
 
 @dataclass(frozen=True)
@@ -45,16 +71,24 @@ class PhaseSpaceGrid:
     weights: np.ndarray
 
 
-def phase_space_grid(s: StateVector, n_angles: int = 360, n_radial: int = 160) -> PhaseSpaceGrid:
-    """Gauss-Legendre (radial) x uniform (angular) grid covering the state's support.
+def radial_nodes(s: StateVector, n_radial: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """(beta_max, nodes, weights): Gauss-Legendre quadrature for dr on [0, beta_max].
 
     The radial extent sqrt(<N>) + 8 covers Gaussian-like Q tails; boundary
     mass beyond it is negligible for any state respecting the truncation.
     """
     beta_max = math.sqrt(max(s.mean_photon_number(), 0.0)) + 8.0
     x, w = leggauss(n_radial)
-    r = 0.5 * beta_max * (x + 1.0)
-    wr = 0.5 * beta_max * w
+    return beta_max, 0.5 * beta_max * (x + 1.0), 0.5 * beta_max * w
+
+
+def phase_space_grid(s: StateVector, n_angles: int = 360, n_radial: int = 160) -> PhaseSpaceGrid:
+    """Gauss-Legendre (radial) x uniform (angular) grid covering the state's support.
+
+    Samples are radius-major: row i of ``q_polar(s, radii, n_angles)`` holds
+    the samples i * n_angles .. (i + 1) * n_angles - 1.
+    """
+    _, r, wr = radial_nodes(s, n_radial)
     th = theta_grid(n_angles)
     wt = 2.0 * math.pi / n_angles
     rr, tt = np.meshgrid(r, th, indexing="ij")
@@ -75,25 +109,17 @@ def angular_q(s: StateVector, n_angles: int = 720, n_radial: int = 160) -> Phase
     Integrates over theta to 1; a warning is emitted when the estimated
     mass beyond the radial cutoff is not negligible.
     """
-    beta_max = math.sqrt(max(s.mean_photon_number(), 0.0)) + 8.0
-    x, w = leggauss(n_radial)
-    r = 0.5 * beta_max * (x + 1.0)
-    wr = 0.5 * beta_max * w
-    th = theta_grid(n_angles)
-    density = np.empty(n_angles)
-    edge = 0.0
-    for i, angle in enumerate(th):
-        q = q_function(s, r * np.exp(1j * angle))
-        density[i] = float(np.dot(q, r * wr))
-        edge = max(edge, float(q[-1]))
-    tail_estimate = edge * beta_max
+    beta_max, r, wr = radial_nodes(s, n_radial)
+    q = q_polar(s, r, n_angles)
+    density = (r * wr) @ q
+    tail_estimate = float(q[-1].max()) * beta_max
     if tail_estimate > 1e-8:
         warnings.warn(
             f"angular Q radial tail estimate {tail_estimate:.2e} exceeds 1e-8",
             stacklevel=2,
         )
     integral = float(np.dot(simpson_weights(n_angles), density))
-    return PhaseProfile(th, density, integral)
+    return PhaseProfile(theta_grid(n_angles), density, integral)
 
 
 def q_function_closed_form(spec: StateSpec, beta: complex, max_terms: int = 2048) -> float:

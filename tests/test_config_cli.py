@@ -1,7 +1,13 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import focklab
 
 from focklab.cli import main
 from focklab.config import (
@@ -212,6 +218,30 @@ def test_dump_vfbs_no_vacuum_row(tmp_path):
     assert [int(r[0]) for r in rows] == [1, 2]
 
 
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ("dump.kind = angular_q\ndump.angles = 361", "must be even"),
+        ("dump.kind = phase\ndump.angles = 45", "must be even"),
+        ("dump.kind = husimi_q\ndump.angles = 0", "dump.angles must be an integer >= 1"),
+        ("dump.kind = angular_q\ndump.radial = 0", "dump.radial must be an integer >= 1"),
+        ("dump.kind = husimi_q\ndump.radial = -3", "dump.radial must be an integer >= 1"),
+        ("dump.kind = phase\ndump.angles = 72.5", "dump.angles must be an integer >= 1"),
+        ("dump.angles = many", "dump.angles must be an integer >= 1"),
+    ],
+)
+def test_dump_rejects_bad_grid_sizes(lines, message):
+    with pytest.raises(ConfigError, match=message):
+        dump_config_from_text(f"state.family = Fock\nstate.n = 1\n{lines}\noutput = x.csv\n")
+
+
+def test_dump_odd_angles_allowed_for_husimi_q():
+    config = dump_config_from_text(
+        "state.family = Fock\ndump.kind = husimi_q\ndump.angles = 361\noutput = x.csv\n"
+    )
+    assert config.angles == 361
+
+
 # --- CLI ------------------------------------------------------------------------
 
 def test_cli_sweep_and_dump(tmp_path):
@@ -238,3 +268,20 @@ def test_cli_config_error_exit_code(tmp_path):
 def test_cli_verify_small_seed_runs():
     # The full verification runs in the acceptance suite; here only the exit path.
     assert main(["verify", "--seed", "3"]) == 0
+
+
+def test_python_m_focklab_exits_2_on_bad_dump_config(tmp_path):
+    cfg = tmp_path / "bad_dump.cfg"
+    cfg.write_text(
+        f"state.family = Fock\ndump.kind = angular_q\ndump.angles = 361\n"
+        f"output = {tmp_path / 'q.csv'}\n"
+    )
+    paths = [str(Path(focklab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    done = subprocess.run(
+        [sys.executable, "-m", "focklab", "dump", str(cfg)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 2, done.stderr
+    assert "dump.angles must be even" in done.stderr
+    assert not (tmp_path / "q.csv").exists()

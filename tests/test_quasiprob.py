@@ -1,19 +1,41 @@
+import cmath
+import csv
 import math
 
 import numpy as np
 import pytest
 
+from focklab.config import DumpConfig
 from focklab.core import TruncationPolicy, make_fock, state_from_amplitudes
+from focklab.harness import dump_state
+from focklab.phase import theta_grid
 from focklab.quasiprob import (
     angular_q,
     phase_space_grid,
     q_function,
     q_function_closed_form,
     q_integral,
+    radial_nodes,
 )
 from focklab.states import StateSpec, build_state
 
 POLICY = TruncationPolicy(max_dim=512, tail_tolerance=1e-16)
+
+# (spec, angles, radial) grids for the polar-kernel oracle tests. The
+# |alpha| = 15 PASDFS state has dim > 300, so 90 angles exercise the
+# folding of the Fock index mod the angle count.
+POLAR_CASES = [
+    (StateSpec("PADFS", alpha=1j, n=1, added=1), 360, 96),
+    (StateSpec("ECS", alpha=3.0 * cmath.exp(0.3j)), 120, 48),
+    (StateSpec("Kerr", alpha=8.0 * cmath.exp(2.1j), chi=0.03), 360, 128),
+    (StateSpec("PASDFS", alpha=15.0 * cmath.exp(-1.2j), n=1, added=1, subtracted=1), 90, 64),
+]
+
+
+def angular_q_by_angle(s, n_angles, n_radial):
+    """Radius-integrated Q from one q_function call per angle: the oracle."""
+    _, r, wr = radial_nodes(s, n_radial)
+    return np.array([np.dot(q_function(s, r * np.exp(1j * a)), r * wr) for a in theta_grid(n_angles)])
 
 
 def test_q_vacuum_at_origin():
@@ -100,3 +122,29 @@ def test_angular_q_global_phase_invariant(rng):
     a = angular_q(s, n_angles=90, n_radial=64)
     b = angular_q(rotated, n_angles=90, n_radial=64)
     assert np.max(np.abs(a.density - b.density)) <= 1e-12
+
+
+@pytest.mark.parametrize("spec, n_angles, n_radial", POLAR_CASES)
+def test_angular_q_matches_per_angle_oracle(spec, n_angles, n_radial):
+    s = build_state(spec, POLICY)
+    reference = angular_q_by_angle(s, n_angles, n_radial)
+    profile = angular_q(s, n_angles, n_radial)
+    assert np.max(np.abs(profile.density - reference)) <= 1e-12 * np.max(reference)
+
+
+@pytest.mark.parametrize(
+    "spec, n_angles, n_radial",
+    POLAR_CASES + [(StateSpec("PADFS", alpha=2.0 + 1.0j, n=2, added=1), 361, 40)],
+)
+def test_husimi_q_dump_matches_q_function(tmp_path, spec, n_angles, n_radial):
+    out = tmp_path / "q.csv"
+    dump_state(DumpConfig(spec, POLICY, str(out), "husimi_q", n_angles, n_radial))
+    with open(out, newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert rows[0] == ["re_beta", "im_beta", "q"]
+    values = np.array([[float(cell) for cell in row] for row in rows[1:]])
+    s = build_state(spec, POLICY)
+    grid = phase_space_grid(s, n_angles=n_angles, n_radial=n_radial)
+    reference = q_function(s, grid.beta_samples)
+    assert np.array_equal(values[:, 0] + 1j * values[:, 1], grid.beta_samples)
+    assert np.max(np.abs(values[:, 2] - reference)) <= 1e-12 * np.max(reference)
