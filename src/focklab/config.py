@@ -23,14 +23,30 @@ given with ``sweep2.*``; rows then iterate the outer sweep first.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, replace
 
 from .core import TruncationPolicy
 from .exceptions import ConfigError, InvalidParameterError
-from .states import StateSpec, canonical_family
+from .states import Family, StateSpec, canonical_family
 
 _STATE_INT_KEYS = ("n", "added", "subtracted", "M")
 _STATE_FLOAT_KEYS = ("p", "chi", "alpha.mag", "alpha.phase")
+
+
+def _number(cfg: dict[str, str], key: str, kind: type, default: str | None = None):
+    """``cfg[key]`` (or ``default``) parsed as an int or a finite float."""
+    text = cfg.get(key, default)
+    if text is None:
+        raise ConfigError(f"missing required key {key}")
+    try:
+        value = kind(text)
+    except ValueError:
+        value = None
+    if value is None or not math.isfinite(value):
+        expected = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"{key} must be {expected}, got {text!r}")
+    return value
 
 
 def parse_flat_config(text: str) -> dict[str, str]:
@@ -97,18 +113,9 @@ def _set_param(spec: StateSpec, param: str, value: float) -> StateSpec:
     raise ConfigError(f"unknown sweep parameter {param!r}")
 
 
-def _sweepable(family: str, param: str) -> bool:
-    groups = {
-        "alpha.mag": ("Coherent", "DFS", "PADFS", "PSDFS", "PASDFS", "ECS", "VFECS", "PAECS", "Kerr", "VFKS", "PAKS"),
-        "alpha.phase": ("Coherent", "DFS", "PADFS", "PSDFS", "PASDFS", "ECS", "VFECS", "PAECS", "Kerr", "VFKS", "PAKS"),
-        "n": ("Fock", "DFS", "PADFS", "PSDFS", "PASDFS"),
-        "added": ("PADFS", "PASDFS"),
-        "subtracted": ("PSDFS", "PASDFS"),
-        "p": ("Binomial", "VFBS", "PABS"),
-        "M": ("Binomial", "VFBS", "PABS"),
-        "chi": ("Kerr", "VFKS", "PAKS"),
-    }
-    return param in groups and family in groups[param]
+def _sweepable(family: Family, param: str) -> bool:
+    # "alpha.mag" and "alpha.phase" both belong to the family's "alpha" field.
+    return param in _STATE_INT_KEYS + _STATE_FLOAT_KEYS and param.split(".")[0] in family.fields
 
 
 def state_spec_from_config(cfg: dict[str, str], prefix: str = "state.") -> StateSpec:
@@ -116,45 +123,47 @@ def state_spec_from_config(cfg: dict[str, str], prefix: str = "state.") -> State
     if family is None:
         raise ConfigError(f"missing required key {prefix}family")
     kwargs: dict = {"family": canonical_family(family)}
-    mag = float(cfg.get(prefix + "alpha.mag", "0"))
-    phase = float(cfg.get(prefix + "alpha.phase", "0"))
+    mag = _number(cfg, prefix + "alpha.mag", float, "0")
+    phase = _number(cfg, prefix + "alpha.phase", float, "0")
     kwargs["alpha"] = 0j if mag == 0.0 else mag * cmath.exp(1j * phase)
     for key in _STATE_INT_KEYS:
         if prefix + key in cfg:
-            kwargs[key] = int(cfg[prefix + key])
+            kwargs[key] = _number(cfg, prefix + key, int)
     for key in ("p", "chi"):
         if prefix + key in cfg:
-            kwargs[key] = float(cfg[prefix + key])
+            kwargs[key] = _number(cfg, prefix + key, float)
     return StateSpec(**kwargs)
 
 
 def truncation_from_config(cfg: dict[str, str]) -> TruncationPolicy:
-    max_dim = int(cfg.get("truncation.max_dim", "512"))
-    tail = float(cfg.get("truncation.tail_tolerance", "1e-12"))
-    return TruncationPolicy(max_dim=max_dim, tail_tolerance=tail)
-
-
-def _parse_axis(cfg: dict[str, str], prefix: str, family: str) -> SweepAxis:
+    max_dim = _number(cfg, "truncation.max_dim", int, "512")
+    tail = _number(cfg, "truncation.tail_tolerance", float, "1e-12")
     try:
-        param = cfg[prefix + "param"]
-        start = float(cfg[prefix + "start"])
-        stop = float(cfg[prefix + "stop"])
-        steps = int(cfg[prefix + "steps"])
-    except KeyError as missing:
-        raise ConfigError(f"missing sweep key {prefix}{missing.args[0]}") from None
+        return TruncationPolicy(max_dim=max_dim, tail_tolerance=tail)
+    except ValueError as exc:
+        raise ConfigError(f"truncation: {exc}") from None
+
+
+def _parse_axis(cfg: dict[str, str], prefix: str, family: Family) -> SweepAxis:
+    param = cfg.get(prefix + "param")
+    if param is None:
+        raise ConfigError(f"missing required key {prefix}param")
+    start = _number(cfg, prefix + "start", float)
+    stop = _number(cfg, prefix + "stop", float)
+    steps = _number(cfg, prefix + "steps", int)
     if steps < 1:
         raise ConfigError(f"{prefix}steps must be >= 1")
     if not _sweepable(family, param):
-        raise ConfigError(f"parameter {param!r} does not exist on family {family!r}")
+        raise ConfigError(f"parameter {param!r} does not exist on family {family.name!r}")
     return SweepAxis(param, start, stop, steps)
 
 
 def sweep_config_from_text(text: str) -> SweepConfig:
     cfg = parse_flat_config(text)
     spec = state_spec_from_config(cfg)
-    axes = [_parse_axis(cfg, "sweep.", spec.family)]
+    axes = [_parse_axis(cfg, "sweep.", spec.info)]
     if any(key.startswith("sweep2.") for key in cfg):
-        axes.append(_parse_axis(cfg, "sweep2.", spec.family))
+        axes.append(_parse_axis(cfg, "sweep2.", spec.info))
     if "quantities" not in cfg:
         raise ConfigError("missing required key 'quantities'")
     quantities = tuple(q.strip() for q in cfg["quantities"].split(",") if q.strip())

@@ -151,35 +151,43 @@ def dump_state(config: DumpConfig) -> None:
     rows whose magnitude falls below the floor (default 1e-15) so exact
     parity holes and trailing truncation zeros never appear. ``phase`` and
     ``angular_q`` emit (theta, density) profiles; ``husimi_q`` emits
-    (re_beta, im_beta, value) over the state's phase-space grid.
+    (re_beta, im_beta, value) over the state's phase-space grid. A profile
+    whose mass is off 1 by more than 1e-6 (an angle grid too coarse for the
+    state aliases it) raises ConfigError before the output file is opened.
     """
     state = build_state(config.spec, config.truncation)
+    if config.kind == "amplitudes":
+        header = ["n", "re", "im", "p"]
+        rows = (
+            [n, repr(float(c.real)), repr(float(c.imag)), repr(float(abs(c) ** 2))]
+            for n, c in enumerate(state.amplitudes)
+            if abs(c) >= config.amplitude_floor
+        )
+    elif config.kind == "husimi_q":
+        grid = phase_space_grid(state, n_angles=config.angles, n_radial=config.radial)
+        _, radii, _ = radial_nodes(state, config.radial)
+        values = q_polar(state, radii, config.angles).ravel()
+        header = ["re_beta", "im_beta", "q"]
+        rows = (
+            [repr(float(beta.real)), repr(float(beta.imag)), repr(float(value))]
+            for beta, value in zip(grid.beta_samples, values)
+        )
+    else:
+        if config.kind == "phase":
+            profile = phase_distribution(state, config.angles)
+        else:
+            profile = angular_q(state, config.angles, config.radial)
+        if abs(profile.integral_check - 1.0) > 1e-6:
+            raise ConfigError(
+                f"{config.kind} profile has mass {profile.integral_check:.6g}, not 1 within 1e-6; "
+                f"the {config.angles}-angle grid is too coarse for this state"
+            )
+        header = ["theta", "density"]
+        rows = (
+            [repr(float(theta)), repr(float(value))]
+            for theta, value in zip(profile.theta, profile.density)
+        )
     with open(config.output_path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        if config.kind == "amplitudes":
-            writer.writerow(["n", "re", "im", "p"])
-            for n, c in enumerate(state.amplitudes):
-                if abs(c) < config.amplitude_floor:
-                    continue
-                writer.writerow(
-                    [n, repr(float(c.real)), repr(float(c.imag)), repr(float(abs(c) ** 2))]
-                )
-        elif config.kind == "phase":
-            profile = phase_distribution(state, config.angles)
-            writer.writerow(["theta", "density"])
-            for theta, value in zip(profile.theta, profile.density):
-                writer.writerow([repr(float(theta)), repr(float(value))])
-        elif config.kind == "angular_q":
-            profile = angular_q(state, config.angles, config.radial)
-            writer.writerow(["theta", "density"])
-            for theta, value in zip(profile.theta, profile.density):
-                writer.writerow([repr(float(theta)), repr(float(value))])
-        else:  # husimi_q
-            grid = phase_space_grid(state, n_angles=config.angles, n_radial=config.radial)
-            _, radii, _ = radial_nodes(state, config.radial)
-            values = q_polar(state, radii, config.angles).ravel()
-            writer.writerow(["re_beta", "im_beta", "q"])
-            for beta, value in zip(grid.beta_samples, values):
-                writer.writerow(
-                    [repr(float(beta.real)), repr(float(beta.imag)), repr(float(value))]
-                )
+        writer.writerow(header)
+        writer.writerows(rows)

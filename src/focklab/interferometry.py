@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StateVector
+from .core import LOG_FACTORIAL, StateVector
 from .exceptions import AnnihilatedStateError, InvalidParameterError, StationaryPointError
 from .states import StateSpec, normalization_constant_closed_form
 
-_LF = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, 4096, dtype=np.float64)))))
+# Family groups with a closed-form linear-entropy series.
+ENTROPY_SERIES_GROUPS = ("ecs", "kerr", "binomial")
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,10 @@ def beam_splitter_split(s: StateVector) -> TwoModeState:
         if c == 0:
             continue
         j = np.arange(n + 1)
-        log_w = 0.5 * (_LF[n] - _LF[j] - _LF[n - j]) - 0.5 * n * math.log(2.0)
+        log_w = (
+            0.5 * (LOG_FACTORIAL[n] - LOG_FACTORIAL[j] - LOG_FACTORIAL[n - j])
+            - 0.5 * n * math.log(2.0)
+        )
         out[j, n - j] = c * np.exp(log_w)
     return TwoModeState(out, (d, d))
 
@@ -85,7 +89,7 @@ def _vandermonde_binom(total: np.ndarray, pick: np.ndarray) -> np.ndarray:
     ok = (pick >= 0) & (pick <= total)
     t = np.where(ok, total, 0)
     k = np.where(ok, pick, 0)
-    val = _LF[t] - _LF[k] - _LF[t - k]
+    val = LOG_FACTORIAL[t] - LOG_FACTORIAL[k] - LOG_FACTORIAL[t - k]
     return np.where(ok, val, -np.inf)
 
 
@@ -101,7 +105,8 @@ def _le_sum_ladder(lam: float, chi: float | None, variant: str, cut: int) -> flo
     r = np.arange(start, cut)
     m = np.arange(start, 2 * cut)
     N, M, R = np.meshgrid(n, m, r, indexing="ij")
-    log_mag = (N + R) * (math.log(lam) if lam > 0 else -1.0e18) - _LF[N] - _LF[R]
+    log_lam = math.log(lam) if lam > 0 else -1.0e18
+    log_mag = (N + R) * log_lam - LOG_FACTORIAL[N] - LOG_FACTORIAL[R]
     if variant == "added":
         log_bin = _vandermonde_binom(N + R + 2, M + 1) - (N + R + 2) * math.log(2.0)
         weight = (M + 1.0) * (N + R - M + 1.0)
@@ -136,12 +141,18 @@ def _le_sum_binomial(p: float, M_max: int, variant: str) -> float:
         ok &= N + R - Mm >= 1  # the vacuum hole bars the fourth quartic index too
     s_idx = np.where(ok, N + R - Mm, 0)
     log_g = (
-        2.0 * _LF[M_max]
+        2.0 * LOG_FACTORIAL[M_max]
         + (N + R) * log_p
         + (2 * M_max - N - R) * log_1p
-        - 0.5 * (_LF[M_max - N] + _LF[M_max - Mm] + _LF[M_max - R] + _LF[M_max - s_idx])
-        - _LF[N]
-        - _LF[R]
+        - 0.5
+        * (
+            LOG_FACTORIAL[M_max - N]
+            + LOG_FACTORIAL[M_max - Mm]
+            + LOG_FACTORIAL[M_max - R]
+            + LOG_FACTORIAL[M_max - s_idx]
+        )
+        - LOG_FACTORIAL[N]
+        - LOG_FACTORIAL[R]
     )
     log_g = np.where(ok, log_g, -np.inf)
     if variant == "added":
@@ -160,36 +171,26 @@ def linear_entropy_closed_form(spec: StateSpec) -> float:
     Agrees with ``linear_entropy(build_state(spec))`` within 1e-8; any other
     family raises InvalidParameterError.
     """
-    fam = spec.family
+    info = spec.info
+    if info.group not in ENTROPY_SERIES_GROUPS:
+        raise InvalidParameterError(f"no closed-form linear-entropy series for {spec.family!r}")
     lam = spec.alpha_mag**2
-    cut = int(lam + 14.0 * math.sqrt(lam + 1.0) + 24)
-    if fam in ("ECS", "VFECS", "PAECS"):
-        chi = None
-    elif fam in ("Kerr", "VFKS", "PAKS"):
-        chi = spec.chi
-    elif fam in ("Binomial", "VFBS", "PABS"):
-        variant = {"Binomial": "plain", "VFBS": "filtered", "PABS": "added"}[fam]
-        if variant == "plain":
-            prefactor = 1.0
-        else:
-            constant = normalization_constant_closed_form(spec)
-            if constant is None:
-                raise AnnihilatedStateError(f"{fam} is empty for these parameters")
-            prefactor = constant**4
-        return 1.0 - prefactor * _le_sum_binomial(spec.p, spec.M, variant)
-    else:
-        raise InvalidParameterError(f"no closed-form linear-entropy series for {fam!r}")
-
-    variant = "plain" if fam in ("ECS", "Kerr") else ("filtered" if fam.startswith("VF") else "added")
-    if fam == "ECS":
-        prefactor = math.exp(-2.0 * lam) / (4.0 * (1.0 + math.exp(-2.0 * lam)) ** 2)
-    elif fam == "Kerr":
-        prefactor = math.exp(-2.0 * lam)
-    else:
+    variant = info.hole or "plain"
+    if info.hole is not None:
         constant = normalization_constant_closed_form(spec)
         if constant is None:
-            raise AnnihilatedStateError(f"{fam} is empty for these parameters")
+            raise AnnihilatedStateError(f"{spec.family} is empty for these parameters")
         prefactor = constant**4
+    elif info.group == "ecs":
+        prefactor = math.exp(-2.0 * lam) / (4.0 * (1.0 + math.exp(-2.0 * lam)) ** 2)
+    elif info.group == "kerr":
+        prefactor = math.exp(-2.0 * lam)
+    else:
+        prefactor = 1.0
+    if info.group == "binomial":
+        return 1.0 - prefactor * _le_sum_binomial(spec.p, spec.M, variant)
+    cut = int(lam + 14.0 * math.sqrt(lam + 1.0) + 24)
+    chi = spec.chi if info.group == "kerr" else None
     return 1.0 - prefactor * _le_sum_ladder(lam, chi, variant, cut)
 
 

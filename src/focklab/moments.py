@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .core import DEFAULT_POLICY, StateVector, TruncationPolicy, log_factorial, lower_amplitudes
+from .core import DEFAULT_POLICY, StableSum, StateVector, TruncationPolicy, log_factorial, lower_amplitudes
 from .exceptions import (
     AnnihilatedStateError,
     ConvergenceError,
@@ -25,9 +25,6 @@ from .states import StateSpec
 
 # Power budget: truncation error grows with t + j, so cap the order.
 MAX_TOTAL_ORDER = 16
-
-_STOP_REL = 1e-16
-_STOP_RUN = 5
 
 
 def moment_oracle(s: StateVector, t: int, j: int, edge_tolerance: float = 1e-6) -> complex:
@@ -65,30 +62,6 @@ def mean_photon(s: StateVector) -> float:
     return moment_oracle(s, 1, 1).real
 
 
-class _StableSum:
-    """Accumulator implementing the series stopping rule.
-
-    A sum is converged once the incoming term magnitude stays below
-    1e-16 of the running partial sum for five consecutive terms (with a
-    peak-based floor so sums that cancel to zero still terminate).
-    """
-
-    def __init__(self):
-        self.total = 0j
-        self.peak = 0.0
-        self.quiet = 0
-
-    def add(self, term: complex) -> bool:
-        self.total += term
-        mag = abs(term)
-        self.peak = max(self.peak, mag)
-        if mag <= _STOP_REL * max(abs(self.total), self.peak * _STOP_REL):
-            self.quiet += 1
-        else:
-            self.quiet = 0
-        return self.quiet >= _STOP_RUN
-
-
 def _dfs_group_series(
     alpha: complex, n: int, k: int, q: int, t: int, j: int, max_terms: int
 ) -> float:
@@ -113,7 +86,7 @@ def _dfs_group_series(
                 - log_factorial(n - pp)
                 - lam
             )
-            acc = _StableSum()
+            acc = StableSum()
             done = False
             for m in range(max_terms):
                 bra_shift = m + p - pp - j + t
@@ -155,7 +128,7 @@ def _ladder_series(
     coefficients c_i = N h_i / sqrt(i!); ``start`` is the lowest occupied
     Fock index (1 for vacuum-filtered and photon-added variants).
     """
-    acc = _StableSum()
+    acc = StableSum()
     i0 = max(j, start, start + j - t)
     for i in range(i0, i0 + max_terms):
         bra = i - j + t
@@ -172,7 +145,7 @@ def _ladder_series(
 
 def _ecs_like_params(spec: StateSpec):
     """(h_logmag, h_phase, start, N^2) for the ECS/Kerr ladder families."""
-    fam = spec.family
+    fam, hole = spec.family, spec.info.hole
     mag, theta, chi = spec.alpha_mag, spec.alpha_phase, spec.chi
     lam = mag * mag
     log_mag = math.log(mag) if mag > 0 else -1.0e18
@@ -195,38 +168,32 @@ def _ecs_like_params(spec: StateSpec):
     def shifted_logmag(fn):
         return lambda i: fn(i - 1) + math.log(i)
 
+    if spec.info.group == "ecs":
+        h_logmag, h_phase = parity_logmag, parity_phase
+    else:
+        h_logmag, h_phase = kerr_logmag, kerr_phase
+    if hole == "added":
+        h_logmag, h_phase = shifted_logmag(h_logmag), shifted(h_phase)
+    elif hole == "filtered" and lam == 0.0:
+        raise AnnihilatedStateError(f"{fam} is empty at alpha = 0")
     if fam == "ECS":
-        return parity_logmag, parity_phase, 0, math.exp(-lam) / (2.0 * (1.0 + math.exp(-2.0 * lam)))
-    if fam == "VFECS":
-        if lam == 0.0:
-            raise AnnihilatedStateError("VFECS is empty at alpha = 0")
-        return parity_logmag, parity_phase, 1, 1.0 / (4.0 * (math.cosh(lam) - 1.0))
-    if fam == "PAECS":
-        return (
-            shifted_logmag(parity_logmag),
-            shifted(parity_phase),
-            1,
-            0.25 / (math.cosh(lam) + lam * math.sinh(lam)),
-        )
-    if fam == "Kerr":
-        return kerr_logmag, kerr_phase, 0, math.exp(-lam)
-    if fam == "VFKS":
-        if lam == 0.0:
-            raise AnnihilatedStateError("VFKS is empty at alpha = 0")
-        return kerr_logmag, kerr_phase, 1, 1.0 / (math.exp(lam) - 1.0)
-    if fam == "PAKS":
-        return (
-            shifted_logmag(kerr_logmag),
-            shifted(kerr_phase),
-            1,
-            math.exp(-lam) / (1.0 + lam),
-        )
-    raise InvalidParameterError(fam)
+        n_sq = math.exp(-lam) / (2.0 * (1.0 + math.exp(-2.0 * lam)))
+    elif fam == "VFECS":
+        n_sq = 1.0 / (4.0 * (math.cosh(lam) - 1.0))
+    elif fam == "PAECS":
+        n_sq = 0.25 / (math.cosh(lam) + lam * math.sinh(lam))
+    elif fam == "Kerr":
+        n_sq = math.exp(-lam)
+    elif fam == "VFKS":
+        n_sq = 1.0 / (math.exp(lam) - 1.0)
+    else:  # PAKS
+        n_sq = math.exp(-lam) / (1.0 + lam)
+    return h_logmag, h_phase, 0 if hole is None else 1, n_sq
 
 
 def _binomial_params(spec: StateSpec):
     """(h_logmag, h_phase, start, N^2) for the binomial families."""
-    fam = spec.family
+    hole = spec.info.hole
     p, M = spec.p, spec.M
     log_p = math.log(p) if p > 0 else -1.0e18
     log_1p = math.log(1.0 - p) if p < 1 else -1.0e18
@@ -242,20 +209,19 @@ def _binomial_params(spec: StateSpec):
     def one(_i: int) -> complex:
         return 1.0 + 0j
 
-    if fam == "Binomial":
+    def pabs_logmag(i: int) -> float:
+        if i < 1:
+            return -math.inf
+        return bs_logmag(i - 1) + 0.5 * math.log(i) + 0.5 * (log_factorial(i) - log_factorial(i - 1))
+
+    if hole is None:
         return bs_logmag, one, 0, 1.0
-    if fam == "VFBS":
+    if hole == "filtered":
         weight = 1.0 - (1.0 - p) ** M
         if weight <= 0.0:
             raise AnnihilatedStateError("VFBS is empty for p = 0 or M = 0")
         return bs_logmag, one, 1, 1.0 / weight
-    if fam == "PABS":
-        def pabs_logmag(i: int) -> float:
-            if i < 1:
-                return -math.inf
-            return bs_logmag(i - 1) + 0.5 * math.log(i) + 0.5 * (log_factorial(i) - log_factorial(i - 1))
-        return pabs_logmag, one, 1, 1.0 / (1.0 + M * p)
-    raise InvalidParameterError(fam)
+    return pabs_logmag, one, 1, 1.0 / (1.0 + M * p)
 
 
 def moment_series(
@@ -272,23 +238,17 @@ def moment_series(
         raise ValueError("operator powers must be >= 0")
     if t + j > MAX_TOTAL_ORDER:
         raise InvalidParameterError(f"moment order {t + j} exceeds cap {MAX_TOTAL_ORDER}")
-    fam = spec.family
+    group = spec.info.group
     max_terms = max(policy.max_dim, 512)
-    if fam in ("Fock", "Coherent", "DFS", "PADFS", "PSDFS", "PASDFS"):
-        alpha = spec.alpha if fam != "Fock" else 0.0
-        n = spec.n
-        k = spec.added if fam in ("PADFS", "PASDFS") else 0
-        q = spec.subtracted if fam in ("PSDFS", "PASDFS") else 0
+    if group in ("fock", "dfs"):
+        alpha = spec.param("alpha")
+        n, k, q = spec.param("n"), spec.param("added"), spec.param("subtracted")
         num = _dfs_group_series(alpha, n, k, q, t, j, max_terms)
         den = _dfs_group_series(alpha, n, k, q, 0, 0, max_terms)
         if den < 1e-250:
-            raise AnnihilatedStateError(f"{fam} state vanishes for these parameters")
-        theta = spec.alpha_phase
+            raise AnnihilatedStateError(f"{spec.family} state vanishes for these parameters")
+        theta = cmath.phase(alpha) if alpha != 0 else 0.0
         return cmath.exp(1j * theta * (j - t)) * (num / den)
-    if fam in ("ECS", "VFECS", "PAECS", "Kerr", "VFKS", "PAKS"):
-        h_logmag, h_phase, start, n_sq = _ecs_like_params(spec)
-        return n_sq * _ladder_series(h_logmag, h_phase, start, t, j, max_terms)
-    if fam in ("Binomial", "VFBS", "PABS"):
-        h_logmag, h_phase, start, n_sq = _binomial_params(spec)
-        return n_sq * _ladder_series(h_logmag, h_phase, start, t, j, max_terms)
-    raise InvalidParameterError(f"unknown family {fam!r}")
+    params = _binomial_params if group == "binomial" else _ecs_like_params
+    h_logmag, h_phase, start, n_sq = params(spec)
+    return n_sq * _ladder_series(h_logmag, h_phase, start, t, j, max_terms)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StateVector, log_factorial
-from .exceptions import InvalidParameterError, PhaseUndefinedError
+from .core import LOG_FACTORIAL, StateVector, log_factorial
+from .exceptions import ConvergenceError, InvalidParameterError, PhaseUndefinedError
 from .moments import moment_oracle
 from .states import StateSpec, normalization_constant
 
@@ -92,24 +92,16 @@ def phase_distribution_closed_form(
     Coherent/DFS/PADFS/PSDFS/PASDFS specs and evaluates the literal
     (m, m') double sum at each grid angle.
     """
-    fam = spec.family
-    if fam == "Coherent":
-        n, k, q = 0, 0, 0
-    elif fam == "DFS":
-        n, k, q = spec.n, 0, 0
-    elif fam == "PADFS":
-        n, k, q = spec.n, spec.added, 0
-    elif fam == "PSDFS":
-        n, k, q = spec.n, 0, spec.subtracted
-    elif fam == "PASDFS":
-        n, k, q = spec.n, spec.added, spec.subtracted
-    else:
-        raise InvalidParameterError(f"no closed-form phase-distribution series for {fam!r}")
+    if spec.info.group != "dfs":
+        raise InvalidParameterError(f"no closed-form phase-distribution series for {spec.family!r}")
+    n, k, q = spec.param("n"), spec.param("added"), spec.param("subtracted")
 
     mag = spec.alpha_mag
     theta2 = spec.alpha_phase
     lam = mag * mag
     cut = min(_series_cutoff(mag, n + k), max_terms)
+    if cut + n + k > len(LOG_FACTORIAL):
+        raise ConvergenceError(f"phase-distribution series needs more than {len(LOG_FACTORIAL)} terms")
     thetas = np.asarray(thetas, dtype=np.float64)
 
     # Single (p, m) block of weights; the (p', m') block is identical (the
@@ -122,9 +114,9 @@ def phase_distribution_closed_form(
         log_t = np.where(
             valid,
             (m + 0.0) * (math.log(mag) if mag > 0 else -1.0e18)
-            + _clip_lfact(m + p + k)
-            - _lfact_arr(m)
-            - 0.5 * _clip_lfact(np.where(valid, idx, 0)),
+            + LOG_FACTORIAL[m + p + k]
+            - LOG_FACTORIAL[m]
+            - 0.5 * LOG_FACTORIAL[np.where(valid, idx, 0)],
             -np.inf,
         )
         sign = (-1.0) ** (n - p)
@@ -140,17 +132,6 @@ def phase_distribution_closed_form(
         out[i] = acc.real
     nsq = normalization_constant(spec) ** 2
     return nsq / (2.0 * math.pi * math.factorial(n)) * out
-
-
-def _lfact_arr(values) -> np.ndarray:
-    return np.array([log_factorial(int(v)) for v in np.asarray(values).ravel()]).reshape(
-        np.shape(values)
-    )
-
-
-def _clip_lfact(values) -> np.ndarray:
-    arr = np.asarray(values)
-    return _lfact_arr(np.where(arr < 0, 0, arr))
 
 
 def phase_dispersion(s: StateVector, n_points: int = DEFAULT_GRID_POINTS) -> float:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .core import StateVector, log_factorial
+from .core import StableSum, StateVector, log_factorial
 from .exceptions import InvalidParameterError
 from .phase import PhaseProfile, simpson_weights, theta_grid
 from .states import StateSpec, normalization_constant
@@ -129,16 +129,10 @@ def q_function_closed_form(spec: StateSpec, beta: complex, max_terms: int = 2048
     independent of any constructed state vector; used to cross-check
     ``q_function`` on the displaced-Fock family.
     """
-    fam = spec.family
-    if fam in ("Coherent", "DFS"):
-        u = v = 0
-    elif fam == "PADFS":
-        u, v = spec.added, 0
-    elif fam == "PSDFS":
-        u, v = 0, spec.subtracted
-    else:
-        raise InvalidParameterError(f"no closed-form Q-function series for {fam!r}")
-    n = spec.n if fam != "Coherent" else 0
+    # The series covers photon addition or subtraction, not both at once.
+    if spec.info.group != "dfs" or spec.family == "PASDFS":
+        raise InvalidParameterError(f"no closed-form Q-function series for {spec.family!r}")
+    n, u, v = spec.param("n"), spec.param("added"), spec.param("subtracted")
     alpha = spec.alpha
     beta = complex(beta)
     lam, bmag = abs(alpha) ** 2, abs(beta)
@@ -149,8 +143,7 @@ def q_function_closed_form(spec: StateSpec, beta: complex, max_terms: int = 2048
 
     total = 0j
     for p in range(n + 1):
-        inner = 0j
-        quiet = 0
+        inner = StableSum()
         for m in range(max_terms):
             idx = m + p + u - v
             if idx < 0 or (v and m + p - v < 0):
@@ -164,14 +157,8 @@ def q_function_closed_form(spec: StateSpec, beta: complex, max_terms: int = 2048
             )
             if v:
                 log_mag += log_factorial(m + p) - log_factorial(m + p - v)
-            term = math.exp(log_mag) * unit_a**m * unit_b**idx
-            inner += term
-            if abs(term) <= 1e-16 * max(abs(inner), 1e-280):
-                quiet += 1
-                if quiet >= 5:
-                    break
-            else:
-                quiet = 0
-        total += math.comb(n, p) * (-np.conjugate(alpha)) ** (n - p) * inner
+            if inner.add(math.exp(log_mag) * unit_a**m * unit_b**idx):
+                break
+        total += math.comb(n, p) * (-np.conjugate(alpha)) ** (n - p) * inner.total
     nsq = normalization_constant(spec) ** 2
     return nsq / (math.pi * math.factorial(n)) * abs(total) ** 2

@@ -22,6 +22,8 @@ import numpy as np
 
 from .core import (
     DEFAULT_POLICY,
+    LOG_FACTORIAL,
+    StableSum,
     StateVector,
     TruncationPolicy,
     log_factorial,
@@ -36,36 +38,51 @@ from .exceptions import AnnihilatedStateError, InvalidParameterError
 # e > 0 while 0^0 stays exp(0 * _LOG_ZERO) = 1.
 _LOG_ZERO = -1.0e18
 
-_LF_TABLE = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, 4096, dtype=np.float64)))))
+
+@dataclass(frozen=True)
+class Family:
+    """One state family: its series group, hole-burning step and parameters.
+
+    ``group`` is the coefficient series the family is built on: "fock",
+    "dfs" (displaced Fock, with photon addition/subtraction), "ecs" (even
+    coherent), "kerr" or "binomial". ``hole`` is the step that burns the
+    vacuum hole into the group's plain state: None, "filtered" (c_0 zeroed)
+    or "added" (one photon added). ``fields`` names the StateSpec fields the
+    family reads; "alpha" covers both its magnitude and its phase.
+    """
+
+    name: str
+    group: str
+    hole: str | None
+    fields: tuple[str, ...]
 
 
-def _lfact(idx) -> np.ndarray:
-    """log(idx!) elementwise from a precomputed table (idx must be >= 0)."""
-    return _LF_TABLE[np.asarray(idx, dtype=np.intp)]
-
-
-FAMILIES = (
-    "Fock",
-    "Coherent",
-    "DFS",
-    "PADFS",
-    "PSDFS",
-    "PASDFS",
-    "ECS",
-    "VFECS",
-    "PAECS",
-    "Binomial",
-    "VFBS",
-    "PABS",
-    "Kerr",
-    "VFKS",
-    "PAKS",
+# The one place a family is defined; every dispatch reads group/hole/fields.
+_TABLE = (
+    Family("Fock", "fock", None, ("n",)),
+    Family("Coherent", "dfs", None, ("alpha",)),
+    Family("DFS", "dfs", None, ("alpha", "n")),
+    Family("PADFS", "dfs", None, ("alpha", "n", "added")),
+    Family("PSDFS", "dfs", None, ("alpha", "n", "subtracted")),
+    Family("PASDFS", "dfs", None, ("alpha", "n", "added", "subtracted")),
+    Family("ECS", "ecs", None, ("alpha",)),
+    Family("VFECS", "ecs", "filtered", ("alpha",)),
+    Family("PAECS", "ecs", "added", ("alpha",)),
+    Family("Binomial", "binomial", None, ("p", "M")),
+    Family("VFBS", "binomial", "filtered", ("p", "M")),
+    Family("PABS", "binomial", "added", ("p", "M")),
+    Family("Kerr", "kerr", None, ("alpha", "chi")),
+    Family("VFKS", "kerr", "filtered", ("alpha", "chi")),
+    Family("PAKS", "kerr", "added", ("alpha", "chi")),
 )
+
+FAMILY_INFO = {family.name: family for family in _TABLE}
+FAMILIES = tuple(FAMILY_INFO)
 
 _CANONICAL = {name.lower(): name for name in FAMILIES}
 
 # Families whose photon-number distribution has an exact hole at n = 0.
-HOLE_AT_VACUUM = ("VFECS", "PAECS", "VFBS", "PABS", "VFKS", "PAKS")
+HOLE_AT_VACUUM = tuple(family.name for family in _TABLE if family.hole)
 
 
 def canonical_family(name: str) -> str:
@@ -79,11 +96,11 @@ def canonical_family(name: str) -> str:
 class StateSpec:
     """Tagged parameter record naming a state family and its parameters.
 
-    Only the fields relevant to ``family`` are read: ``alpha`` for every
-    displaced/coherent-like family, ``n`` for the Fock parameter of the
-    DFS families, ``added``/``subtracted`` for photon addition/subtraction
-    counts, ``p``/``M`` for the binomial families, ``chi`` for the Kerr
-    coupling appearing in exp(-i chi n (n-1)).
+    Only the fields its family lists in ``FAMILY_INFO`` are read: ``alpha``
+    for every displaced/coherent-like family, ``n`` for the Fock parameter
+    of the DFS families, ``added``/``subtracted`` for photon
+    addition/subtraction counts, ``p``/``M`` for the binomial families,
+    ``chi`` for the Kerr coupling appearing in exp(-i chi n (n-1)).
     """
 
     family: str
@@ -101,8 +118,19 @@ class StateSpec:
         for attr in ("n", "added", "subtracted", "M"):
             if getattr(self, attr) < 0:
                 raise InvalidParameterError(f"{attr} must be >= 0")
-        if self.family in ("Binomial", "VFBS", "PABS") and not 0.0 <= self.p <= 1.0:
+        for attr, value in (("alpha", self.alpha), ("p", self.p), ("chi", self.chi)):
+            if not cmath.isfinite(value):
+                raise InvalidParameterError(f"{attr} must be finite, got {value}")
+        if "p" in self.info.fields and not 0.0 <= self.p <= 1.0:
             raise InvalidParameterError(f"binomial probability p={self.p} not in [0, 1]")
+
+    @property
+    def info(self) -> Family:
+        return FAMILY_INFO[self.family]
+
+    def param(self, field: str):
+        """The value of ``field`` if this family reads it, else 0."""
+        return getattr(self, field) if field in self.info.fields else 0
 
     @property
     def alpha_mag(self) -> float:
@@ -136,14 +164,14 @@ def _dfs_family_bare(alpha: complex, n: int, added: int, subtracted: int, dim: i
     m = j + subtracted - added - p
     valid = m >= 0
     m_safe = np.where(valid, m, 0)
-    log_binom = log_factorial(n) - _lfact(p) - _lfact(n - p)
+    log_binom = log_factorial(n) - LOG_FACTORIAL[p] - LOG_FACTORIAL[n - p]
     logmag = (
         log_binom
         + _log_pow(mag, n - p)
         + _log_pow(mag, m_safe)
-        + _lfact(j + subtracted)
-        - _lfact(m_safe)
-        - 0.5 * _lfact(j)
+        + LOG_FACTORIAL[j + subtracted]
+        - LOG_FACTORIAL[m_safe]
+        - 0.5 * LOG_FACTORIAL[j]
         - 0.5 * lam
         - 0.5 * log_factorial(n)
     )
@@ -170,7 +198,7 @@ def _ladder_bare(alpha: complex, dim: int, kerr_chi: float | None, added: bool) 
     mag = abs(alpha)
     theta = cmath.phase(alpha) if alpha != 0 else 0.0
     j = np.arange(dim, dtype=np.int64)
-    logmag = _log_pow(mag, j) - 0.5 * _lfact(j)
+    logmag = _log_pow(mag, j) - 0.5 * LOG_FACTORIAL[j]
     phase = np.exp(1j * theta * j)
     if kerr_chi is None:
         phase = phase * np.where(j % 2 == 0, 2.0, 0.0)
@@ -210,50 +238,41 @@ def bare_coefficients(spec: StateSpec, dim: int) -> np.ndarray:
     constant must invert; ``normalization_constant`` and
     ``normalization_constant_closed_form`` compare these two quantities.
     """
-    fam = spec.family
-    if fam == "Fock":
+    info = spec.info
+    if info.group == "fock":
         out = np.zeros(dim, dtype=np.complex128)
         if spec.n < dim:
             out[spec.n] = 1.0
         return out
-    if fam in ("Coherent", "DFS", "PADFS", "PSDFS", "PASDFS"):
-        added = spec.added if fam in ("PADFS", "PASDFS") else 0
-        subtracted = spec.subtracted if fam in ("PSDFS", "PASDFS") else 0
-        n = spec.n if fam != "Coherent" else 0
-        return _dfs_family_bare(spec.alpha, n, added, subtracted, dim)
-    if fam in ("ECS", "VFECS", "PAECS"):
-        out = _ladder_bare(spec.alpha, dim, None, added=fam == "PAECS")
-        if fam == "VFECS":
-            out[0] = 0.0
-        return out
-    if fam in ("Binomial", "VFBS", "PABS"):
-        out = _binomial_bare(spec.p, spec.M, dim, added=fam == "PABS")
-        if fam == "VFBS":
-            out[0] = 0.0
-        return out
-    if fam in ("Kerr", "VFKS", "PAKS"):
-        out = _ladder_bare(spec.alpha, dim, spec.chi, added=fam == "PAKS")
-        if fam == "Kerr":
+    if info.group == "dfs":
+        return _dfs_family_bare(
+            spec.alpha, spec.param("n"), spec.param("added"), spec.param("subtracted"), dim
+        )
+    added = info.hole == "added"
+    if info.group == "binomial":
+        out = _binomial_bare(spec.p, spec.M, dim, added)
+    else:
+        out = _ladder_bare(spec.alpha, dim, spec.chi if info.group == "kerr" else None, added)
+        if info.group == "kerr" and info.hole is None:
             out *= math.exp(-0.5 * spec.alpha_mag**2)
-        elif fam == "VFKS":
-            out[0] = 0.0
-        return out
-    raise InvalidParameterError(f"unknown family {fam!r}")
+    if info.hole == "filtered":
+        out[0] = 0.0
+    return out
 
 
 def _finite_support(spec: StateSpec) -> bool:
-    return spec.family in ("Fock", "Binomial", "VFBS", "PABS")
+    return spec.info.group in ("fock", "binomial")
 
 
 def _initial_dim(spec: StateSpec, policy: TruncationPolicy) -> int:
-    if spec.family == "Fock":
+    info = spec.info
+    if info.group == "fock":
         return min(spec.n + 1, policy.max_dim)
-    if spec.family in ("Binomial", "VFBS"):
-        return min(spec.M + 1, policy.max_dim)
-    if spec.family == "PABS":
-        return min(spec.M + 2, policy.max_dim)
-    mean = spec.alpha_mag**2 + spec.n + spec.added + 1.0
-    guess = int(mean + 14.0 * math.sqrt(mean) + 32) + spec.added + spec.n
+    if info.group == "binomial":
+        return min(spec.M + (2 if info.hole == "added" else 1), policy.max_dim)
+    n, added = spec.param("n"), spec.param("added")
+    mean = spec.alpha_mag**2 + n + added + 1.0
+    guess = int(mean + 14.0 * math.sqrt(mean) + 32) + added + n
     return min(max(guess, 24), policy.max_dim)
 
 
@@ -331,47 +350,42 @@ def build_by_composition(spec: StateSpec, policy: TruncationPolicy = DEFAULT_POL
     Photon addition/subtraction is literal repeated ladder application;
     vacuum filtration literally zeroes c_0 and renormalizes.
     """
-    fam = spec.family
-    if fam == "Fock":
+    info = spec.info
+    if info.group == "fock":
         return make_fock(spec.n, spec.n + 1)
 
-    dim = min(_initial_dim(spec, policy) + spec.added + spec.subtracted + 8, policy.max_dim)
-    if fam in ("Coherent", "DFS", "PADFS", "PSDFS", "PASDFS"):
-        raw = _compose_dfs(spec.alpha, spec.n if fam != "Coherent" else 0, dim)
-        if fam in ("PADFS", "PASDFS"):
-            raw = raise_amplitudes(raw, spec.added)
-        if fam in ("PSDFS", "PASDFS"):
-            raw = lower_amplitudes(raw, spec.subtracted)
+    added, subtracted = spec.param("added"), spec.param("subtracted")
+    dim = min(_initial_dim(spec, policy) + added + subtracted + 8, policy.max_dim)
+    if info.group == "dfs":
+        raw = _compose_dfs(spec.alpha, spec.param("n"), dim)
+        raw = lower_amplitudes(raise_amplitudes(raw, added), subtracted)
         if len(raw) == 0 or float(np.linalg.norm(raw)) < 1e-12:
-            raise AnnihilatedStateError(f"{fam} state vanishes for these parameters")
-    elif fam in ("ECS", "VFECS", "PAECS"):
-        raw = _dfs_family_bare(spec.alpha, 0, 0, 0, dim) + _dfs_family_bare(-spec.alpha, 0, 0, 0, dim)
-        raw = _hole_burn(raw, fam)
-    elif fam in ("Binomial", "VFBS", "PABS"):
-        raw = _binomial_bare(spec.p, spec.M, dim, added=False)
-        raw = _hole_burn(raw, fam)
-    elif fam in ("Kerr", "VFKS", "PAKS"):
-        raw = _dfs_family_bare(spec.alpha, 0, 0, 0, dim)
-        j = np.arange(len(raw))
-        raw = raw * np.exp(-1j * spec.chi * j * (j - 1))
-        raw = _hole_burn(raw, fam)
+            raise AnnihilatedStateError(f"{spec.family} state vanishes for these parameters")
     else:
-        raise InvalidParameterError(f"unknown family {fam!r}")
+        if info.group == "ecs":
+            raw = _dfs_family_bare(spec.alpha, 0, 0, 0, dim) + _dfs_family_bare(-spec.alpha, 0, 0, 0, dim)
+        elif info.group == "binomial":
+            raw = _binomial_bare(spec.p, spec.M, dim, added=False)
+        else:
+            raw = _dfs_family_bare(spec.alpha, 0, 0, 0, dim)
+            j = np.arange(len(raw))
+            raw = raw * np.exp(-1j * spec.chi * j * (j - 1))
+        raw = _hole_burn(raw, info.hole)
 
     raw = raw[: policy.max_dim]  # photon addition may have grown past the cap
     trimmed, tail = _trim(raw, policy)
     return state_from_amplitudes(trimmed, tail_mass=tail)
 
 
-def _hole_burn(raw: np.ndarray, fam: str) -> np.ndarray:
+def _hole_burn(raw: np.ndarray, hole: str | None) -> np.ndarray:
     """The family's hole-burning step: vacuum filtration or photon addition."""
-    if fam.startswith("VF"):
+    if hole == "filtered":
         out = raw.copy()
         out[0] = 0.0
         if float(np.linalg.norm(out)) < 1e-12:
             raise AnnihilatedStateError("vacuum filtration removed the entire state")
         return out
-    if fam.startswith("PA"):
+    if hole == "added":
         return raise_amplitudes(raw)[: len(raw)]
     return raw
 
@@ -388,8 +402,7 @@ def normalization_constant(spec: StateSpec, policy: TruncationPolicy = DEFAULT_P
 def _norm_series_dfs(spec: StateSpec, subtracted: bool, max_terms: int = 4096) -> float:
     """Closed-form squared-norm series of the photon-added/subtracted DFS.
 
-    Triple series over (p, p', m); the m-sum stops once its term drops below
-    1e-16 of the running partial sum for five consecutive terms.
+    Triple series over (p, p', m); each m-sum ends on the StableSum stopping rule.
     """
     mag = spec.alpha_mag
     lam = mag * mag
@@ -407,8 +420,7 @@ def _norm_series_dfs(spec: StateSpec, subtracted: bool, max_terms: int = 4096) -
                 + float(_log_pow(mag, 2 * n - p - pp))
                 - lam
             )
-            acc = 0.0
-            quiet = 0
+            acc = StableSum()
             for m in range(max_terms):
                 if m + p - pp < 0 or (subtracted and m + p - v < 0):
                     continue
@@ -417,15 +429,9 @@ def _norm_series_dfs(spec: StateSpec, subtracted: bool, max_terms: int = 4096) -
                     log_t += 2.0 * log_factorial(m + p) - log_factorial(m + p - v)
                 else:
                     log_t += log_factorial(m + p + u)
-                term = math.exp(log_pref + log_t)
-                acc += term
-                if term <= 1e-16 * abs(acc):
-                    quiet += 1
-                    if quiet >= 5:
-                        break
-                else:
-                    quiet = 0
-            total += sign * acc
+                if acc.add(math.exp(log_pref + log_t)):
+                    break
+            total += sign * acc.total.real
     return total
 
 
@@ -476,7 +482,8 @@ def limiting_cases(spec: StateSpec) -> list[StateSpec]:
     """Specs this state must equal elementwise (the family reduction lattice)."""
     out = []
     fam = spec.family
-    if fam in ("PADFS", "PSDFS", "PASDFS") and spec.added == 0 and spec.subtracted == 0:
+    fields = spec.info.fields
+    if ("added" in fields or "subtracted" in fields) and spec.param("added") == spec.param("subtracted") == 0:
         out.append(StateSpec("DFS", alpha=spec.alpha, n=spec.n))
     if fam == "PADFS":
         out.append(StateSpec("PASDFS", alpha=spec.alpha, n=spec.n, added=spec.added))

@@ -285,3 +285,67 @@ def test_python_m_focklab_exits_2_on_bad_dump_config(tmp_path):
     assert done.returncode == 2, done.stderr
     assert "dump.angles must be even" in done.stderr
     assert not (tmp_path / "q.csv").exists()
+
+
+# --- numbers in configs -----------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("sweep.steps = 51", "sweep.steps = 2.5", "sweep.steps must be an integer"),
+        ("state.n = 1", "state.n = 1.5", "state.n must be an integer"),
+        ("state.alpha.mag = 0.0", "state.alpha.mag = abc", "state.alpha.mag must be a finite number"),
+        ("output", "truncation.max_dim = 1e3\noutput", "truncation.max_dim must be an integer"),
+        ("state.alpha.mag = 0.0", "state.alpha.mag = inf", "state.alpha.mag must be a finite number"),
+        ("sweep.stop = 5.0", "sweep.stop = nan", "sweep.stop must be a finite number"),
+        ("output", "truncation.tail_tolerance = 2\noutput", "tail_tolerance must lie in"),
+        ("output", "truncation.max_dim = 0\noutput", "max_dim must be >= 1"),
+    ],
+)
+def test_bad_config_numbers_are_config_errors(old, new, message):
+    text = SWEEP_TEMPLATE.format(out="x.csv").replace(old, new, 1)
+    with pytest.raises(ConfigError, match=message):
+        sweep_config_from_text(text)
+
+
+def test_python_m_focklab_exits_2_on_nan_sweep_bound(tmp_path):
+    out = tmp_path / "nan.csv"
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(SWEEP_TEMPLATE.format(out=out).replace("sweep.stop = 5.0", "sweep.stop = nan"))
+    paths = [str(Path(focklab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    done = subprocess.run(
+        [sys.executable, "-m", "focklab", "sweep", str(cfg)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 2, done.stderr
+    assert "sweep.stop must be a finite number" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not out.exists()
+
+
+# --- dump profile mass ------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ["phase", "angular_q"])
+def test_dump_refuses_aliased_profile(tmp_path, kind):
+    # dim 351 against 90 angles: the folded profile has mass 0.570 (phase)
+    # or 0.915 (angular_q), far from 1.
+    out = tmp_path / "aliased.csv"
+    config = dump_config_from_text(
+        "state.family = PASDFS\nstate.alpha.mag = 15\nstate.n = 1\nstate.added = 1\n"
+        f"state.subtracted = 1\ndump.kind = {kind}\ndump.angles = 90\noutput = {out}\n"
+    )
+    with pytest.raises(ConfigError, match=r"profile has mass 0\.(570|915)"):
+        dump_state(config)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["phase", "angular_q"])
+def test_shipped_angular_dump_passes_mass_check(tmp_path, kind):
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "angular_q_added.cfg"
+    out = tmp_path / "profile.csv"
+    text = shipped.read_text().replace("output = angular_q_added.csv", f"output = {out}")
+    text = text.replace("dump.kind = angular_q", f"dump.kind = {kind}")
+    dump_state(dump_config_from_text(text))
+    rows = read_csv(out)
+    assert rows[0] == ["theta", "density"] and len(rows) == 361

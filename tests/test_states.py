@@ -6,10 +6,12 @@ import pytest
 
 from focklab.core import TruncationPolicy, apply_annihilate, apply_create
 from focklab.exceptions import AnnihilatedStateError, InvalidParameterError
+from focklab.moments import moment_series
 from focklab.states import (
     FAMILIES,
     HOLE_AT_VACUUM,
     StateSpec,
+    bare_coefficients,
     build_by_composition,
     build_state,
     displacement_coefficients,
@@ -128,6 +130,37 @@ def test_invalid_binomial_probability():
 def test_unknown_family_rejected():
     with pytest.raises(InvalidParameterError):
         StateSpec("Squeezed", alpha=1.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"family": "Coherent", "alpha": complex(math.inf, 0.0)},
+        {"family": "DFS", "alpha": complex(0.5, math.nan)},
+        {"family": "Binomial", "p": math.nan, "M": 3},
+        {"family": "Kerr", "alpha": 1.0, "chi": math.inf},
+    ],
+)
+def test_non_finite_parameters_rejected(kwargs):
+    with pytest.raises(InvalidParameterError, match="must be finite"):
+        StateSpec(**kwargs)
+
+
+# A value for every StateSpec field; the clean spec takes the fields its
+# family reads, the stray spec also sets every other field to a nonzero value.
+_CLEAN = {"alpha": 1.1 * cmath.exp(0.3j), "n": 1, "added": 1, "subtracted": 1, "p": 0.4, "M": 5, "chi": 0.05}
+_STRAY = {"alpha": 0.7 - 0.2j, "n": 3, "added": 2, "subtracted": 2, "p": 0.3, "M": 4, "chi": 0.1}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_fields_a_family_does_not_read_change_nothing(family):
+    fields = StateSpec(family).info.fields
+    clean = StateSpec(family, **{f: v for f, v in _CLEAN.items() if f in fields})
+    stray = StateSpec(family, **{f: _CLEAN[f] if f in fields else v for f, v in _STRAY.items()})
+    assert np.array_equal(bare_coefficients(stray, 40), bare_coefficients(clean, 40))
+    assert np.array_equal(build_state(stray, POLICY).amplitudes, build_state(clean, POLICY).amplitudes)
+    for t, j in ((1, 1), (2, 1)):
+        assert moment_series(stray, t, j) == moment_series(clean, t, j)
 
 
 def test_limiting_case_lattice(rng):
