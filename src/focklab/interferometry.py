@@ -5,12 +5,13 @@ amplitudes (no matrix exponentiation), so the split is unitary on the
 truncated space by construction. Entanglement potential is the linear
 entropy of one output mode; the triple-sum closed forms are
 implemented alongside the numeric partial trace that validates them.
+Mach-Zehnder phase estimation with the input |s> x |0> needs only the
+photon statistics of |s> (Yurke, McCall & Klauder, PRA 33, 4033 (1986)).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,41 +23,11 @@ from .states import StateSpec, normalization_constant_closed_form
 ENTROPY_SERIES_GROUPS = ("ecs", "kerr", "binomial")
 
 
-@dataclass(frozen=True)
-class TwoModeState:
-    """Complex amplitudes c[j, m] over the product basis |j> x |m>."""
+def beam_splitter_split(s: StateVector) -> np.ndarray:
+    """Exact 50:50 split of |s> against vacuum, as the (dim, dim) two-mode amplitude matrix.
 
-    amplitudes: np.ndarray
-    dims: tuple[int, int]
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-@dataclass(frozen=True)
-class JzStatistics:
-    """Interferometer input statistics and the resulting signal variance at phi."""
-
-    mean_jz: float
-    mean_jx: float
-    var_jz: float
-    var_jx: float
-    cov_xz: float
-    phi: float
-
-    @property
-    def var_jz_out(self) -> float:
-        c, s = math.cos(self.phi), math.sin(self.phi)
-        return c * c * self.var_jz + s * s * self.var_jx - 2.0 * s * c * self.cov_xz
-
-    @property
-    def signal_derivative(self) -> float:
-        return -math.sin(self.phi) * self.mean_jz - math.cos(self.phi) * self.mean_jx
-
-
-def beam_splitter_split(s: StateVector) -> TwoModeState:
-    """Exact 50:50 split of |s> against vacuum: c[j, n-j] = c_n sqrt(C(n,j)) / 2^{n/2}."""
+    c[j, n-j] = c_n sqrt(C(n,j)) / 2^{n/2} over the product basis |j> x |m>.
+    """
     d = s.dim
     out = np.zeros((d, d), dtype=np.complex128)
     for n in range(d):
@@ -69,7 +40,7 @@ def beam_splitter_split(s: StateVector) -> TwoModeState:
             - 0.5 * n * math.log(2.0)
         )
         out[j, n - j] = c * np.exp(log_w)
-    return TwoModeState(out, (d, d))
+    return out
 
 
 def linear_entropy(s: StateVector) -> float:
@@ -78,8 +49,7 @@ def linear_entropy(s: StateVector) -> float:
     Computed from the singular values of the two-mode amplitude matrix
     (the squared singular values are the Schmidt weights of either mode).
     """
-    split = beam_splitter_split(s)
-    sv = np.linalg.svd(split.amplitudes, compute_uv=False)
+    sv = np.linalg.svd(beam_splitter_split(s), compute_uv=False)
     purity = float(np.sum(sv**4))
     return max(1.0 - purity, 0.0)  # clip the roundoff of exactly-product outputs
 
@@ -194,61 +164,22 @@ def linear_entropy_closed_form(spec: StateSpec) -> float:
     return 1.0 - prefactor * _le_sum_ladder(lam, chi, variant, cut)
 
 
-def two_mode_input(s: StateVector, aux_dim: int = 4) -> TwoModeState:
-    """The interferometer input |s> x |0> with working headroom on both axes."""
-    amps = np.zeros((s.dim + 2, aux_dim), dtype=np.complex128)
-    amps[: s.dim, 0] = s.amplitudes
-    return TwoModeState(amps, (s.dim + 2, aux_dim))
-
-
-def apply_jz(tm: TwoModeState) -> TwoModeState:
-    j = np.arange(tm.dims[0])[:, None]
-    m = np.arange(tm.dims[1])[None, :]
-    return TwoModeState(0.5 * (j - m) * tm.amplitudes, tm.dims)
-
-
-def apply_jx(tm: TwoModeState) -> TwoModeState:
-    """Jx = (a† b + b† a)/2 acting on the product amplitudes."""
-    da, db = tm.dims
-    out = np.zeros_like(tm.amplitudes)
-    j = np.arange(da)[:, None]
-    m = np.arange(db)[None, :]
-    # a† b term: (j, m) -> (j+1, m-1) with sqrt((j+1) m)/2
-    src = tm.amplitudes[: da - 1, 1:]
-    out[1:, : db - 1] += 0.5 * np.sqrt((j[1:, :] ) * (m[:, 1:])) * src
-    # b† a term: (j, m) -> (j-1, m+1) with sqrt(j (m+1))/2
-    src = tm.amplitudes[1:, : db - 1]
-    out[: da - 1, 1:] += 0.5 * np.sqrt((j[1:, :]) * (m[:, 1:])) * src
-    return TwoModeState(out, tm.dims)
-
-
-def _expectation(tm: TwoModeState, transformed: TwoModeState) -> float:
-    return float(np.real(np.vdot(tm.amplitudes, transformed.amplitudes)))
-
-
-def input_jz_statistics(s: StateVector, phi: float) -> JzStatistics:
-    """All Jx/Jz input statistics of |s> x |0>, by direct operator application."""
-    tm = two_mode_input(s)
-    jz1 = apply_jz(tm)
-    jx1 = apply_jx(tm)
-    mean_jz = _expectation(tm, jz1)
-    mean_jx = _expectation(tm, jx1)
-    var_jz = _expectation(tm, apply_jz(jz1)) - mean_jz**2
-    var_jx = _expectation(tm, apply_jx(jx1)) - mean_jx**2
-    sym = 0.5 * (_expectation(tm, apply_jx(jz1)) + _expectation(tm, apply_jz(jx1)))
-    cov = sym - mean_jx * mean_jz
-    return JzStatistics(mean_jz, mean_jx, var_jz, var_jx, cov, phi)
-
-
 def phase_estimation_uncertainty(s: StateVector, phi: float) -> float:
-    """Mach-Zehnder phase uncertainty dphi = std(Jz) / |d<Jz>/dphi| at phase phi.
+    """Mach-Zehnder phase uncertainty dphi = std(Jz_out) / |d<Jz_out>/dphi| at phase phi.
 
-    The input is |s> x |0|>; the phi dependence enters through the standard
-    interferometer transformation of the Jz mean and variance. Raises
-    StationaryPointError where the signal derivative vanishes.
+    For the input |s> x |0> the Schwinger statistics reduce to the photon
+    statistics of |s>: <Jz> = <N>/2, Var Jz = Var N/4, Var Jx = <N>/4 and
+    <Jx> = Cov(Jx, Jz) = 0. With Jz_out = cos(phi) Jz - sin(phi) Jx this gives
+    dphi = sqrt(cos^2 phi Var N + sin^2 phi <N>) / (|sin phi| <N>). Raises
+    StationaryPointError where the signal derivative -sin(phi) <N>/2 vanishes.
     """
-    stats = input_jz_statistics(s, phi)
-    derivative = stats.signal_derivative
+    p = s.probabilities()
+    n = np.arange(s.dim)
+    mean_n = float(p @ n)
+    var_n = float(p @ (n - mean_n) ** 2)
+    c, si = math.cos(phi), math.sin(phi)
+    derivative = -0.5 * si * mean_n
     if abs(derivative) <= 1e-14:
         raise StationaryPointError(f"signal derivative vanishes at phi={phi}")
-    return math.sqrt(max(stats.var_jz_out, 0.0)) / abs(derivative)
+    var_out = 0.25 * (c * c * var_n + si * si * mean_n)
+    return math.sqrt(max(var_out, 0.0)) / abs(derivative)

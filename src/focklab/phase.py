@@ -58,14 +58,27 @@ class FluctuationTriple:
     q: float | None
 
 
+def angular_dft(rows: np.ndarray, n_angles: int) -> np.ndarray:
+    """sum_n rows[..., n] e^{-i n theta_j} for every theta_j of ``theta_grid(n_angles)``.
+
+    With theta_j = -pi + 2 pi j / N, e^{-i n theta_j} = (-1)^n e^{-2 pi i n j / N}:
+    one length-N FFT of the sign-flipped rows over their last axis. Indices
+    past N are folded mod N, which the DFT's periodicity makes exact.
+    """
+    dim = rows.shape[-1]
+    lead = rows.shape[:-1]
+    folds = -(-dim // n_angles)
+    padded = np.zeros(lead + (folds * n_angles,), dtype=np.complex128)
+    padded[..., :dim] = rows * np.where(np.arange(dim) % 2, -1.0, 1.0)
+    return np.fft.fft(padded.reshape(lead + (folds, n_angles)).sum(axis=-2), axis=-1)
+
+
 def phase_distribution(s: StateVector, n_points: int = DEFAULT_GRID_POINTS) -> PhaseProfile:
     """P(theta) = |sum_n c_n e^{-i n theta}|^2 / 2pi on a uniform grid."""
-    th = theta_grid(n_points)
-    kernel = np.exp(-1j * th[:, None] * np.arange(s.dim)[None, :])
-    density = np.abs(kernel @ s.amplitudes) ** 2 / (2.0 * math.pi)
-    density = np.where(density < 0.0, 0.0, density)
+    amp = angular_dft(s.amplitudes, n_points)
+    density = (amp.real**2 + amp.imag**2) / (2.0 * math.pi)
     integral = float(np.dot(simpson_weights(n_points), density))
-    return PhaseProfile(th, density, integral)
+    return PhaseProfile(theta_grid(n_points), density, integral)
 
 
 def _series_cutoff(mag: float, offset: int, max_terms: int = 4096) -> int:
@@ -89,8 +102,9 @@ def phase_distribution_closed_form(
     """The double-series closed form of P(theta) for the displaced-Fock family.
 
     Kept as a verification target for ``phase_distribution``; supports the
-    Coherent/DFS/PADFS/PSDFS/PASDFS specs and evaluates the literal
-    (m, m') double sum at each grid angle.
+    Coherent/DFS/PADFS/PSDFS/PASDFS specs. The (p, m) x (p', m') double sum
+    factors into |sum_{p,m} w[p, m] e^{i (theta - theta2)(m + p)}|^2, which
+    is evaluated with its own exponential kernel, not the FFT it checks.
     """
     if spec.info.group != "dfs":
         raise InvalidParameterError(f"no closed-form phase-distribution series for {spec.family!r}")
@@ -121,28 +135,20 @@ def phase_distribution_closed_form(
         )
         sign = (-1.0) ** (n - p)
         w[p] = sign * math.comb(n, p) * mag ** (n - p) * np.where(valid, np.exp(log_t - 0.5 * lam), 0.0)
-    # Literal double sum over (p, m) x (p', m') with the relative-phase kernel.
-    out = np.empty(len(thetas))
-    for i, th in enumerate(thetas):
-        acc = 0j
-        for p in range(n + 1):
-            for pp in range(n + 1):
-                rel = np.exp(1j * (th - theta2) * ((m[None, :] + pp) - (m[:, None] + p)))
-                acc += np.einsum("a,b,ab->", w[p], w[pp], rel)
-        out[i] = acc.real
+    power = (np.arange(n + 1)[:, None] + m[None, :]).ravel()
+    amp = np.exp(1j * (thetas - theta2)[:, None] * power[None, :]) @ w.ravel()
+    out = amp.real**2 + amp.imag**2
     nsq = normalization_constant(spec) ** 2
     return nsq / (2.0 * math.pi * math.factorial(n)) * out
 
 
-def phase_dispersion(s: StateVector, n_points: int = DEFAULT_GRID_POINTS) -> float:
+def phase_dispersion(s: StateVector) -> float:
     """D = 1 - |first circular moment of P(theta)|^2, in [0, 1].
 
-    Trapezoid integration on the periodic grid is spectrally accurate for
-    these smooth densities.
+    The first moment of |sum_n c_n e^{-i n theta}|^2 / 2pi over theta is
+    sum_n c_n conj(c_{n+1}) exactly, so no grid is needed.
     """
-    profile = phase_distribution(s, n_points)
-    h = 2.0 * math.pi / n_points
-    first = np.sum(np.exp(-1j * profile.theta) * profile.density) * h
+    first = np.vdot(s.amplitudes[1:], s.amplitudes[:-1])
     d = 1.0 - abs(first) ** 2
     return float(min(max(d, 0.0), 1.0))
 

@@ -12,7 +12,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .core import StableSum, StateVector, log_factorial
 from .exceptions import InvalidParameterError
-from .phase import PhaseProfile, simpson_weights, theta_grid
+from .phase import PhaseProfile, angular_dft, simpson_weights, theta_grid
 from .states import StateSpec, normalization_constant
 
 
@@ -49,17 +49,11 @@ def q_function(s: StateVector, beta) -> float | np.ndarray:
 def q_polar(s: StateVector, radii, n_angles: int) -> np.ndarray:
     """Q(r e^{i theta}) for every radius against ``theta_grid(n_angles)``, shape (radii, angles).
 
-    With theta_j = -pi + 2 pi j / N the overlap at radius r is
-    sum_n c_n (-1)^n w_n(r) e^{-2 pi i n j / N}: one length-N DFT over the
-    Fock index per radius. Indices past N are folded mod N, which the DFT's
-    periodicity makes exact.
+    The overlap at radius r is sum_n c_n w_n(r) e^{-i n theta_j}: one
+    ``angular_dft`` over the Fock index per radius.
     """
     radii = np.atleast_1d(np.asarray(radii, dtype=np.float64))
-    signs = np.where(np.arange(s.dim) % 2, -1.0, 1.0)
-    folds = -(-s.dim // n_angles)
-    coeffs = np.zeros((len(radii), folds * n_angles), dtype=np.complex128)
-    coeffs[:, : s.dim] = _overlap_weights(radii, s.dim) * (signs * s.amplitudes)[None, :]
-    amp = np.fft.fft(coeffs.reshape(len(radii), folds, n_angles).sum(axis=1), axis=1)
+    amp = angular_dft(_overlap_weights(radii, s.dim) * s.amplitudes[None, :], n_angles)
     return (amp.real**2 + amp.imag**2) / math.pi
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,8 +117,14 @@ class StateSpec:
         object.__setattr__(self, "family", canonical_family(self.family))
         object.__setattr__(self, "alpha", complex(self.alpha))
         for attr in ("n", "added", "subtracted", "M"):
-            if getattr(self, attr) < 0:
+            value = getattr(self, attr)
+            try:
+                count = operator.index(value)  # Python and numpy integers, not 1.5
+            except TypeError:
+                raise InvalidParameterError(f"{attr} must be an integer, got {value!r}") from None
+            if count < 0:
                 raise InvalidParameterError(f"{attr} must be >= 0")
+            object.__setattr__(self, attr, count)
         for attr, value in (("alpha", self.alpha), ("p", self.p), ("chi", self.chi)):
             if not cmath.isfinite(value):
                 raise InvalidParameterError(f"{attr} must be finite, got {value}")

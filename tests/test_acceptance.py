@@ -12,6 +12,7 @@ import numpy as np
 
 from focklab.core import TruncationPolicy, make_fock, state_from_amplitudes
 from focklab.interferometry import (
+    ENTROPY_SERIES_GROUPS,
     linear_entropy,
     linear_entropy_closed_form,
     phase_estimation_uncertainty,
@@ -21,12 +22,13 @@ from focklab.phase import phase_dispersion, phase_distribution
 from focklab.quasiprob import phase_space_grid, q_function
 from focklab.states import (
     FAMILIES,
+    FAMILY_INFO,
     StateSpec,
     build_by_composition,
     build_state,
     state_distance,
 )
-from focklab.verify import run_verification
+from focklab.verify import _random_spec, run_verification
 from focklab.witnesses import (
     agarwal_tara_a3,
     antibunching_d,
@@ -47,26 +49,6 @@ def report(criterion: str, passed: bool, elapsed: float, detail: str = ""):
     if detail:
         line += f" {detail}"
     print(line)
-
-
-def _random_spec(rng, family):
-    mag = rng.uniform(0.25, 3.0)
-    alpha = mag * np.exp(1j * rng.uniform(0, 2 * math.pi))
-    kwargs = {"family": family}
-    if family not in ("Fock", "Binomial", "VFBS", "PABS"):
-        kwargs["alpha"] = alpha
-    if family in ("Fock", "DFS", "PADFS", "PSDFS", "PASDFS"):
-        kwargs["n"] = int(rng.integers(0, 4))
-    if family in ("PADFS", "PASDFS"):
-        kwargs["added"] = int(rng.integers(0, 4))
-    if family in ("PSDFS", "PASDFS"):
-        kwargs["subtracted"] = int(rng.integers(0, 4))
-    if family in ("Binomial", "VFBS", "PABS"):
-        kwargs["p"] = float(rng.uniform(0.05, 0.95))
-        kwargs["M"] = int(rng.integers(1, 13))
-    if family in ("Kerr", "VFKS", "PAKS"):
-        kwargs["chi"] = float(rng.uniform(0.0, 0.3))
-    return StateSpec(**kwargs)
 
 
 @lru_cache(maxsize=1)
@@ -94,7 +76,7 @@ def point_value_states():
 def entropy_grid():
     rng = np.random.default_rng([SEED, 4])
     grid = []
-    for family in ("ECS", "VFECS", "PAECS", "Binomial", "VFBS", "PABS", "Kerr", "VFKS", "PAKS"):
+    for family in (f for f in FAMILIES if FAMILY_INFO[f].group in ENTROPY_SERIES_GROUPS):
         for _ in range(5):
             spec = _random_spec(rng, family)
             grid.append((spec, build_state(spec, TIGHT)))

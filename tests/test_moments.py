@@ -6,7 +6,7 @@ import pytest
 from focklab.core import TruncationPolicy, make_fock
 from focklab.exceptions import InvalidParameterError, TruncationUnsafeError
 from focklab.moments import moment_oracle, moment_series
-from focklab.states import StateSpec, build_state
+from focklab.states import FAMILIES, StateSpec, build_state
 
 from test_states import random_spec
 
@@ -70,11 +70,7 @@ def test_hermiticity_both_paths(rng):
         assert abs(oracle_a - np.conjugate(oracle_b)) <= 1e-12 * max(1.0, abs(oracle_a))
 
 
-@pytest.mark.parametrize(
-    "family",
-    ["Fock", "Coherent", "DFS", "PADFS", "PSDFS", "PASDFS", "ECS", "VFECS", "PAECS",
-     "Binomial", "VFBS", "PABS", "Kerr", "VFKS", "PAKS"],
-)
+@pytest.mark.parametrize("family", FAMILIES)
 def test_series_matches_oracle(family, rng):
     for _ in range(6):
         spec = random_spec(rng, family)

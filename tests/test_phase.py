@@ -71,6 +71,7 @@ def test_phase_distribution_rotates_with_displacement_phase():
         StateSpec("PADFS", alpha=0.7 + 0.7j, n=2, added=2),
         StateSpec("PSDFS", alpha=0.8 + 0.3j, n=1, subtracted=1),
         StateSpec("PASDFS", alpha=0.7, n=1, added=2, subtracted=1),
+        StateSpec("PASDFS", alpha=15.0, n=1, added=1, subtracted=1),
     ],
 )
 def test_phase_distribution_closed_form(spec):
@@ -108,6 +109,17 @@ def test_dispersion_matches_exact_first_moment(rng):
         s = state_from_amplitudes(raw)
         exact = 1.0 - abs(np.sum(np.conjugate(s.amplitudes[1:]) * s.amplitudes[:-1])) ** 2
         assert phase_dispersion(s) == pytest.approx(exact, abs=1e-10)
+
+
+def test_dispersion_matches_first_moment_of_phase_distribution(rng):
+    # On a periodic grid of more than 2 dim points the rectangle rule is exact
+    # for e^{-i theta} P(theta), whose harmonics run from -dim to dim - 2.
+    for dim in (1, 2, 5, 16, 40):
+        s = state_from_amplitudes(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+        n_points = 2 * dim + 2
+        profile = phase_distribution(s, n_points)
+        first = np.sum(np.exp(-1j * profile.theta) * profile.density) * 2.0 * math.pi / n_points
+        assert phase_dispersion(s) == pytest.approx(1.0 - abs(first) ** 2, abs=1e-12)
 
 
 def test_dispersion_in_unit_interval(rng):

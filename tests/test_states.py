@@ -20,28 +20,9 @@ from focklab.states import (
     normalization_constant_closed_form,
     state_distance,
 )
+from focklab.verify import _random_spec as random_spec
 
 POLICY = TruncationPolicy(max_dim=512, tail_tolerance=1e-14)
-
-
-def random_spec(rng, family):
-    mag = rng.uniform(0.25, 3.0)
-    alpha = mag * np.exp(1j * rng.uniform(0, 2 * math.pi))
-    kwargs = {"family": family}
-    if family not in ("Fock", "Binomial", "VFBS", "PABS"):
-        kwargs["alpha"] = alpha
-    if family in ("Fock", "DFS", "PADFS", "PSDFS", "PASDFS"):
-        kwargs["n"] = int(rng.integers(0, 4))
-    if family in ("PADFS", "PASDFS"):
-        kwargs["added"] = int(rng.integers(0, 4))
-    if family in ("PSDFS", "PASDFS"):
-        kwargs["subtracted"] = int(rng.integers(0, 4))
-    if family in ("Binomial", "VFBS", "PABS"):
-        kwargs["p"] = float(rng.uniform(0.05, 0.95))
-        kwargs["M"] = int(rng.integers(1, 13))
-    if family in ("Kerr", "VFKS", "PAKS"):
-        kwargs["chi"] = float(rng.uniform(0.0, 0.3))
-    return StateSpec(**kwargs)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -143,6 +124,19 @@ def test_unknown_family_rejected():
 )
 def test_non_finite_parameters_rejected(kwargs):
     with pytest.raises(InvalidParameterError, match="must be finite"):
+        StateSpec(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"family": "Fock", "n": 1.5},
+        {"family": "Binomial", "p": 0.5, "M": 2.5},
+        {"family": "PADFS", "alpha": 1.0, "n": 1, "added": 1.5},
+    ],
+)
+def test_non_integer_counts_rejected(kwargs):
+    with pytest.raises(InvalidParameterError, match="must be an integer"):
         StateSpec(**kwargs)
 
 
