@@ -16,7 +16,12 @@ import math
 import numpy as np
 
 from .core import LOG_FACTORIAL, StateVector
-from .exceptions import AnnihilatedStateError, InvalidParameterError, StationaryPointError
+from .exceptions import (
+    AnnihilatedStateError,
+    ConvergenceError,
+    InvalidParameterError,
+    StationaryPointError,
+)
 from .states import StateSpec, normalization_constant_closed_form
 
 # Family groups with a closed-form linear-entropy series.
@@ -54,114 +59,92 @@ def linear_entropy(s: StateVector) -> float:
     return max(1.0 - purity, 0.0)  # clip the roundoff of exactly-product outputs
 
 
-def _vandermonde_binom(total: np.ndarray, pick: np.ndarray) -> np.ndarray:
-    """log C(total, pick) with C = 0 outside 0 <= pick <= total (as -inf)."""
-    ok = (pick >= 0) & (pick <= total)
-    t = np.where(ok, total, 0)
-    k = np.where(ok, pick, 0)
-    val = LOG_FACTORIAL[t] - LOG_FACTORIAL[k] - LOG_FACTORIAL[t - k]
-    return np.where(ok, val, -np.inf)
+def _pair_sums(log_w: np.ndarray, rows: int, chi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Anti-diagonal sums sum_{j+k=s} e^{log_w[j] + log_w[k]} e^{i chi (j-k)^2 / 2} for s < rows.
+
+    Returned as (shift[s], mantissa[s]) with the sum e^{shift} * mantissa:
+    each row is exponentiated against its own largest term, so no row's
+    scale over- or underflows another's. A row with no admissible pair has
+    shift -inf and mantissa 0.
+    """
+    j = np.arange(len(log_w))
+    k = np.arange(rows)[:, None] - j
+    ok = (k >= 0) & (k < len(log_w))
+    log_t = np.where(ok, log_w[j] + log_w[np.where(ok, k, 0)], -np.inf)
+    shift = np.max(log_t, axis=1)
+    live = np.isfinite(shift)
+    terms = np.exp(log_t - np.where(live, shift, 0.0)[:, None])
+    if chi:
+        terms = terms * np.exp(0.5j * chi * (j - k) ** 2)
+    return np.where(live, shift, -np.inf), terms.sum(axis=1)
 
 
-def _le_sum_ladder(lam: float, chi: float | None, variant: str, cut: int) -> float:
-    """Triple sum over (n, m, r) shared by the ECS- and Kerr-family entropies.
+def _le_sum(log_a: np.ndarray, log_b: np.ndarray, chi: float, added: bool, log_prefactor: float) -> float:
+    """prefactor * the (n, m, r) triple sum shared by the ECS, Kerr and binomial entropies.
 
     The inner binomial-pair sum collapses by Vandermonde convolution to
-    C(n+r, m) (or C(n+r+2, m+1) for the photon-added variants); terms with
-    out-of-range binomials vanish by the C(a, b) = 0 convention.
+    C(s, m)/2^s with s = n + r (C(s+2, m+1)/2^{s+2} (m+1)(s-m+1) for the
+    photon-added variants, which is (s+2)!/(m! (s-m)!)/2^{s+2}). The summand
+    is then e^{a(n) + a(r)} e^{b(m) + b(s-m)} s!/2^s (or (s+2)!/2^{s+2}) times
+    the Kerr phase e^{2i chi (m-n)(m-r)} = e^{i chi (2m-s)^2/2} e^{-i chi (n-r)^2/2},
+    so the sum is sum_s s!/2^s A[s] B[s] over two anti-diagonal sums of
+    O(cut^2) terms each. The per-index log-weights log_a, log_b carry the family:
+    -inf marks an index outside the sum (parity, vacuum hole, binomial range).
     """
-    start = 1 if variant == "filtered" else 0
-    n = np.arange(start, cut)
-    r = np.arange(start, cut)
-    m = np.arange(start, 2 * cut)
-    N, M, R = np.meshgrid(n, m, r, indexing="ij")
-    log_lam = math.log(lam) if lam > 0 else -1.0e18
-    log_mag = (N + R) * log_lam - LOG_FACTORIAL[N] - LOG_FACTORIAL[R]
-    if variant == "added":
-        log_bin = _vandermonde_binom(N + R + 2, M + 1) - (N + R + 2) * math.log(2.0)
-        weight = (M + 1.0) * (N + R - M + 1.0)
-    else:
-        log_bin = _vandermonde_binom(N + R, M) - (N + R) * math.log(2.0)
-        weight = 1.0
-    if variant == "filtered":
-        # The filtered state's vacuum hole also bars the fourth quartic index
-        # n + r - m from hitting zero.
-        log_bin = np.where(N + R - M >= 1, log_bin, -np.inf)
-    if chi is None:
-        even = lambda x: np.where(x % 2 == 0, 2.0, 0.0)
-        parity = even(N) * even(M) * even(R) * even(N + R - M)
-        with np.errstate(under="ignore"):
-            return float(np.sum(np.exp(log_mag + log_bin) * weight * parity))
-    phase = np.exp(2j * chi * (M - N) * (M - R))
-    with np.errstate(under="ignore"):
-        total = np.sum(np.exp(log_mag + log_bin) * weight * phase)
-    return float(total.real)
-
-
-def _le_sum_binomial(p: float, M_max: int, variant: str) -> float:
-    start = 1 if variant == "filtered" else 0
-    n = np.arange(start, M_max + 1)
-    r = np.arange(start, M_max + 1)
-    m = np.arange(start, M_max + 1)
-    N, Mm, R = np.meshgrid(n, m, r, indexing="ij")
-    log_p = math.log(p) if p > 0 else -1.0e18
-    log_1p = math.log(1.0 - p) if p < 1 else -1.0e18
-    ok = (N + R - Mm >= 0) & (Mm <= M_max) & (N + R - Mm <= M_max)
-    if variant == "filtered":
-        ok &= N + R - Mm >= 1  # the vacuum hole bars the fourth quartic index too
-    s_idx = np.where(ok, N + R - Mm, 0)
-    log_g = (
-        2.0 * LOG_FACTORIAL[M_max]
-        + (N + R) * log_p
-        + (2 * M_max - N - R) * log_1p
-        - 0.5
-        * (
-            LOG_FACTORIAL[M_max - N]
-            + LOG_FACTORIAL[M_max - Mm]
-            + LOG_FACTORIAL[M_max - R]
-            + LOG_FACTORIAL[M_max - s_idx]
-        )
-        - LOG_FACTORIAL[N]
-        - LOG_FACTORIAL[R]
-    )
-    log_g = np.where(ok, log_g, -np.inf)
-    if variant == "added":
-        log_bin = _vandermonde_binom(N + R + 2, Mm + 1) - (N + R + 2) * math.log(2.0)
-        weight = (Mm + 1.0) * (N + R - Mm + 1.0)
-    else:
-        log_bin = _vandermonde_binom(N + R, Mm) - (N + R) * math.log(2.0)
-        weight = 1.0
-    with np.errstate(under="ignore"):
-        return float(np.sum(np.exp(log_g + log_bin) * weight))
+    rows = 2 * len(log_a) - 1
+    shift_a, a = _pair_sums(log_a, rows, -chi)
+    shift_b, b = _pair_sums(log_b, rows, chi)
+    s = np.arange(rows) + (2 if added else 0)
+    log_row = LOG_FACTORIAL[s] - s * math.log(2.0) + log_prefactor
+    return float(np.sum(np.exp(shift_a + shift_b + log_row) * a * b).real)
 
 
 def linear_entropy_closed_form(spec: StateSpec) -> float:
     """Closed-form entanglement potential for the nine ECS/BS/KS states.
 
     Agrees with ``linear_entropy(build_state(spec))`` within 1e-8; any other
-    family raises InvalidParameterError.
+    family raises InvalidParameterError, and a series longer than the
+    log-factorial table or an overflowing normalization raises
+    ConvergenceError.
     """
     info = spec.info
     if info.group not in ENTROPY_SERIES_GROUPS:
         raise InvalidParameterError(f"no closed-form linear-entropy series for {spec.family!r}")
     lam = spec.alpha_mag**2
-    variant = info.hole or "plain"
+    cut = spec.M + 1 if info.group == "binomial" else int(lam + 14.0 * math.sqrt(lam + 1.0) + 24)
+    if 2 * cut + 2 > len(LOG_FACTORIAL):
+        raise ConvergenceError(f"entropy series needs more than {len(LOG_FACTORIAL)} log-factorials")
     if info.hole is not None:
         constant = normalization_constant_closed_form(spec)
         if constant is None:
             raise AnnihilatedStateError(f"{spec.family} is empty for these parameters")
-        prefactor = constant**4
+        log_prefactor = 4.0 * math.log(constant)
     elif info.group == "ecs":
-        prefactor = math.exp(-2.0 * lam) / (4.0 * (1.0 + math.exp(-2.0 * lam)) ** 2)
+        log_prefactor = -2.0 * lam - math.log(4.0) - 2.0 * math.log1p(math.exp(-2.0 * lam))
     elif info.group == "kerr":
-        prefactor = math.exp(-2.0 * lam)
+        log_prefactor = -2.0 * lam
     else:
-        prefactor = 1.0
+        log_prefactor = 0.0
+    n = np.arange(cut)
     if info.group == "binomial":
-        return 1.0 - prefactor * _le_sum_binomial(spec.p, spec.M, variant)
-    cut = int(lam + 14.0 * math.sqrt(lam + 1.0) + 24)
-    chi = spec.chi if info.group == "kerr" else None
-    return 1.0 - prefactor * _le_sum_ladder(lam, chi, variant, cut)
+        M = spec.M
+        log_p = math.log(spec.p) if spec.p > 0 else -1.0e18
+        log_1p = math.log(1.0 - spec.p) if spec.p < 1 else -1.0e18
+        log_b = -LOG_FACTORIAL[n] - 0.5 * LOG_FACTORIAL[M - n]
+        log_a = LOG_FACTORIAL[M] + n * log_p + (M - n) * log_1p + log_b
+    else:
+        m = np.arange(2 * cut - 1)  # m runs up to s = n + r
+        log_lam = math.log(lam) if lam > 0 else -1.0e18
+        log_a = n * log_lam - LOG_FACTORIAL[n]
+        log_b = -LOG_FACTORIAL[m]
+        if info.group == "ecs":
+            log_a += np.where(n % 2 == 0, math.log(2.0), -np.inf)
+            log_b += np.where(m % 2 == 0, math.log(2.0), -np.inf)
+    if info.hole == "filtered":
+        # The vacuum hole bars n, r, m and the fourth quartic index s - m from zero.
+        log_a[0] = log_b[0] = -np.inf
+    chi = spec.chi if info.group == "kerr" else 0.0
+    return 1.0 - _le_sum(log_a, log_b, chi, info.hole == "added", log_prefactor)
 
 
 def phase_estimation_uncertainty(s: StateVector, phi: float) -> float:

@@ -33,7 +33,7 @@ from .core import (
     raise_amplitudes,
     state_from_amplitudes,
 )
-from .exceptions import AnnihilatedStateError, InvalidParameterError
+from .exceptions import AnnihilatedStateError, ConvergenceError, InvalidParameterError
 
 # Exponent used in place of log(0) so that 0^e underflows to exactly 0.0 for
 # e > 0 while 0^0 stays exp(0 * _LOG_ZERO) = 1.
@@ -448,7 +448,8 @@ def normalization_constant_closed_form(spec: StateSpec) -> float | None:
     Returns None where the thesis prints none that survives scrutiny
     (PASDFS, whose normalization
     is always derived numerically) or where filtration leaves nothing to
-    normalize (alpha = 0 vacuum-filtered states).
+    normalize (alpha = 0 vacuum-filtered states). Raises ConvergenceError
+    where cosh or exp of |alpha|^2 overflows a float.
     """
     fam = spec.family
     lam = spec.alpha_mag**2
@@ -461,22 +462,31 @@ def normalization_constant_closed_form(spec: StateSpec) -> float | None:
     if fam == "PSDFS":
         s = _norm_series_dfs(spec, subtracted=True)
         return s**-0.5 if s > 0 else None
-    if fam == "ECS":
-        return 1.0 / math.sqrt(4.0 * math.cosh(lam))
-    if fam == "VFECS":
-        return 1.0 / math.sqrt(4.0 * (math.cosh(lam) - 1.0)) if lam > 0 else None
-    if fam == "PAECS":
-        return 0.5 / math.sqrt(math.cosh(lam) + lam * math.sinh(lam))
     if fam == "VFBS":
         denom = 1.0 - (1.0 - spec.p) ** spec.M
         return denom**-0.5 if denom > 0 else None
     if fam == "PABS":
         return (1.0 + spec.M * spec.p) ** -0.5
-    if fam == "VFKS":
-        return (math.exp(lam) - 1.0) ** -0.5 if lam > 0 else None
-    if fam == "PAKS":
-        return (math.exp(lam) * (1.0 + lam)) ** -0.5
-    raise InvalidParameterError(f"unknown family {fam!r}")
+    if fam in ("VFECS", "VFKS") and lam == 0:
+        return None
+    try:
+        if fam == "ECS":
+            constant = 1.0 / math.sqrt(4.0 * math.cosh(lam))
+        elif fam == "VFECS":
+            constant = 1.0 / math.sqrt(4.0 * (math.cosh(lam) - 1.0))
+        elif fam == "PAECS":
+            constant = 0.5 / math.sqrt(math.cosh(lam) + lam * math.sinh(lam))
+        elif fam == "VFKS":
+            constant = (math.exp(lam) - 1.0) ** -0.5
+        elif fam == "PAKS":
+            constant = (math.exp(lam) * (1.0 + lam)) ** -0.5
+        else:
+            raise InvalidParameterError(f"unknown family {fam!r}")
+    except OverflowError:
+        constant = 0.0
+    if constant == 0.0:  # an inf denominator (products overflow to inf, not an exception)
+        raise ConvergenceError(f"{fam} normalization overflows a float at |alpha|^2 = {lam:g}")
+    return constant
 
 
 def state_distance(a: StateVector, b: StateVector) -> float:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from focklab.core import TruncationPolicy, make_fock, state_from_amplitudes
-from focklab.exceptions import InvalidParameterError, StationaryPointError
+from focklab.core import LOG_FACTORIAL
+from focklab.exceptions import ConvergenceError, InvalidParameterError, StationaryPointError
 from focklab.interferometry import (
     ENTROPY_SERIES_GROUPS,
     beam_splitter_split,
@@ -12,7 +13,13 @@ from focklab.interferometry import (
     linear_entropy_closed_form,
     phase_estimation_uncertainty,
 )
-from focklab.states import FAMILIES, FAMILY_INFO, StateSpec, build_state
+from focklab.states import (
+    FAMILIES,
+    FAMILY_INFO,
+    StateSpec,
+    build_state,
+    normalization_constant_closed_form,
+)
 
 from test_states import random_spec
 
@@ -81,6 +88,137 @@ def test_closed_form_entropy_matches_partial_trace(family, rng):
         numeric = linear_entropy(build_state(spec, POLICY))
         closed = linear_entropy_closed_form(spec)
         assert closed == pytest.approx(numeric, abs=1e-8)
+
+
+# The literal (n, m, r) triple sums, kept as the reference for the s = n + r regrouping.
+
+def _vandermonde_binom(total, pick):
+    """log C(total, pick) with C = 0 outside 0 <= pick <= total (as -inf)."""
+    ok = (pick >= 0) & (pick <= total)
+    t = np.where(ok, total, 0)
+    k = np.where(ok, pick, 0)
+    val = LOG_FACTORIAL[t] - LOG_FACTORIAL[k] - LOG_FACTORIAL[t - k]
+    return np.where(ok, val, -np.inf)
+
+
+def _dense_le_sum_ladder(lam, chi, variant, cut):
+    start = 1 if variant == "filtered" else 0
+    n = np.arange(start, cut)
+    r = np.arange(start, cut)
+    m = np.arange(start, 2 * cut)
+    N, M, R = np.meshgrid(n, m, r, indexing="ij")
+    log_lam = math.log(lam) if lam > 0 else -1.0e18
+    log_mag = (N + R) * log_lam - LOG_FACTORIAL[N] - LOG_FACTORIAL[R]
+    if variant == "added":
+        log_bin = _vandermonde_binom(N + R + 2, M + 1) - (N + R + 2) * math.log(2.0)
+        weight = (M + 1.0) * (N + R - M + 1.0)
+    else:
+        log_bin = _vandermonde_binom(N + R, M) - (N + R) * math.log(2.0)
+        weight = 1.0
+    if variant == "filtered":
+        log_bin = np.where(N + R - M >= 1, log_bin, -np.inf)
+    if chi is None:
+        even = lambda x: np.where(x % 2 == 0, 2.0, 0.0)
+        parity = even(N) * even(M) * even(R) * even(N + R - M)
+        return float(np.sum(np.exp(log_mag + log_bin) * weight * parity))
+    phase = np.exp(2j * chi * (M - N) * (M - R))
+    return float(np.sum(np.exp(log_mag + log_bin) * weight * phase).real)
+
+
+def _dense_le_sum_binomial(p, M_max, variant):
+    start = 1 if variant == "filtered" else 0
+    n = np.arange(start, M_max + 1)
+    N, Mm, R = np.meshgrid(n, n, n, indexing="ij")
+    log_p = math.log(p) if p > 0 else -1.0e18
+    log_1p = math.log(1.0 - p) if p < 1 else -1.0e18
+    ok = (N + R - Mm >= 0) & (N + R - Mm <= M_max)
+    if variant == "filtered":
+        ok &= N + R - Mm >= 1
+    s_idx = np.where(ok, N + R - Mm, 0)
+    log_g = (
+        2.0 * LOG_FACTORIAL[M_max]
+        + (N + R) * log_p
+        + (2 * M_max - N - R) * log_1p
+        - 0.5
+        * (
+            LOG_FACTORIAL[M_max - N]
+            + LOG_FACTORIAL[M_max - Mm]
+            + LOG_FACTORIAL[M_max - R]
+            + LOG_FACTORIAL[M_max - s_idx]
+        )
+        - LOG_FACTORIAL[N]
+        - LOG_FACTORIAL[R]
+    )
+    log_g = np.where(ok, log_g, -np.inf)
+    if variant == "added":
+        log_bin = _vandermonde_binom(N + R + 2, Mm + 1) - (N + R + 2) * math.log(2.0)
+        weight = (Mm + 1.0) * (N + R - Mm + 1.0)
+    else:
+        log_bin = _vandermonde_binom(N + R, Mm) - (N + R) * math.log(2.0)
+        weight = 1.0
+    return float(np.sum(np.exp(log_g + log_bin) * weight))
+
+
+def _dense_entropy_closed_form(spec):
+    info = spec.info
+    lam = spec.alpha_mag**2
+    variant = info.hole or "plain"
+    if info.hole is not None:
+        prefactor = normalization_constant_closed_form(spec) ** 4
+    elif info.group == "ecs":
+        prefactor = math.exp(-2.0 * lam) / (4.0 * (1.0 + math.exp(-2.0 * lam)) ** 2)
+    elif info.group == "kerr":
+        prefactor = math.exp(-2.0 * lam)
+    else:
+        prefactor = 1.0
+    if info.group == "binomial":
+        return 1.0 - prefactor * _dense_le_sum_binomial(spec.p, spec.M, variant)
+    cut = int(lam + 14.0 * math.sqrt(lam + 1.0) + 24)
+    chi = spec.chi if info.group == "kerr" else None
+    return 1.0 - prefactor * _dense_le_sum_ladder(lam, chi, variant, cut)
+
+
+def _small_specs(family):
+    if FAMILY_INFO[family].group == "binomial":
+        return [StateSpec(family, p=p, M=M) for p in (0.0, 0.2, 0.65, 1.0) for M in (1, 2, 5, 12)]
+    alphas = (0.25, 0.7 * np.exp(0.4j), 1.3, -2.0j)
+    if FAMILY_INFO[family].group == "kerr":
+        return [StateSpec(family, alpha=a, chi=chi) for a in alphas for chi in (0.0, 0.13, -1.7, math.pi)]
+    return [StateSpec(family, alpha=a) for a in (0.0, *alphas)]
+
+
+@pytest.mark.parametrize("family", LE_FAMILIES)
+def test_grouped_entropy_matches_literal_triple_sum(family):
+    for spec in _small_specs(family):
+        if FAMILY_INFO[family].hole and normalization_constant_closed_form(spec) is None:
+            continue  # the vacuum-filtered vacuum is empty
+        expected = _dense_entropy_closed_form(spec)
+        assert abs(linear_entropy_closed_form(spec) - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("family", LE_FAMILIES)
+def test_closed_form_entropy_at_large_parameters(family):
+    policy = TruncationPolicy(max_dim=1024, tail_tolerance=1e-16)
+    if FAMILY_INFO[family].group == "binomial":
+        specs = [StateSpec(family, p=p, M=M) for p, M in ((0.37, 128), (0.81, 360))]
+    else:
+        chi = 0.29 if FAMILY_INFO[family].group == "kerr" else 0.0
+        specs = [StateSpec(family, alpha=mag * np.exp(0.6j), chi=chi) for mag in (8.0, 15.0, 20.0)]
+    for spec in specs:
+        closed = linear_entropy_closed_form(spec)
+        assert abs(closed - linear_entropy(build_state(spec, policy))) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "family", [f for f in LE_FAMILIES if FAMILY_INFO[f].group != "binomial"]
+)
+def test_closed_form_entropy_refuses_beyond_float_range(family):
+    # The hole variants' normalization overflows past |alpha|^2 ~ 710; every
+    # ladder family's series outgrows the log-factorial table at |alpha| = 40.
+    mags = (30.0, 40.0) if FAMILY_INFO[family].hole is not None else (40.0,)
+    for mag in mags:
+        with pytest.raises(ConvergenceError):
+            linear_entropy_closed_form(StateSpec(family, alpha=mag, chi=0.29))
 
 
 def test_closed_form_entropy_point_values():
