@@ -22,7 +22,7 @@ from .exceptions import (
     InvalidParameterError,
     StationaryPointError,
 )
-from .states import StateSpec, normalization_constant_closed_form
+from .states import StateSpec, _log_damping, normalization_constant_closed_form
 
 # Family groups with a closed-form linear-entropy series.
 ENTROPY_SERIES_GROUPS = ("ecs", "kerr", "binomial")
@@ -114,17 +114,11 @@ def linear_entropy_closed_form(spec: StateSpec) -> float:
     cut = spec.M + 1 if info.group == "binomial" else int(lam + 14.0 * math.sqrt(lam + 1.0) + 24)
     if 2 * cut + 2 > len(LOG_FACTORIAL):
         raise ConvergenceError(f"entropy series needs more than {len(LOG_FACTORIAL)} log-factorials")
-    if info.hole is not None:
-        constant = normalization_constant_closed_form(spec)
-        if constant is None:
-            raise AnnihilatedStateError(f"{spec.family} is empty for these parameters")
-        log_prefactor = 4.0 * math.log(constant)
-    elif info.group == "ecs":
-        log_prefactor = -2.0 * lam - math.log(4.0) - 2.0 * math.log1p(math.exp(-2.0 * lam))
-    elif info.group == "kerr":
-        log_prefactor = -2.0 * lam
-    else:
-        log_prefactor = 0.0
+    constant = normalization_constant_closed_form(spec)
+    if constant is None:
+        raise AnnihilatedStateError(f"{spec.family} is empty for these parameters")
+    # Each of the four coefficients in the quartic sum carries N and the damping.
+    log_prefactor = 4.0 * (math.log(constant) + _log_damping(spec))
     n = np.arange(cut)
     if info.group == "binomial":
         M = spec.M

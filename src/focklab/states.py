@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,14 +194,13 @@ def _dfs_family_bare(alpha: complex, n: int, added: int, subtracted: int, dim: i
     return coeffs
 
 
-def _ladder_bare(alpha: complex, dim: int, kerr_chi: float | None, added: bool) -> np.ndarray:
+def _ladder_bare(alpha: complex, dim: int, kerr_chi: float | None) -> np.ndarray:
     """Shared coefficient ladder of the ECS and Kerr families.
 
     The base series is alpha^j/sqrt(j!) dressed with either the even-parity
     factor (1+(-1)^j) (ECS group, kerr_chi None) or the Kerr phase
-    exp(-i chi j (j-1)). ``added`` shifts the ladder up one slot with the
-    sqrt(j+1) photon-addition weight. No Gaussian damping is applied here;
-    each caller follows its family's series convention.
+    exp(-i chi j (j-1)). No Gaussian damping is applied here; see
+    ``_log_damping``.
     """
     mag = abs(alpha)
     theta = cmath.phase(alpha) if alpha != 0 else 0.0
@@ -212,18 +212,12 @@ def _ladder_bare(alpha: complex, dim: int, kerr_chi: float | None, added: bool) 
     else:
         phase = phase * np.exp(-1j * kerr_chi * j * (j - 1))
     with np.errstate(under="ignore"):
-        base = np.exp(logmag) * phase
-    if not added:
-        return base
-    out = np.zeros(dim, dtype=np.complex128)
-    out[1:] = base[:-1] * np.sqrt(j[1:].astype(np.float64))
-    return out
+        return np.exp(logmag) * phase
 
 
-def _binomial_bare(p: float, M: int, dim: int, added: bool) -> np.ndarray:
+def _binomial_bare(p: float, M: int, dim: int) -> np.ndarray:
     out = np.zeros(dim, dtype=np.complex128)
-    shift = 1 if added else 0
-    for j in range(min(M + 1, dim - shift)):
+    for j in range(min(M + 1, dim)):
         log_c = (
             log_factorial(M)
             - log_factorial(j)
@@ -231,11 +225,20 @@ def _binomial_bare(p: float, M: int, dim: int, added: bool) -> np.ndarray:
             + float(_log_pow(p, j))
             + float(_log_pow(1.0 - p, M - j))
         )
-        amp = math.exp(0.5 * log_c)
-        if added:
-            amp *= math.sqrt(j + 1)
-        out[j + shift] = amp
+        out[j] = math.exp(0.5 * log_c)
     return out
+
+
+def _log_damping(spec: StateSpec) -> float:
+    """Log of the Gaussian factor ``bare_coefficients`` puts on a plain ladder series.
+
+    Plain Kerr carries the coherent-state damping e^{-|alpha|^2/2} in its bare
+    coefficients, which is why its normalization constant is 1. Every other
+    family leaves all scaling to ``normalization_constant_closed_form``.
+    """
+    if spec.info.group == "kerr" and spec.info.hole is None:
+        return -0.5 * spec.alpha_mag**2
+    return 0.0
 
 
 def bare_coefficients(spec: StateSpec, dim: int) -> np.ndarray:
@@ -255,15 +258,17 @@ def bare_coefficients(spec: StateSpec, dim: int) -> np.ndarray:
         return _dfs_family_bare(
             spec.alpha, spec.param("n"), spec.param("added"), spec.param("subtracted"), dim
         )
-    added = info.hole == "added"
     if info.group == "binomial":
-        out = _binomial_bare(spec.p, spec.M, dim, added)
+        out = _binomial_bare(spec.p, spec.M, dim)
     else:
-        out = _ladder_bare(spec.alpha, dim, spec.chi if info.group == "kerr" else None, added)
-        if info.group == "kerr" and info.hole is None:
-            out *= math.exp(-0.5 * spec.alpha_mag**2)
+        out = _ladder_bare(spec.alpha, dim, spec.chi if info.group == "kerr" else None)
+    damping = _log_damping(spec)
+    if damping:
+        out *= math.exp(damping)
     if info.hole == "filtered":
         out[0] = 0.0
+    elif info.hole == "added":
+        out = raise_amplitudes(out)[:dim]
     return out
 
 
@@ -372,7 +377,7 @@ def build_by_composition(spec: StateSpec, policy: TruncationPolicy = DEFAULT_POL
         if info.group == "ecs":
             raw = _dfs_family_bare(spec.alpha, 0, 0, 0, dim) + _dfs_family_bare(-spec.alpha, 0, 0, 0, dim)
         elif info.group == "binomial":
-            raw = _binomial_bare(spec.p, spec.M, dim, added=False)
+            raw = _binomial_bare(spec.p, spec.M, dim)
         else:
             raw = _dfs_family_bare(spec.alpha, 0, 0, 0, dim)
             j = np.arange(len(raw))
@@ -406,14 +411,19 @@ def normalization_constant(spec: StateSpec, policy: TruncationPolicy = DEFAULT_P
     return 1.0 / nrm
 
 
-def _norm_series_dfs(spec: StateSpec, subtracted: bool, max_terms: int = 4096) -> float:
-    """Closed-form squared-norm series of the photon-added/subtracted DFS.
+def _dfs_group_series(
+    alpha: complex, n: int, k: int, q: int, t: int, j: int, max_terms: int = 4096
+) -> float:
+    """Radial part of the moment series for a^q a†^k D(alpha)|n>.
 
-    Triple series over (p, p', m); each m-sum ends on the StableSum stopping rule.
+    Returns the real series S(t, j); the full moment is
+    e^{i theta (j - t)} S(t, j) / S(0, 0), and S(0, 0) is the squared norm
+    of the bare series. Terms whose factorial arguments go negative
+    correspond to annihilated Fock components and are skipped.
     """
-    mag = spec.alpha_mag
+    mag = abs(alpha)
+    log_mag = math.log(mag) if mag > 0.0 else None
     lam = mag * mag
-    n, u, v = spec.n, spec.added, spec.subtracted
     total = 0.0
     for p in range(n + 1):
         for pp in range(n + 1):
@@ -424,32 +434,65 @@ def _norm_series_dfs(spec: StateSpec, subtracted: bool, max_terms: int = 4096) -
                 - log_factorial(n - p)
                 - log_factorial(pp)
                 - log_factorial(n - pp)
-                + float(_log_pow(mag, 2 * n - p - pp))
                 - lam
             )
             acc = StableSum()
+            done = False
             for m in range(max_terms):
-                if m + p - pp < 0 or (subtracted and m + p - v < 0):
+                bra_shift = m + p - pp - j + t
+                low = m + p + k - q - j
+                if bra_shift < 0 or low < 0:
                     continue
-                log_t = float(_log_pow(mag, 2 * m + p - pp)) - log_factorial(m) - log_factorial(m + p - pp)
-                if subtracted:
-                    log_t += 2.0 * log_factorial(m + p) - log_factorial(m + p - v)
+                e_alpha = 2 * n + 2 * m - 2 * pp - j + t
+                if log_mag is None:
+                    if e_alpha != 0:
+                        continue
+                    log_pow = 0.0
                 else:
-                    log_t += log_factorial(m + p + u)
+                    log_pow = e_alpha * log_mag
+                log_t = (
+                    log_pow
+                    + log_factorial(m + p + k)
+                    + log_factorial(m + p + k - j + t)
+                    - log_factorial(m)
+                    - log_factorial(bra_shift)
+                    - log_factorial(low)
+                )
                 if acc.add(math.exp(log_pref + log_t)):
+                    done = True
                     break
+            if not done and log_mag is not None:
+                raise ConvergenceError(
+                    f"moment series did not stabilize within {max_terms} terms"
+                )
             total += sign * acc.total.real
     return total
 
 
-def normalization_constant_closed_form(spec: StateSpec) -> float | None:
-    """The analytic normalization constant of the bare coefficient series.
+# Squared norm of each hole variant's bare series, (lam, p, M) -> 1/N^2, in
+# forms that neither cancel at small |alpha| or p nor overflow before 1/N^2
+# itself does: 4 (cosh lam - 1) = 8 sinh^2(lam/2), e^lam - 1 = expm1(lam),
+# 1 - (1-p)^M = -expm1(M log1p(-p)).
+_HOLE_NORM_SQ = {
+    "VFECS": lambda lam, p, M: 8.0 * math.sinh(0.5 * lam) ** 2,
+    "PAECS": lambda lam, p, M: 4.0 * (math.cosh(lam) + lam * math.sinh(lam)),
+    "VFKS": lambda lam, p, M: math.expm1(lam),
+    "PAKS": lambda lam, p, M: math.exp(lam) * (1.0 + lam),
+    "VFBS": lambda lam, p, M: -math.expm1(M * math.log1p(-p)) if p < 1.0 else float(M > 0),
+    "PABS": lambda lam, p, M: 1.0 + M * p,
+}
 
-    Returns None where the thesis prints none that survives scrutiny
-    (PASDFS, whose normalization
-    is always derived numerically) or where filtration leaves nothing to
-    normalize (alpha = 0 vacuum-filtered states). Raises ConvergenceError
-    where cosh or exp of |alpha|^2 overflows a float.
+
+def normalization_constant_closed_form(spec: StateSpec) -> float | None:
+    """The analytic normalization constant N of ``bare_coefficients(spec)``.
+
+    This is the one place a family's N is written; the moment and entropy
+    series take theirs from here. Returns None where the thesis prints none
+    that survives scrutiny (PASDFS, whose normalization is always derived
+    numerically) or where filtration or subtraction leaves nothing to
+    normalize (e.g. alpha = 0 vacuum-filtered states). Raises
+    ConvergenceError where 1/N^2 overflows or goes subnormal, or N itself
+    goes subnormal (ECS past |alpha|^2 ~ 1416).
     """
     fam = spec.family
     lam = spec.alpha_mag**2
@@ -457,36 +500,23 @@ def normalization_constant_closed_form(spec: StateSpec) -> float | None:
         return 1.0  # bare series is normalized as written
     if fam == "PASDFS":
         return None
-    if fam == "PADFS":
-        return _norm_series_dfs(spec, subtracted=False) ** -0.5
-    if fam == "PSDFS":
-        s = _norm_series_dfs(spec, subtracted=True)
-        return s**-0.5 if s > 0 else None
-    if fam == "VFBS":
-        denom = 1.0 - (1.0 - spec.p) ** spec.M
-        return denom**-0.5 if denom > 0 else None
-    if fam == "PABS":
-        return (1.0 + spec.M * spec.p) ** -0.5
-    if fam in ("VFECS", "VFKS") and lam == 0:
-        return None
-    try:
-        if fam == "ECS":
-            constant = 1.0 / math.sqrt(4.0 * math.cosh(lam))
-        elif fam == "VFECS":
-            constant = 1.0 / math.sqrt(4.0 * (math.cosh(lam) - 1.0))
-        elif fam == "PAECS":
-            constant = 0.5 / math.sqrt(math.cosh(lam) + lam * math.sinh(lam))
-        elif fam == "VFKS":
-            constant = (math.exp(lam) - 1.0) ** -0.5
-        elif fam == "PAKS":
-            constant = (math.exp(lam) * (1.0 + lam)) ** -0.5
-        else:
-            raise InvalidParameterError(f"unknown family {fam!r}")
-    except OverflowError:
-        constant = 0.0
-    if constant == 0.0:  # an inf denominator (products overflow to inf, not an exception)
-        raise ConvergenceError(f"{fam} normalization overflows a float at |alpha|^2 = {lam:g}")
-    return constant
+    if fam in ("PADFS", "PSDFS"):
+        norm_sq = _dfs_group_series(spec.alpha, spec.n, spec.param("added"), spec.param("subtracted"), 0, 0)
+        return norm_sq**-0.5 if norm_sq > 0 else None
+    if fam == "ECS":
+        constant = math.exp(-0.5 * lam) / math.sqrt(2.0 * (1.0 + math.exp(-2.0 * lam)))
+        if constant >= sys.float_info.min:
+            return constant
+    else:
+        try:
+            norm_sq = _HOLE_NORM_SQ[fam](lam, spec.p, spec.M)
+        except OverflowError:
+            norm_sq = math.inf
+        if norm_sq == 0.0:
+            return None
+        if sys.float_info.min <= norm_sq < math.inf:
+            return norm_sq**-0.5
+    raise ConvergenceError(f"{fam} normalization leaves the float range at {spec}")
 
 
 def state_distance(a: StateVector, b: StateVector) -> float:

@@ -75,7 +75,7 @@ def test_series_matches_oracle(family, rng):
     for _ in range(6):
         spec = random_spec(rng, family)
         s = build_state(spec, POLICY)
-        for t, j in ((1, 1), (2, 0), (1, 3), (4, 4)):
+        for t, j in ((0, 0), (1, 1), (2, 0), (1, 3), (4, 4)):
             reference = moment_oracle(s, t, j)
             value = moment_series(spec, t, j, POLICY)
             err = abs(value - reference)
@@ -83,6 +83,16 @@ def test_series_matches_oracle(family, rng):
                 assert err / abs(reference) <= 1e-8, (spec, t, j)
             else:
                 assert err <= 1e-10, (spec, t, j)
+
+
+def test_binomial_series_starts_past_underflowed_terms():
+    # With p this close to 1 every low-index term underflows exp; those terms
+    # come before the bulk of the sum and must not end it as a quiet run.
+    spec = StateSpec("Binomial", p=1.0 - 2.0**-52, M=40)
+    s = build_state(spec, POLICY)
+    for k in (0, 1, 2):
+        reference = moment_oracle(s, k, k)
+        assert abs(moment_series(spec, k, k, POLICY) - reference) <= 1e-10 * abs(reference)
 
 
 def test_vf_branch_agreement_at_equal_powers():

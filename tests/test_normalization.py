@@ -1,0 +1,118 @@
+"""The one normalization constant per family and the series that take N from it.
+
+``normalization_constant_closed_form`` is held against the numeric norm of
+the bare series, and the moment and entanglement-potential closed forms
+built on it against their operator oracles, at small |alpha| (where
+cosh(|alpha|^2) - 1 and e^{|alpha|^2} - 1 cancel), past the float range and
+over random parameters.
+"""
+
+import cmath
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from focklab.core import TruncationPolicy
+from focklab.exceptions import ConvergenceError, FockLabError
+from focklab.interferometry import ENTROPY_SERIES_GROUPS, linear_entropy, linear_entropy_closed_form
+from focklab.moments import moment_oracle, moment_series
+from focklab.states import (
+    FAMILY_INFO,
+    StateSpec,
+    build_state,
+    normalization_constant,
+    normalization_constant_closed_form,
+)
+
+POLICY = TruncationPolicy(max_dim=512, tail_tolerance=1e-16)
+SERIES_FAMILIES = [name for name, info in FAMILY_INFO.items() if info.group in ENTROPY_SERIES_GROUPS]
+HOLE_LADDER_FAMILIES = [
+    name for name, info in FAMILY_INFO.items() if info.group in ("ecs", "kerr") and info.hole
+]
+
+
+def _assert_moment_close(value, reference):
+    err = abs(value - reference)
+    if abs(reference) >= 1.0:
+        assert err / abs(reference) <= 1e-8
+    else:
+        assert err <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "family, mag",
+    [
+        ("VFECS", 1e-4),
+        ("VFECS", 1e-3),
+        ("VFKS", 1e-9),
+        ("VFKS", 1e-5),
+        *[(family, mag) for family in ("PAECS", "PAKS") for mag in (1e-9, 1e-5, 1e-4, 1e-3)],
+    ],
+)
+def test_hole_variants_at_small_alpha(family, mag):
+    spec = StateSpec(family, alpha=mag * cmath.exp(0.7j), chi=0.2)
+    state = build_state(spec, POLICY)
+    assert normalization_constant_closed_form(spec) == pytest.approx(normalization_constant(spec), rel=1e-9)
+    for order in (1, 2):
+        assert abs(moment_series(spec, order, order, POLICY) - moment_oracle(state, order, order)) <= 1e-10
+    assert abs(linear_entropy_closed_form(spec) - linear_entropy(state)) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [StateSpec(family, alpha=math.sqrt(720.0), chi=0.3) for family in ("ECS", "Kerr", *HOLE_LADDER_FAMILIES)]
+    + [StateSpec("VFBS", p=1e-310, M=10)],
+    ids=lambda spec: spec.family,
+)
+def test_moment_series_refuses_beyond_float_range(spec):
+    # At |alpha|^2 = 720 the hole variants' 1/N^2 overflows, and at p = 1e-310
+    # VFBS's 1/N^2 ~ M p is subnormal. The plain families' constants are
+    # finite, but their ladder sums overflow.
+    if spec.info.hole:
+        with pytest.raises(ConvergenceError):
+            normalization_constant_closed_form(spec)
+    else:
+        assert normalization_constant_closed_form(spec) > 0.0
+    with pytest.raises(ConvergenceError):
+        moment_series(spec, 1, 1, TruncationPolicy(max_dim=4096))
+
+
+def _or_none(evaluate):
+    """evaluate(), or None where it refuses with a FockLabError."""
+    try:
+        return evaluate()
+    except FockLabError:
+        return None
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    family=st.sampled_from(SERIES_FAMILIES),
+    log_mag=st.floats(min_value=-12.0, max_value=math.log10(30.0)),
+    phase=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    chi=st.floats(min_value=-math.pi, max_value=math.pi),
+    p=st.floats(min_value=0.0, max_value=1.0),
+    M=st.one_of(st.integers(min_value=0, max_value=40), st.integers(min_value=41, max_value=400)),
+)
+def test_closed_forms_are_finite_or_refused(family, log_mag, phase, chi, p, M):
+    mag = 10.0**log_mag
+    spec = StateSpec(family, alpha=mag * cmath.exp(1j * phase), chi=chi, p=p, M=M)
+    constant = _or_none(lambda: normalization_constant_closed_form(spec))
+    moment = _or_none(lambda: moment_series(spec, 1, 1, POLICY))
+    entropy = _or_none(lambda: linear_entropy_closed_form(spec))
+    for value in (constant, moment, entropy):
+        assert value is None or cmath.isfinite(value), value
+    assert constant is None or constant > 0.0
+    if (M > 40) if FAMILY_INFO[family].group == "binomial" else (mag > 5.0):
+        return
+    numeric = _or_none(lambda: normalization_constant(spec))
+    if numeric is not None:
+        assert constant == pytest.approx(numeric, rel=1e-9)
+    state = _or_none(lambda: build_state(spec, POLICY))
+    if state is None:
+        return
+    assert moment is not None and entropy is not None
+    _assert_moment_close(moment, moment_oracle(state, 1, 1))
+    assert abs(entropy - linear_entropy(state)) <= 1e-8

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -232,6 +233,36 @@ def test_a3_floor(rng):
         raw = rng.normal(size=16) + 1j * rng.normal(size=16)
         s = state_from_amplitudes(raw)
         assert agarwal_tara_a3(s).value >= -1.0 - 1e-9
+
+
+def _a3_exact(s):
+    """A3 from the same p_n in exact rational arithmetic: the Hankel determinants
+    of the factorial moments sum_n p_n n!/(n-i)! and the number moments sum_n p_n n^i."""
+    p = [Fraction(float(x)) for x in s.probabilities()]
+    factorial = [sum(pn * math.perm(n, i) for n, pn in enumerate(p)) for i in range(5)]
+    number = [sum(pn * n**i for n, pn in enumerate(p)) for i in range(5)]
+
+    def hankel_det(v):
+        return (
+            v[0] * (v[2] * v[4] - v[3] * v[3])
+            - v[1] * (v[1] * v[4] - v[3] * v[2])
+            + v[2] * (v[1] * v[3] - v[2] * v[2])
+        )
+
+    det_m, det_mu = hankel_det(factorial), hankel_det(number)
+    return float(det_m / (det_mu - det_m))
+
+
+@pytest.mark.parametrize(
+    "mag, expected",
+    [(0.1, -1.000142889), (0.2, -1.002296090), (0.4, -1.039413660), (0.6, -1.289728137)],
+)
+def test_a3_below_minus_one_matches_exact_reference(mag, expected):
+    # Photon-added even coherent states near |1> have A3 < -1; nothing bounds it at -1.
+    s = build_state(StateSpec("PAECS", alpha=mag))
+    exact = _a3_exact(s)
+    assert exact == pytest.approx(expected, abs=1e-9)
+    assert agarwal_tara_a3(s).value == pytest.approx(exact, rel=1e-9)
 
 
 # --- classical boundary sweep ---------------------------------------------------------
