@@ -15,6 +15,7 @@ import numpy as np
 
 from .exceptions import (
     AnnihilatedStateError,
+    ConvergenceError,
     DimensionError,
     TruncationOverflowError,
 )
@@ -91,10 +92,14 @@ def state_from_amplitudes(
 
     By default the global phase is preserved (phase analysis depends on it);
     with fix_global_phase the first nonzero amplitude is rotated to the
-    positive real axis.
+    positive real axis. A vector whose norm is not finite raises
+    ConvergenceError.
     """
     amps = np.asarray(amps, dtype=np.complex128)
-    nrm = np.linalg.norm(amps)
+    with np.errstate(over="ignore"):
+        nrm = np.linalg.norm(amps)
+    if not np.isfinite(nrm):
+        raise ConvergenceError("amplitude vector norm leaves the float range")
     if nrm < _ANNIHILATION_TOL:
         raise AnnihilatedStateError("amplitude vector has (numerically) zero norm")
     amps = amps / nrm

@@ -320,12 +320,18 @@ def build_state(spec: StateSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> S
     The basis size is chosen adaptively so the discarded tail mass stays
     within ``policy.tail_tolerance``, capped at ``policy.max_dim``. Raises
     AnnihilatedStateError when subtraction kills the state (e.g. PSDFS with
-    v >= 1 from the vacuum).
+    v >= 1 from the vacuum), and ConvergenceError when the coefficients
+    overflow (ECS past |alpha|^2 ~ 710, Kerr past ~ 1420).
     """
     dim = _initial_dim(spec, policy)
     while True:
-        raw = bare_coefficients(spec, dim)
-        nrm = float(np.linalg.norm(raw))
+        # The bare series of the undamped families reaches e^{|alpha|^2/2}; refuse
+        # before its squared norm (or an amplitude) leaves the float range.
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw = bare_coefficients(spec, dim)
+            nrm = float(np.linalg.norm(raw))
+        if not math.isfinite(nrm * nrm):
+            raise ConvergenceError(f"{spec.family} bare series norm leaves the float range at {spec}")
         if nrm < 1e-12:
             raise AnnihilatedStateError(f"{spec.family} state vanishes for these parameters")
         edge = abs(raw[-1]) ** 2 / (nrm * nrm)

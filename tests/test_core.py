@@ -15,6 +15,7 @@ from focklab.core import (
 )
 from focklab.exceptions import (
     AnnihilatedStateError,
+    ConvergenceError,
     DimensionError,
     TruncationOverflowError,
 )
@@ -151,3 +152,9 @@ def test_global_phase_preserved_by_default():
     fixed = state_from_amplitudes(raw, fix_global_phase=True)
     assert fixed.amplitudes[0].imag == pytest.approx(0.0)
     assert fixed.amplitudes[0].real > 0
+
+
+@pytest.mark.parametrize("raw", [[1e200, 1e200], [np.inf, 1.0], [np.nan, 1.0], [1.0, complex(0, np.inf)]])
+def test_non_finite_norm_is_refused(raw):
+    with pytest.raises(ConvergenceError):
+        state_from_amplitudes(np.array(raw, dtype=complex))

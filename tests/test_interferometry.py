@@ -7,6 +7,7 @@ from focklab.core import TruncationPolicy, make_fock, state_from_amplitudes
 from focklab.core import LOG_FACTORIAL
 from focklab.exceptions import ConvergenceError, InvalidParameterError, StationaryPointError
 from focklab.interferometry import (
+    _GRAM_BAND,
     ENTROPY_SERIES_GROUPS,
     beam_splitter_split,
     linear_entropy,
@@ -68,8 +69,8 @@ def test_linear_entropy_fock1():
 
 
 def test_linear_entropy_range_and_trace_symmetry(rng):
-    for _ in range(8):
-        s = state_from_amplitudes(rng.normal(size=20) + 1j * rng.normal(size=20))
+    for dim in (2, 7, 20, 64, 100, 137, 251, 400):
+        s = state_from_amplitudes(rng.normal(size=dim) + 1j * rng.normal(size=dim))
         value = linear_entropy(s)
         assert 0.0 <= value < 1.0
         tm = beam_splitter_split(s)
@@ -79,6 +80,76 @@ def test_linear_entropy_range_and_trace_symmetry(rng):
         le_a = 1.0 - float(np.trace(rho_a @ rho_a).real)
         assert le_a == pytest.approx(le_b, abs=1e-10)
         assert value == pytest.approx(le_b, abs=1e-10)
+
+
+# The per-n loop split and the SVD purity, kept as the reference for the
+# Hankel gather and the banded Gram product.
+
+def _loop_split(s):
+    d = s.dim
+    out = np.zeros((d, d), dtype=np.complex128)
+    for n in range(d):
+        c = s.amplitudes[n]
+        if c == 0:
+            continue
+        j = np.arange(n + 1)
+        log_w = (
+            0.5 * (LOG_FACTORIAL[n] - LOG_FACTORIAL[j] - LOG_FACTORIAL[n - j])
+            - 0.5 * n * math.log(2.0)
+        )
+        out[j, n - j] = c * np.exp(log_w)
+    return out
+
+
+def _svd_entropy_reference(s):
+    sv = np.linalg.svd(_loop_split(s), compute_uv=False)
+    return max(1.0 - float(np.sum(sv**4)), 0.0)
+
+
+def _assert_matches_reference(s):
+    loop = _loop_split(s)
+    assert np.max(np.abs(beam_splitter_split(s) - loop)) <= 1e-13 * np.max(np.abs(loop))
+    assert abs(linear_entropy(s) - _svd_entropy_reference(s)) <= 1e-12
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_split_and_entropy_match_loop_and_svd_reference(family):
+    policy = TruncationPolicy(max_dim=1024, tail_tolerance=1e-16)
+    if FAMILY_INFO[family].group == "binomial":
+        specs = [StateSpec(family, p=0.37, M=M) for M in (10, 128, 360)]
+    else:
+        specs = [
+            StateSpec(family, alpha=mag * np.exp(0.6j), n=2, added=1, subtracted=1, chi=0.29)
+            for mag in (1.0, 3.0, 8.0, 15.0)
+        ]
+    for spec in specs:
+        _assert_matches_reference(build_state(spec, policy))
+
+
+def test_entropy_matches_reference_at_smallest_dims():
+    for s in (make_fock(0, 1), make_fock(0, 2), make_fock(1, 2)):
+        _assert_matches_reference(s)
+    assert linear_entropy(make_fock(0, 1)) == 0.0
+    assert linear_entropy(make_fock(1, 2)) == pytest.approx(0.5, abs=1e-15)
+
+
+@pytest.mark.parametrize("bands", [1, 2, 5])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_entropy_matches_reference_at_band_edges(bands, offset, rng):
+    dim = bands * _GRAM_BAND + offset
+    s = state_from_amplitudes(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+    _assert_matches_reference(s)
+
+
+@pytest.mark.parametrize("spec", [StateSpec("ECS", alpha=3.0), StateSpec("VFKS", alpha=2.0, chi=0.4)])
+def test_split_keeps_exact_zeros(spec):
+    s = build_state(spec, POLICY)
+    holes = np.flatnonzero(s.amplitudes == 0)
+    assert holes.size  # ECS parity holes, or the filtered vacuum
+    _assert_matches_reference(s)
+    j, m = np.indices((s.dim, s.dim))
+    dead = np.isin(j + m, holes) | (j + m >= s.dim)
+    assert np.all(beam_splitter_split(s)[dead] == 0)
 
 
 @pytest.mark.parametrize("family", LE_FAMILIES)

@@ -1,11 +1,12 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from focklab.core import TruncationPolicy, apply_annihilate, apply_create
-from focklab.exceptions import AnnihilatedStateError, InvalidParameterError
+from focklab.exceptions import AnnihilatedStateError, ConvergenceError, InvalidParameterError
 from focklab.moments import moment_series
 from focklab.states import (
     FAMILIES,
@@ -101,6 +102,25 @@ def test_psdfs_from_vacuum_annihilates():
 def test_psdfs_oversubtracted_fock_annihilates():
     with pytest.raises(AnnihilatedStateError):
         build_state(StateSpec("PSDFS", alpha=0, n=1, subtracted=2), POLICY)
+
+
+@pytest.mark.parametrize(
+    "family, lam",
+    [("ECS", 712), ("VFECS", 712), ("VFKS", 712), ("PAECS", 704), ("PAKS", 704), ("Kerr", 1432)],
+)
+def test_overflowing_bare_series_is_refused(family, lam):
+    # The squared norm of the undamped series (or, for Kerr, an amplitude)
+    # leaves the float range before max_dim caps the basis.
+    policy = TruncationPolicy(max_dim=4096, tail_tolerance=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError):
+            build_state(StateSpec(family, alpha=math.sqrt(lam), chi=0.29), policy)
+
+
+def test_ecs_just_inside_float_range_builds():
+    s = build_state(StateSpec("ECS", alpha=math.sqrt(700)), TruncationPolicy(max_dim=4096))
+    assert s.norm == pytest.approx(1.0, abs=1e-12)
 
 
 def test_invalid_binomial_probability():
