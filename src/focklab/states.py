@@ -34,7 +34,7 @@ from .core import (
     raise_amplitudes,
     state_from_amplitudes,
 )
-from .exceptions import AnnihilatedStateError, ConvergenceError, InvalidParameterError
+from .exceptions import AnnihilatedStateError, ConvergenceError, InvalidParameterError, TruncationOverflowError
 
 # Exponent used in place of log(0) so that 0^e underflows to exactly 0.0 for
 # e > 0 while 0^0 stays exp(0 * _LOG_ZERO) = 1.
@@ -272,16 +272,20 @@ def bare_coefficients(spec: StateSpec, dim: int) -> np.ndarray:
     return out
 
 
-def _finite_support(spec: StateSpec) -> bool:
-    return spec.info.group in ("fock", "binomial")
+def _support(spec: StateSpec) -> int | None:
+    """Length of the whole Fock expansion of a Fock or binomial family; None for the others."""
+    info = spec.info
+    if info.group == "fock":
+        return spec.n + 1
+    if info.group == "binomial":
+        return spec.M + (2 if info.hole == "added" else 1)
+    return None
 
 
 def _initial_dim(spec: StateSpec, policy: TruncationPolicy) -> int:
-    info = spec.info
-    if info.group == "fock":
-        return min(spec.n + 1, policy.max_dim)
-    if info.group == "binomial":
-        return min(spec.M + (2 if info.hole == "added" else 1), policy.max_dim)
+    support = _support(spec)
+    if support is not None:
+        return min(support, policy.max_dim)
     n, added = spec.param("n"), spec.param("added")
     mean = spec.alpha_mag**2 + n + added + 1.0
     guess = int(mean + 14.0 * math.sqrt(mean) + 32) + added + n
@@ -323,6 +327,22 @@ def build_state(spec: StateSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> S
     v >= 1 from the vacuum), and ConvergenceError when the coefficients
     overflow (ECS past |alpha|^2 ~ 710, Kerr past ~ 1420).
     """
+    raw, nrm, _ = _adaptive_bare(spec, policy)
+    if nrm < 1e-12:
+        raise AnnihilatedStateError(f"{spec.family} state vanishes for these parameters")
+    trimmed, tail = _trim(raw, policy)
+    return state_from_amplitudes(trimmed, tail_mass=tail)
+
+
+def _adaptive_bare(spec: StateSpec, policy: TruncationPolicy) -> tuple[np.ndarray, float, float]:
+    """``bare_coefficients`` on an adaptive basis, with its norm and edge occupation.
+
+    The basis starts at ``_initial_dim`` and doubles until the last
+    coefficient holds at most tail_tolerance * 1e-4 of the squared norm, or
+    reaches max_dim; a Fock or binomial family is built whole at once (up
+    to max_dim). Raises ConvergenceError when the squared norm leaves the
+    float range, and AnnihilatedStateError when the norm is below 1e-150.
+    """
     dim = _initial_dim(spec, policy)
     while True:
         # The bare series of the undamped families reaches e^{|alpha|^2/2}; refuse
@@ -332,14 +352,12 @@ def build_state(spec: StateSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> S
             nrm = float(np.linalg.norm(raw))
         if not math.isfinite(nrm * nrm):
             raise ConvergenceError(f"{spec.family} bare series norm leaves the float range at {spec}")
-        if nrm < 1e-12:
-            raise AnnihilatedStateError(f"{spec.family} state vanishes for these parameters")
+        if nrm < 1e-150:
+            raise AnnihilatedStateError(f"{spec.family} bare series has zero norm")
         edge = abs(raw[-1]) ** 2 / (nrm * nrm)
-        if dim >= policy.max_dim or _finite_support(spec) or edge <= policy.tail_tolerance * 1e-4:
-            break
+        if dim >= policy.max_dim or _support(spec) is not None or edge <= policy.tail_tolerance * 1e-4:
+            return raw, nrm, edge
         dim = min(dim * 2, policy.max_dim)
-    trimmed, tail = _trim(raw, policy)
-    return state_from_amplitudes(trimmed, tail_mass=tail)
 
 
 def displacement_coefficients(alpha: complex, n: int, dim: int) -> np.ndarray:
@@ -409,11 +427,18 @@ def _hole_burn(raw: np.ndarray, hole: str | None) -> np.ndarray:
 
 
 def normalization_constant(spec: StateSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
-    """Numeric normalization constant: 1 / norm of the family's bare coefficient series."""
-    dim = min(_initial_dim(spec, policy) * 2, policy.max_dim)
-    nrm = float(np.linalg.norm(bare_coefficients(spec, dim)))
-    if nrm < 1e-150:
-        raise AnnihilatedStateError("bare series has zero norm")
+    """Numeric normalization constant: 1 / norm of the family's bare coefficient series.
+
+    The series is summed on ``build_state``'s adaptive basis. Raises
+    ConvergenceError where its squared norm leaves the float range, and
+    TruncationOverflowError where max_dim cuts it short of a negligible edge.
+    """
+    raw, nrm, edge = _adaptive_bare(spec, policy)
+    support = _support(spec)
+    if edge > policy.tail_tolerance * 1e-4 and (support is None or support > len(raw)):
+        raise TruncationOverflowError(
+            f"{spec.family} bare series is cut at max_dim={policy.max_dim} with edge occupation {edge:.2e}"
+        )
     return 1.0 / nrm
 
 
@@ -497,8 +522,9 @@ def normalization_constant_closed_form(spec: StateSpec) -> float | None:
     that survives scrutiny (PASDFS, whose normalization is always derived
     numerically) or where filtration or subtraction leaves nothing to
     normalize (e.g. alpha = 0 vacuum-filtered states). Raises
-    ConvergenceError where 1/N^2 overflows or goes subnormal, or N itself
-    goes subnormal (ECS past |alpha|^2 ~ 1416).
+    ConvergenceError where 1/N^2 overflows or goes subnormal, N itself
+    goes subnormal (ECS past |alpha|^2 ~ 1416), or the PADFS/PSDFS series
+    for 1/N^2 sums to <= 0 at alpha != 0 (cancellation or underflow).
     """
     fam = spec.family
     lam = spec.alpha_mag**2
@@ -508,7 +534,11 @@ def normalization_constant_closed_form(spec: StateSpec) -> float | None:
         return None
     if fam in ("PADFS", "PSDFS"):
         norm_sq = _dfs_group_series(spec.alpha, spec.n, spec.param("added"), spec.param("subtracted"), 0, 0)
-        return norm_sq**-0.5 if norm_sq > 0 else None
+        if norm_sq > 0:
+            return norm_sq**-0.5
+        if spec.alpha != 0:  # a^q a†^k D(alpha)|n> never vanishes: the series lost its value
+            raise ConvergenceError(f"{fam} norm series sums to {norm_sq} at {spec}")
+        return None
     if fam == "ECS":
         constant = math.exp(-0.5 * lam) / math.sqrt(2.0 * (1.0 + math.exp(-2.0 * lam)))
         if constant >= sys.float_info.min:
@@ -523,6 +553,54 @@ def normalization_constant_closed_form(spec: StateSpec) -> float | None:
         if sys.float_info.min <= norm_sq < math.inf:
             return norm_sq**-0.5
     raise ConvergenceError(f"{fam} normalization leaves the float range at {spec}")
+
+
+def ladder_log_amplitudes(spec: StateSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(log|c_i|, e^{i arg c_i}) of the normalized closed-form amplitudes of an ECS, Kerr or binomial family.
+
+    c_i = N h_i / sqrt(i!) with h_i = (1 + (-1)^i) alpha^i (ECS),
+    alpha^i e^{-i chi i (i-1)} (Kerr) or sqrt(M!/(M-i)! p^i (1-p)^(M-i))
+    (binomial); filtration sets h_0 = 0 and photon addition maps
+    h_i -> i h_{i-1}. N is ``normalization_constant_closed_form`` times the
+    ``_log_damping`` factor. The ladder runs to M + 1 (binomial) or
+    |alpha|^2 + 14 sqrt(|alpha|^2 + 1) + 24 terms, one more with a photon
+    added; log|c_i| is -inf where c_i = 0. It is written apart from
+    ``bare_coefficients`` so the closed forms stay independent of the vector
+    their oracles read. Raises InvalidParameterError for the other families,
+    AnnihilatedStateError for an empty state, and ConvergenceError where N
+    does or the ladder outgrows the log-factorial table.
+    """
+    info = spec.info
+    if info.group in ("fock", "dfs"):
+        raise InvalidParameterError(f"no closed-form coefficient ladder for {spec.family!r}")
+    constant = normalization_constant_closed_form(spec)
+    if constant is None:
+        raise AnnihilatedStateError(f"{spec.family} is empty for these parameters")
+    if info.group == "binomial":
+        M, i = spec.M, np.arange(spec.M + 1)
+        # lgamma, not the table: M may run past it, and its cumulative sum
+        # drifts by 3e-11 near 4000.
+        log_fact = np.array([log_factorial(k) for k in range(M + 1)])
+        log_c = 0.5 * (
+            log_factorial(M) - log_fact - log_fact[::-1] + _log_pow(spec.p, i) + _log_pow(1.0 - spec.p, M - i)
+        )
+        phase = np.ones(M + 1, dtype=np.complex128)
+    else:
+        lam = spec.alpha_mag**2
+        cut = int(lam + 14.0 * math.sqrt(lam + 1.0) + 24)
+        if cut > len(LOG_FACTORIAL):
+            raise ConvergenceError(f"{spec.family} ladder needs more than {len(LOG_FACTORIAL)} log-factorials")
+        i = np.arange(cut)
+        log_c = _log_pow(spec.alpha_mag, i) - 0.5 * LOG_FACTORIAL[:cut] + _log_damping(spec)
+        if info.group == "ecs":
+            log_c += np.where(i % 2 == 0, math.log(2.0), -np.inf)
+        phase = np.exp(1j * (spec.alpha_phase * i - spec.param("chi") * i * (i - 1)))
+    if info.hole == "filtered":
+        log_c[0] = -np.inf
+    elif info.hole == "added":  # h_i -> i h_{i-1} is c_i -> sqrt(i) c_{i-1} before N
+        log_c = np.concatenate(([-np.inf], log_c + 0.5 * np.log(np.arange(1, len(log_c) + 1))))
+        phase = np.concatenate(([1.0], phase))
+    return log_c + math.log(constant), phase
 
 
 def state_distance(a: StateVector, b: StateVector) -> float:

@@ -95,6 +95,16 @@ def test_binomial_series_starts_past_underflowed_terms():
         assert abs(moment_series(spec, k, k, POLICY) - reference) <= 1e-10 * abs(reference)
 
 
+@pytest.mark.parametrize("p, M", [(0.001, 5000), (0.3, 4000)])
+def test_binomial_series_past_the_log_factorial_table(p, M):
+    # The ladder runs to M + 2, past the 4096-entry table, whose running sum
+    # also drifts by 3e-11 near 4000; the binomial terms keep lgamma accuracy.
+    policy = TruncationPolicy(max_dim=4096)
+    spec = StateSpec("PABS", p=p, M=M)
+    reference = moment_oracle(build_state(spec, policy), 1, 1)
+    assert abs(moment_series(spec, 1, 1, policy) - reference) <= 1e-11 * abs(reference)
+
+
 def test_vf_branch_agreement_at_equal_powers():
     # The two reindexed branch forms (annihilation <= / > creation) coincide at equality.
     for family in ("VFECS", "VFKS", "VFBS"):

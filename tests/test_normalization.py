@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from focklab.core import TruncationPolicy
-from focklab.exceptions import ConvergenceError, FockLabError
+from focklab.exceptions import AnnihilatedStateError, ConvergenceError, FockLabError, TruncationOverflowError
 from focklab.interferometry import ENTROPY_SERIES_GROUPS, linear_entropy, linear_entropy_closed_form
 from focklab.moments import moment_oracle, moment_series
 from focklab.states import (
@@ -27,6 +27,7 @@ from focklab.states import (
 )
 
 POLICY = TruncationPolicy(max_dim=512, tail_tolerance=1e-16)
+ORACLE_POLICY = TruncationPolicy(max_dim=512, tail_tolerance=1e-32)
 SERIES_FAMILIES = [name for name, info in FAMILY_INFO.items() if info.group in ENTROPY_SERIES_GROUPS]
 HOLE_LADDER_FAMILIES = [
     name for name, info in FAMILY_INFO.items() if info.group in ("ecs", "kerr") and info.hole
@@ -69,14 +70,67 @@ def test_hole_variants_at_small_alpha(family, mag):
 def test_moment_series_refuses_beyond_float_range(spec):
     # At |alpha|^2 = 720 the hole variants' 1/N^2 overflows, and at p = 1e-310
     # VFBS's 1/N^2 ~ M p is subnormal. The plain families' constants are
-    # finite, but their ladder sums overflow.
+    # finite, and with N inside every amplitude their ladders stay in range.
+    policy = TruncationPolicy(max_dim=4096)
     if spec.info.hole:
         with pytest.raises(ConvergenceError):
             normalization_constant_closed_form(spec)
+        with pytest.raises(ConvergenceError):
+            moment_series(spec, 1, 1, policy)
     else:
-        assert normalization_constant_closed_form(spec) > 0.0
+        assert moment_series(spec, 1, 1, policy) == pytest.approx(720.0, rel=1e-10)
+        assert moment_series(spec, 2, 2, policy) == pytest.approx(720.0**2, rel=1e-10)
+
+
+def test_ecs_moments_near_float_range_match_oracle():
+    policy = TruncationPolicy(max_dim=4096)
+    spec = StateSpec("ECS", alpha=math.sqrt(700.0) * cmath.exp(0.3j))
+    state = build_state(spec, policy)
+    for t, j in ((1, 1), (2, 2), (2, 0), (1, 3)):
+        reference = moment_oracle(state, t, j)
+        assert abs(moment_series(spec, t, j, policy) - reference) <= 1e-10 * abs(reference)
+
+
+@pytest.mark.parametrize("family, lam", [("ECS", 712), ("PAKS", 704), ("Kerr", 1432)])
+def test_numeric_constant_refuses_overflowing_series(family, lam):
+    # The undamped bare series overflows before max_dim caps it: no 0.0 or NaN constant.
+    spec = StateSpec(family, alpha=math.sqrt(lam), chi=0.29)
     with pytest.raises(ConvergenceError):
-        moment_series(spec, 1, 1, TruncationPolicy(max_dim=4096))
+        normalization_constant(spec, TruncationPolicy(max_dim=4096))
+
+
+def test_numeric_constant_refuses_a_series_cut_by_max_dim():
+    coherent = StateSpec("Coherent", alpha=30.0)
+    with pytest.raises(TruncationOverflowError):
+        normalization_constant(coherent)  # max_dim 512 cuts the bulk at 900 photons
+    assert normalization_constant(coherent, TruncationPolicy(max_dim=4096)) == pytest.approx(1.0, rel=1e-10)
+    # A finite expansion that exactly fills max_dim is whole, whatever its edge.
+    assert normalization_constant(StateSpec("Binomial", p=1.0, M=511)) == 1.0
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        StateSpec("PADFS", alpha=30.0, n=1, added=1),
+        StateSpec("PADFS", alpha=30.0, n=3, added=3),
+        StateSpec("PSDFS", alpha=30.0, n=1, subtracted=1),
+    ],
+    ids=lambda spec: f"{spec.family}-{spec.n}",
+)
+def test_cancelled_dfs_norm_series_is_not_an_empty_state(spec):
+    # a^q a†^k D(alpha)|n> never vanishes at alpha != 0, so a norm series that
+    # sums to <= 0 there has lost its value, not found an empty state.
+    with pytest.raises(ConvergenceError):
+        normalization_constant_closed_form(spec)
+    with pytest.raises(ConvergenceError):
+        moment_series(spec, 1, 1)
+
+
+def test_subtraction_past_a_fock_state_is_empty():
+    spec = StateSpec("PSDFS", alpha=0, n=1, subtracted=2)
+    assert normalization_constant_closed_form(spec) is None
+    with pytest.raises(AnnihilatedStateError):
+        moment_series(spec, 1, 1)
 
 
 def _or_none(evaluate):
@@ -100,9 +154,12 @@ def test_closed_forms_are_finite_or_refused(family, log_mag, phase, chi, p, M):
     mag = 10.0**log_mag
     spec = StateSpec(family, alpha=mag * cmath.exp(1j * phase), chi=chi, p=p, M=M)
     constant = _or_none(lambda: normalization_constant_closed_form(spec))
-    moment = _or_none(lambda: moment_series(spec, 1, 1, POLICY))
+    # Off-diagonal orders are the only ones that read the ladder's phases.
+    moments = {
+        order: _or_none(lambda: moment_series(spec, *order, POLICY)) for order in ((1, 1), (2, 0), (1, 3))
+    }
     entropy = _or_none(lambda: linear_entropy_closed_form(spec))
-    for value in (constant, moment, entropy):
+    for value in (constant, *moments.values(), entropy):
         assert value is None or cmath.isfinite(value), value
     assert constant is None or constant > 0.0
     if (M > 40) if FAMILY_INFO[family].group == "binomial" else (mag > 5.0):
@@ -110,9 +167,13 @@ def test_closed_forms_are_finite_or_refused(family, log_mag, phase, chi, p, M):
     numeric = _or_none(lambda: normalization_constant(spec))
     if numeric is not None:
         assert constant == pytest.approx(numeric, rel=1e-9)
-    state = _or_none(lambda: build_state(spec, POLICY))
+    # An off-diagonal moment is linear in the amplitudes, so a dropped tail of
+    # mass m moves it by about sqrt(m): the oracle keeps all but 1e-32, so that
+    # sqrt(m) sits far below the 1e-10 bar.
+    state = _or_none(lambda: build_state(spec, ORACLE_POLICY))
     if state is None:
         return
-    assert moment is not None and entropy is not None
-    _assert_moment_close(moment, moment_oracle(state, 1, 1))
+    assert None not in moments.values() and entropy is not None
+    for order, moment in moments.items():
+        _assert_moment_close(moment, moment_oracle(state, *order))
     assert abs(entropy - linear_entropy(state)) <= 1e-8

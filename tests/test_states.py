@@ -16,6 +16,7 @@ from focklab.states import (
     build_by_composition,
     build_state,
     displacement_coefficients,
+    ladder_log_amplitudes,
     limiting_cases,
     normalization_constant,
     normalization_constant_closed_form,
@@ -121,6 +122,31 @@ def test_overflowing_bare_series_is_refused(family, lam):
 def test_ecs_just_inside_float_range_builds():
     s = build_state(StateSpec("ECS", alpha=math.sqrt(700)), TruncationPolicy(max_dim=4096))
     assert s.norm == pytest.approx(1.0, abs=1e-12)
+
+
+_LADDER_SPECS = [
+    *[StateSpec(f, alpha=a) for f in ("ECS", "VFECS", "PAECS") for a in (0.3, 1.7 * cmath.exp(0.4j), 6.0j)],
+    *[
+        StateSpec(f, alpha=a, chi=chi)
+        for f in ("Kerr", "VFKS", "PAKS")
+        for a, chi in ((0.3, 0.1), (2.2j, -1.3), (6.0, 0.29))
+    ],
+    *[
+        StateSpec(f, p=p, M=M)
+        for f in ("Binomial", "VFBS", "PABS")
+        for p, M in ((1e-3, 3), (0.37, 40), (1.0, 7), (0.8, 300))
+    ],
+]
+
+
+@pytest.mark.parametrize("spec", _LADDER_SPECS, ids=lambda spec: spec.family)
+def test_ladder_matches_bare_coefficients(spec):
+    # The closed forms' ladder and the builder's series are two transcriptions
+    # of one c_i = N h_i / sqrt(i!); this keeps them in step.
+    log_c, phase = ladder_log_amplitudes(spec)
+    ladder = np.exp(log_c) * phase
+    bare = normalization_constant_closed_form(spec) * bare_coefficients(spec, len(log_c))
+    assert np.max(np.abs(ladder - bare)) <= 1e-12 * np.max(np.abs(bare))
 
 
 def test_invalid_binomial_probability():
