@@ -204,30 +204,3 @@ def log_factorial(n: int) -> float:
 # It differs from ``log_factorial`` in the last bits, so a series keeps the
 # source it was written with.
 LOG_FACTORIAL = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, 4096, dtype=np.float64)))))
-
-_STOP_REL = 1e-16
-_STOP_RUN = 5
-
-
-class StableSum:
-    """Accumulator implementing the series stopping rule.
-
-    A sum is converged once the incoming term magnitude stays below
-    1e-16 of the running partial sum for five consecutive terms (with a
-    peak-based floor so sums that cancel to zero still terminate).
-    """
-
-    def __init__(self):
-        self.total = 0j
-        self.peak = 0.0
-        self.quiet = 0
-
-    def add(self, term: complex) -> bool:
-        self.total += term
-        mag = abs(term)
-        self.peak = max(self.peak, mag)
-        if mag <= _STOP_REL * max(abs(self.total), self.peak * _STOP_REL):
-            self.quiet += 1
-        else:
-            self.quiet = 0
-        return self.quiet >= _STOP_RUN

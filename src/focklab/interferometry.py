@@ -17,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import LOG_FACTORIAL, StateVector
-from .exceptions import ConvergenceError, StationaryPointError
+from .exceptions import ConvergenceError, InvalidParameterError, StationaryPointError
 from .states import StateSpec, ladder_log_amplitudes
 
 # Family groups with a closed-form linear-entropy series.
@@ -85,6 +85,8 @@ def linear_entropy_closed_form(spec: StateSpec) -> float:
     log-factorial table or an overflowing normalization raises
     ConvergenceError.
     """
+    if spec.info.group not in ENTROPY_SERIES_GROUPS:
+        raise InvalidParameterError(f"no closed-form entanglement-potential series for {spec.family!r}")
     log_c, phase = ladder_log_amplitudes(spec)
     d = len(log_c)
     s = np.arange(2 * d - 1)

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LOG_FACTORIAL, StateVector, log_factorial
-from .exceptions import ConvergenceError, InvalidParameterError, PhaseUndefinedError
+from .core import StateVector
+from .exceptions import InvalidParameterError, PhaseUndefinedError
 from .moments import moment_oracle
-from .states import StateSpec, normalization_constant
+from .states import StateSpec, ladder_log_amplitudes
 
 DEFAULT_GRID_POINTS = 720
 
@@ -81,65 +81,22 @@ def phase_distribution(s: StateVector, n_points: int = DEFAULT_GRID_POINTS) -> P
     return PhaseProfile(theta_grid(n_points), density, integral)
 
 
-def _series_cutoff(mag: float, offset: int, max_terms: int = 4096) -> int:
-    """Index beyond which |alpha|^m sqrt((m+offset)!)/m! terms are negligible."""
-    if mag == 0.0:
-        return offset + 2
-    best = -math.inf
-    cut = max_terms
-    for m in range(max_terms):
-        log_t = m * math.log(mag) + 0.5 * log_factorial(m + offset) - log_factorial(m)
-        best = max(best, log_t)
-        if log_t < best - 64.0:  # far below the peak term, with margin for
-            cut = m              # the polynomially growing subtraction weights
-            break
-    return max(cut, offset + 2)
-
-
-def phase_distribution_closed_form(
-    spec: StateSpec, thetas: np.ndarray, max_terms: int = 4096
-) -> np.ndarray:
-    """The double-series closed form of P(theta) for the displaced-Fock family.
+def phase_distribution_closed_form(spec: StateSpec, thetas: np.ndarray) -> np.ndarray:
+    """P(theta) = |sum_m c_m e^{-i m theta}|^2 / 2pi of a displaced-Fock spec from its closed-form amplitudes.
 
     Kept as a verification target for ``phase_distribution``; supports the
-    Coherent/DFS/PADFS/PSDFS/PASDFS specs. The (p, m) x (p', m') double sum
-    factors into |sum_{p,m} w[p, m] e^{i (theta - theta2)(m + p)}|^2, which
-    is evaluated with its own exponential kernel, not the FFT it checks.
+    Coherent/DFS/PADFS/PSDFS/PASDFS specs. The c_m come from
+    ``states.ladder_log_amplitudes``, and the sum is taken with its own
+    exponential kernel, not the FFT it checks.
     """
     if spec.info.group != "dfs":
         raise InvalidParameterError(f"no closed-form phase-distribution series for {spec.family!r}")
-    n, k, q = spec.param("n"), spec.param("added"), spec.param("subtracted")
-
-    mag = spec.alpha_mag
-    theta2 = spec.alpha_phase
-    lam = mag * mag
-    cut = min(_series_cutoff(mag, n + k), max_terms)
-    if cut + n + k > len(LOG_FACTORIAL):
-        raise ConvergenceError(f"phase-distribution series needs more than {len(LOG_FACTORIAL)} terms")
-    thetas = np.asarray(thetas, dtype=np.float64)
-
-    # Single (p, m) block of weights; the (p', m') block is identical (the
-    # displacement phase has been moved into the theta - theta2 kernel).
-    m = np.arange(cut)
-    w = np.zeros((n + 1, cut), dtype=np.float64)
-    for p in range(n + 1):
-        idx = m + p + k - q
-        valid = idx >= 0
-        log_t = np.where(
-            valid,
-            (m + 0.0) * (math.log(mag) if mag > 0 else -1.0e18)
-            + LOG_FACTORIAL[m + p + k]
-            - LOG_FACTORIAL[m]
-            - 0.5 * LOG_FACTORIAL[np.where(valid, idx, 0)],
-            -np.inf,
-        )
-        sign = (-1.0) ** (n - p)
-        w[p] = sign * math.comb(n, p) * mag ** (n - p) * np.where(valid, np.exp(log_t - 0.5 * lam), 0.0)
-    power = (np.arange(n + 1)[:, None] + m[None, :]).ravel()
-    amp = np.exp(1j * (thetas - theta2)[:, None] * power[None, :]) @ w.ravel()
-    out = amp.real**2 + amp.imag**2
-    nsq = normalization_constant(spec) ** 2
-    return nsq / (2.0 * math.pi * math.factorial(n)) * out
+    log_c, phase = ladder_log_amplitudes(spec)
+    with np.errstate(under="ignore"):
+        c = np.exp(log_c) * phase
+    m = np.arange(len(c))
+    amp = np.exp(-1j * np.asarray(thetas, dtype=np.float64)[:, None] * m[None, :]) @ c
+    return (amp.real**2 + amp.imag**2) / (2.0 * math.pi)
 
 
 def phase_dispersion(s: StateVector) -> float:

@@ -10,10 +10,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .core import StableSum, StateVector, log_factorial
+from .core import LOG_FACTORIAL, StateVector, log_factorial
 from .exceptions import InvalidParameterError
 from .phase import PhaseProfile, angular_dft, simpson_weights, theta_grid
-from .states import StateSpec, normalization_constant
+from .states import StateSpec, ladder_log_amplitudes
 
 
 def _overlap_weights(mags: np.ndarray, dim: int) -> np.ndarray:
@@ -116,43 +116,21 @@ def angular_q(s: StateVector, n_angles: int = 720, n_radial: int = 160) -> Phase
     return PhaseProfile(theta_grid(n_angles), density, integral)
 
 
-def q_function_closed_form(spec: StateSpec, beta: complex, max_terms: int = 2048) -> float:
-    """Q of a photon-added/subtracted displaced-Fock spec from its closed-form series.
+def q_function_closed_form(spec: StateSpec, beta: complex) -> float:
+    """Q(beta) = |sum_m c_m conj(beta)^m e^{-|beta|^2/2} / sqrt(m!)|^2 / pi of a displaced-Fock spec.
 
-    Evaluates the family's Q-function series from the spec parameters alone,
-    independent of any constructed state vector; used to cross-check
-    ``q_function`` on the displaced-Fock family.
+    The c_m are the closed-form amplitudes of ``states.ladder_log_amplitudes``,
+    read from the spec parameters alone, and the coherent-state weights are
+    assembled here in log space, not by ``_overlap_weights``; used to
+    cross-check ``q_function`` on the displaced-Fock family.
     """
-    # The series covers photon addition or subtraction, not both at once.
-    if spec.info.group != "dfs" or spec.family == "PASDFS":
+    if spec.info.group != "dfs":
         raise InvalidParameterError(f"no closed-form Q-function series for {spec.family!r}")
-    n, u, v = spec.param("n"), spec.param("added"), spec.param("subtracted")
-    alpha = spec.alpha
+    log_c, phase = ladder_log_amplitudes(spec)
     beta = complex(beta)
-    lam, bmag = abs(alpha) ** 2, abs(beta)
-    log_amag = math.log(abs(alpha)) if alpha != 0 else -1.0e18
-    log_bmag = math.log(bmag) if bmag > 0 else -1.0e18
-    unit_a = cmath.exp(1j * spec.alpha_phase)
-    unit_b = np.conjugate(beta) / bmag if bmag > 0 else 1.0
-
-    total = 0j
-    for p in range(n + 1):
-        inner = StableSum()
-        for m in range(max_terms):
-            idx = m + p + u - v
-            if idx < 0 or (v and m + p - v < 0):
-                continue
-            log_mag = (
-                m * log_amag
-                + idx * log_bmag
-                - log_factorial(m)
-                - 0.5 * lam
-                - 0.5 * bmag * bmag
-            )
-            if v:
-                log_mag += log_factorial(m + p) - log_factorial(m + p - v)
-            if inner.add(math.exp(log_mag) * unit_a**m * unit_b**idx):
-                break
-        total += math.comb(n, p) * (-np.conjugate(alpha)) ** (n - p) * inner.total
-    nsq = normalization_constant(spec) ** 2
-    return nsq / (math.pi * math.factorial(n)) * abs(total) ** 2
+    bmag = abs(beta)
+    m = np.arange(len(log_c))
+    log_w = m * (math.log(bmag) if bmag > 0 else -1.0e18) - 0.5 * bmag * bmag - 0.5 * LOG_FACTORIAL[m]
+    with np.errstate(under="ignore"):
+        terms = np.exp(log_c + log_w) * phase * np.exp(-1j * cmath.phase(beta) * m)
+    return abs(complex(np.sum(terms))) ** 2 / math.pi

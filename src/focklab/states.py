@@ -25,7 +25,6 @@ import numpy as np
 from .core import (
     DEFAULT_POLICY,
     LOG_FACTORIAL,
-    StableSum,
     StateVector,
     TruncationPolicy,
     log_factorial,
@@ -156,42 +155,73 @@ def _log_pow(mag: float, exponent) -> np.ndarray:
     return np.asarray(exponent, dtype=np.float64) * log_mag
 
 
-def _dfs_family_bare(alpha: complex, n: int, added: int, subtracted: int, dim: int) -> np.ndarray:
-    """Raw coefficients of a^q a†^k D(alpha)|n>  (k = added, q = subtracted).
+# Rows of the Laguerre recurrence are scaled down by this exact power of two
+# whenever they pass it, so they never overflow.
+_RESCALE = 2.0**500
 
-    The series' exp(-|alpha|^2/2)/sqrt(n!) damping is folded in,
-    so the squared norm of the returned vector is the physical
-    pre-normalization weight of the engineered state. Assembled per term in
-    log-magnitude + phase form; factorial ratios never overflow.
+
+def _displaced_fock(alpha: complex, n: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(log|<m|D(alpha)|n>|, e^{i arg <m|D(alpha)|n>}) for m < dim.
+
+    <m|D(alpha)|n> = sqrt(lo!/hi!) (alpha or -alpha*)^a e^{-x/2} L_lo^(a)(x),
+    with lo, hi = min, max(m, n), a = hi - lo and x = |alpha|^2: alpha^a for
+    m >= n, (-alpha*)^a below (Cahill & Glauber, Phys. Rev. 177, 1857 (1969);
+    de Oliveira et al., PRA 41, 2645 (1990)). The Laguerre factor runs as
+    ell_k = L_k^(a)(x) / C(k+a, k) through the forward recurrence
+    (k+1+a) ell_{k+1} = (2k+1+a-x) ell_k - k ell_{k-1}, vectorised over m,
+    and each m reads its ell at k = lo; the prefactor stays in log form. No
+    alternating sum is formed, so nothing cancels as n grows. log|.| is
+    -inf where the element is exactly zero.
     """
-    mag = abs(alpha)
-    theta = cmath.phase(alpha) if alpha != 0 else 0.0
-    lam = mag * mag
-    j = np.arange(dim)[:, None]
-    p = np.arange(n + 1)[None, :]
-    m = j + subtracted - added - p
-    valid = m >= 0
-    m_safe = np.where(valid, m, 0)
-    log_binom = log_factorial(n) - LOG_FACTORIAL[p] - LOG_FACTORIAL[n - p]
-    logmag = (
-        log_binom
-        + _log_pow(mag, n - p)
-        + _log_pow(mag, m_safe)
-        + LOG_FACTORIAL[j + subtracted]
-        - LOG_FACTORIAL[m_safe]
-        - 0.5 * LOG_FACTORIAL[j]
-        - 0.5 * lam
-        - 0.5 * log_factorial(n)
+    x = abs(alpha) ** 2
+    m = np.arange(dim)
+    a = np.abs(m - n)
+    prev, ell = np.zeros(dim), np.ones(dim)
+    log_scale = np.zeros(dim)
+    log_ell, sign = np.zeros(dim), np.ones(dim)  # ell_0 = 1 for the rows with lo = 0
+    for k in range(n):
+        prev, ell = ell, ((2 * k + 1 - x + a) * ell - k * prev) / (k + 1 + a)
+        if np.abs(ell).max() > _RESCALE:
+            grown = np.abs(ell) > _RESCALE
+            prev[grown] /= _RESCALE
+            ell[grown] /= _RESCALE
+            log_scale[grown] += math.log(_RESCALE)
+        if k + 1 < min(n, dim):  # row m = k + 1 < n has reached its degree lo = m
+            value = ell[k + 1]
+            log_ell[k + 1] = (math.log(abs(value)) if value else -math.inf) + log_scale[k + 1]
+            sign[k + 1] = math.copysign(1.0, value)
+    with np.errstate(divide="ignore"):
+        log_ell[n:] = np.log(np.abs(ell[n:])) + log_scale[n:]  # rows m >= n have lo = n
+    sign[n:] = np.sign(ell[n:])
+    lo = np.minimum(m, n)
+    log_mag = (
+        0.5 * (LOG_FACTORIAL[lo + a] - LOG_FACTORIAL[lo])
+        - LOG_FACTORIAL[a]
+        + _log_pow(abs(alpha), a)
+        - 0.5 * x
+        + log_ell
     )
-    logmag = np.where(valid, logmag, -np.inf)
-    # (-alpha*)^(n-p) alpha^m = (-1)^(n-p) |alpha|^(n-p+m) e^{i theta (m-(n-p))}
-    sign = np.where((n - p) % 2 == 0, 1.0, -1.0)
-    phase = sign * np.exp(1j * theta * (m_safe - (n - p)))
-    peak = np.max(logmag, axis=1, keepdims=True)
-    peak = np.where(np.isfinite(peak), peak, 0.0)
-    with np.errstate(under="ignore"):
-        coeffs = np.exp(peak[:, 0]) * np.sum(np.exp(logmag - peak) * phase, axis=1)
-    return coeffs
+    theta = cmath.phase(alpha) if alpha != 0 else 0.0
+    sign = np.where((m < n) & (a % 2 == 1), -sign, sign)  # (-alpha*)^a below the diagonal
+    return log_mag, sign * np.exp(1j * theta * (m - n))
+
+
+def _dfs_log_amplitudes(alpha: complex, n: int, added: int, subtracted: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(log|c_j|, e^{i arg c_j}) for j < dim of a^q a†^k D(alpha)|n>  (k = added, q = subtracted).
+
+    c_j = sqrt((j+q)!/j!) sqrt((j+q)!/m!) <m|D(alpha)|n> with m = j + q - k:
+    the two ladder powers are square-root factor shifts of the displaced-Fock
+    kernel. log|c_j| is -inf where m < 0.
+    """
+    log_d, phase_d = _displaced_fock(alpha, n, dim + subtracted)
+    if not added and not subtracted:  # the shift is exactly zero
+        return log_d, phase_d
+    j = np.arange(dim)
+    m = j + subtracted - added
+    valid = m >= 0
+    m = np.where(valid, m, 0)
+    shift = LOG_FACTORIAL[j + subtracted] - 0.5 * (LOG_FACTORIAL[j] + LOG_FACTORIAL[m])
+    return np.where(valid, log_d[m] + shift, -np.inf), np.where(valid, phase_d[m], 0.0)
 
 
 def _ladder_bare(alpha: complex, dim: int, kerr_chi: float | None) -> np.ndarray:
@@ -255,9 +285,11 @@ def bare_coefficients(spec: StateSpec, dim: int) -> np.ndarray:
             out[spec.n] = 1.0
         return out
     if info.group == "dfs":
-        return _dfs_family_bare(
+        log_c, phase = _dfs_log_amplitudes(
             spec.alpha, spec.param("n"), spec.param("added"), spec.param("subtracted"), dim
         )
+        with np.errstate(under="ignore"):
+            return np.exp(log_c) * phase
     if info.group == "binomial":
         out = _binomial_bare(spec.p, spec.M, dim)
     else:
@@ -361,10 +393,12 @@ def _adaptive_bare(spec: StateSpec, policy: TruncationPolicy) -> tuple[np.ndarra
 
 
 def displacement_coefficients(alpha: complex, n: int, dim: int) -> np.ndarray:
-    """Exact Fock coefficients of D(alpha)|n>; no renormalization applied."""
+    """Exact Fock coefficients <m|D(alpha)|n>, m < dim, in Laguerre form; no renormalization applied."""
     if n < 0:
         raise InvalidParameterError("n must be >= 0")
-    return _dfs_family_bare(alpha, n, 0, 0, dim)
+    log_d, phase = _displaced_fock(alpha, n, dim)
+    with np.errstate(under="ignore"):
+        return np.exp(log_d) * phase
 
 
 def _compose_dfs(alpha: complex, n: int, dim: int) -> np.ndarray:
@@ -373,7 +407,7 @@ def _compose_dfs(alpha: complex, n: int, dim: int) -> np.ndarray:
     Uses the conjugation identity D(alpha) a† D†(alpha) = a† - alpha*, so
     the only closed form consumed is the coherent-state expansion itself.
     """
-    amps = _dfs_family_bare(alpha, 0, 0, 0, dim)
+    amps = displacement_coefficients(alpha, 0, dim)
     conj = np.conjugate(alpha)
     for _ in range(n):
         amps = raise_amplitudes(amps)[: len(amps)] - conj * amps
@@ -399,11 +433,11 @@ def build_by_composition(spec: StateSpec, policy: TruncationPolicy = DEFAULT_POL
             raise AnnihilatedStateError(f"{spec.family} state vanishes for these parameters")
     else:
         if info.group == "ecs":
-            raw = _dfs_family_bare(spec.alpha, 0, 0, 0, dim) + _dfs_family_bare(-spec.alpha, 0, 0, 0, dim)
+            raw = displacement_coefficients(spec.alpha, 0, dim) + displacement_coefficients(-spec.alpha, 0, dim)
         elif info.group == "binomial":
             raw = _binomial_bare(spec.p, spec.M, dim)
         else:
-            raw = _dfs_family_bare(spec.alpha, 0, 0, 0, dim)
+            raw = displacement_coefficients(spec.alpha, 0, dim)
             j = np.arange(len(raw))
             raw = raw * np.exp(-1j * spec.chi * j * (j - 1))
         raw = _hole_burn(raw, info.hole)
@@ -442,75 +476,33 @@ def normalization_constant(spec: StateSpec, policy: TruncationPolicy = DEFAULT_P
     return 1.0 / nrm
 
 
-def _dfs_group_series(
-    alpha: complex, n: int, k: int, q: int, t: int, j: int, max_terms: int = 4096
-) -> float:
-    """Radial part of the moment series for a^q a†^k D(alpha)|n>.
+def _subtracted_norm_sq(lam: float, n: int, q: int) -> float:
+    """||a^q D(alpha)|n>||^2 = sum_i C(q, i)^2 lam^(q-i) n!/(n-i)!, with lam = |alpha|^2.
 
-    Returns the real series S(t, j); the full moment is
-    e^{i theta (j - t)} S(t, j) / S(0, 0), and S(0, 0) is the squared norm
-    of the bare series. Terms whose factorial arguments go negative
-    correspond to annihilated Fock components and are skipped.
+    D†(alpha) a D(alpha) = a + alpha, and the terms of (a + alpha)^q|n> lie
+    on distinct Fock states, so every term of the sum is positive.
     """
-    mag = abs(alpha)
-    log_mag = math.log(mag) if mag > 0.0 else None
-    lam = mag * mag
-    total = 0.0
-    for p in range(n + 1):
-        for pp in range(n + 1):
-            sign = -1.0 if (p + pp) % 2 else 1.0
-            log_pref = (
-                log_factorial(n)
-                - log_factorial(p)
-                - log_factorial(n - p)
-                - log_factorial(pp)
-                - log_factorial(n - pp)
-                - lam
-            )
-            acc = StableSum()
-            done = False
-            for m in range(max_terms):
-                bra_shift = m + p - pp - j + t
-                low = m + p + k - q - j
-                if bra_shift < 0 or low < 0:
-                    continue
-                e_alpha = 2 * n + 2 * m - 2 * pp - j + t
-                if log_mag is None:
-                    if e_alpha != 0:
-                        continue
-                    log_pow = 0.0
-                else:
-                    log_pow = e_alpha * log_mag
-                log_t = (
-                    log_pow
-                    + log_factorial(m + p + k)
-                    + log_factorial(m + p + k - j + t)
-                    - log_factorial(m)
-                    - log_factorial(bra_shift)
-                    - log_factorial(low)
-                )
-                if acc.add(math.exp(log_pref + log_t)):
-                    done = True
-                    break
-            if not done and log_mag is not None:
-                raise ConvergenceError(
-                    f"moment series did not stabilize within {max_terms} terms"
-                )
-            total += sign * acc.total.real
-    return total
+    return math.fsum(math.comb(q, i) ** 2 * lam ** (q - i) * math.perm(n, i) for i in range(min(q, n) + 1))
 
 
-# Squared norm of each hole variant's bare series, (lam, p, M) -> 1/N^2, in
-# forms that neither cancel at small |alpha| or p nor overflow before 1/N^2
-# itself does: 4 (cosh lam - 1) = 8 sinh^2(lam/2), e^lam - 1 = expm1(lam),
+# 1/N^2, the squared norm of the bare series, as (lam, spec) -> float for each
+# family whose N is not 1, in forms that neither cancel at small |alpha| or p
+# nor overflow before 1/N^2 itself does. PSDFS and PADFS are finite sums of
+# positive terms, the latter through a^k a†^k = sum_r r! C(k, r)^2 a†^(k-r) a^(k-r);
+# 4 (cosh lam - 1) = 8 sinh^2(lam/2), e^lam - 1 = expm1(lam) and
 # 1 - (1-p)^M = -expm1(M log1p(-p)).
-_HOLE_NORM_SQ = {
-    "VFECS": lambda lam, p, M: 8.0 * math.sinh(0.5 * lam) ** 2,
-    "PAECS": lambda lam, p, M: 4.0 * (math.cosh(lam) + lam * math.sinh(lam)),
-    "VFKS": lambda lam, p, M: math.expm1(lam),
-    "PAKS": lambda lam, p, M: math.exp(lam) * (1.0 + lam),
-    "VFBS": lambda lam, p, M: -math.expm1(M * math.log1p(-p)) if p < 1.0 else float(M > 0),
-    "PABS": lambda lam, p, M: 1.0 + M * p,
+_NORM_SQ = {
+    "PADFS": lambda lam, s: math.fsum(
+        math.factorial(r) * math.comb(s.added, r) ** 2 * _subtracted_norm_sq(lam, s.n, s.added - r)
+        for r in range(s.added + 1)
+    ),
+    "PSDFS": lambda lam, s: _subtracted_norm_sq(lam, s.n, s.subtracted),
+    "VFECS": lambda lam, s: 8.0 * math.sinh(0.5 * lam) ** 2,
+    "PAECS": lambda lam, s: 4.0 * (math.cosh(lam) + lam * math.sinh(lam)),
+    "VFKS": lambda lam, s: math.expm1(lam),
+    "PAKS": lambda lam, s: math.exp(lam) * (1.0 + lam),
+    "VFBS": lambda lam, s: -math.expm1(s.M * math.log1p(-s.p)) if s.p < 1.0 else float(s.M > 0),
+    "PABS": lambda lam, s: 1.0 + s.M * s.p,
 }
 
 
@@ -522,9 +514,8 @@ def normalization_constant_closed_form(spec: StateSpec) -> float | None:
     that survives scrutiny (PASDFS, whose normalization is always derived
     numerically) or where filtration or subtraction leaves nothing to
     normalize (e.g. alpha = 0 vacuum-filtered states). Raises
-    ConvergenceError where 1/N^2 overflows or goes subnormal, N itself
-    goes subnormal (ECS past |alpha|^2 ~ 1416), or the PADFS/PSDFS series
-    for 1/N^2 sums to <= 0 at alpha != 0 (cancellation or underflow).
+    ConvergenceError where 1/N^2 overflows or goes subnormal, or N itself
+    goes subnormal (ECS past |alpha|^2 ~ 1416).
     """
     fam = spec.family
     lam = spec.alpha_mag**2
@@ -532,20 +523,13 @@ def normalization_constant_closed_form(spec: StateSpec) -> float | None:
         return 1.0  # bare series is normalized as written
     if fam == "PASDFS":
         return None
-    if fam in ("PADFS", "PSDFS"):
-        norm_sq = _dfs_group_series(spec.alpha, spec.n, spec.param("added"), spec.param("subtracted"), 0, 0)
-        if norm_sq > 0:
-            return norm_sq**-0.5
-        if spec.alpha != 0:  # a^q a†^k D(alpha)|n> never vanishes: the series lost its value
-            raise ConvergenceError(f"{fam} norm series sums to {norm_sq} at {spec}")
-        return None
     if fam == "ECS":
         constant = math.exp(-0.5 * lam) / math.sqrt(2.0 * (1.0 + math.exp(-2.0 * lam)))
         if constant >= sys.float_info.min:
             return constant
     else:
         try:
-            norm_sq = _HOLE_NORM_SQ[fam](lam, spec.p, spec.M)
+            norm_sq = _NORM_SQ[fam](lam, spec)
         except OverflowError:
             norm_sq = math.inf
         if norm_sq == 0.0:
@@ -556,26 +540,27 @@ def normalization_constant_closed_form(spec: StateSpec) -> float | None:
 
 
 def ladder_log_amplitudes(spec: StateSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(log|c_i|, e^{i arg c_i}) of the normalized closed-form amplitudes of an ECS, Kerr or binomial family.
+    """(log|c_i|, e^{i arg c_i}) of the normalized closed-form amplitudes of any family.
 
+    For the Fock and DFS groups c_i = N <i|a^q a†^k D(alpha)|n>, read from
+    the displaced-Fock kernel (Fock is alpha = 0). For the others
     c_i = N h_i / sqrt(i!) with h_i = (1 + (-1)^i) alpha^i (ECS),
     alpha^i e^{-i chi i (i-1)} (Kerr) or sqrt(M!/(M-i)! p^i (1-p)^(M-i))
     (binomial); filtration sets h_0 = 0 and photon addition maps
     h_i -> i h_{i-1}. N is ``normalization_constant_closed_form`` times the
-    ``_log_damping`` factor. The ladder runs to M + 1 (binomial) or
-    |alpha|^2 + 14 sqrt(|alpha|^2 + 1) + 24 terms, one more with a photon
-    added; log|c_i| is -inf where c_i = 0. It is written apart from
-    ``bare_coefficients`` so the closed forms stay independent of the vector
-    their oracles read. Raises InvalidParameterError for the other families,
-    AnnihilatedStateError for an empty state, and ConvergenceError where N
-    does or the ladder outgrows the log-factorial table.
+    ``_log_damping`` factor; where no N is printed (PASDFS) the ladder
+    divides by its own squared sum. The ladder runs to M + 1 (binomial) or
+    |alpha|^2 + n + 14 sqrt((|alpha|^2 + 1)(2n + 1)) + 24 terms, one more
+    per added photon; log|c_i| is -inf where c_i = 0. The ECS, Kerr and
+    binomial ladders are written apart from ``bare_coefficients`` so those
+    closed forms stay independent of the vector their oracles read; the
+    displaced-Fock kernel is shared, and ``build_by_composition`` and the
+    matrix exponential check it. Raises AnnihilatedStateError for an empty
+    state, and ConvergenceError where N does or the ladder outgrows the
+    log-factorial table.
     """
     info = spec.info
-    if info.group in ("fock", "dfs"):
-        raise InvalidParameterError(f"no closed-form coefficient ladder for {spec.family!r}")
     constant = normalization_constant_closed_form(spec)
-    if constant is None:
-        raise AnnihilatedStateError(f"{spec.family} is empty for these parameters")
     if info.group == "binomial":
         M, i = spec.M, np.arange(spec.M + 1)
         # lgamma, not the table: M may run past it, and its cumulative sum
@@ -587,19 +572,31 @@ def ladder_log_amplitudes(spec: StateSpec) -> tuple[np.ndarray, np.ndarray]:
         phase = np.ones(M + 1, dtype=np.complex128)
     else:
         lam = spec.alpha_mag**2
-        cut = int(lam + 14.0 * math.sqrt(lam + 1.0) + 24)
-        if cut > len(LOG_FACTORIAL):
+        n, added, subtracted = spec.param("n"), spec.param("added"), spec.param("subtracted")
+        cut = int(lam + n + 14.0 * math.sqrt((lam + 1.0) * (2 * n + 1)) + 24) + added
+        if cut + subtracted > len(LOG_FACTORIAL):
             raise ConvergenceError(f"{spec.family} ladder needs more than {len(LOG_FACTORIAL)} log-factorials")
-        i = np.arange(cut)
-        log_c = _log_pow(spec.alpha_mag, i) - 0.5 * LOG_FACTORIAL[:cut] + _log_damping(spec)
-        if info.group == "ecs":
-            log_c += np.where(i % 2 == 0, math.log(2.0), -np.inf)
-        phase = np.exp(1j * (spec.alpha_phase * i - spec.param("chi") * i * (i - 1)))
+        if info.group in ("fock", "dfs"):
+            log_c, phase = _dfs_log_amplitudes(spec.param("alpha"), n, added, subtracted, cut)
+        else:
+            i = np.arange(cut)
+            log_c = _log_pow(spec.alpha_mag, i) - 0.5 * LOG_FACTORIAL[:cut] + _log_damping(spec)
+            if info.group == "ecs":
+                log_c += np.where(i % 2 == 0, math.log(2.0), -np.inf)
+            phase = np.exp(1j * (spec.alpha_phase * i - spec.param("chi") * i * (i - 1)))
     if info.hole == "filtered":
         log_c[0] = -np.inf
     elif info.hole == "added":  # h_i -> i h_{i-1} is c_i -> sqrt(i) c_{i-1} before N
         log_c = np.concatenate(([-np.inf], log_c + 0.5 * np.log(np.arange(1, len(log_c) + 1))))
         phase = np.concatenate(([1.0], phase))
+    if constant is None:  # no printed N, or nothing left to normalize
+        with np.errstate(over="ignore"):
+            norm_sq = float(np.sum(np.exp(2.0 * log_c)))
+        if norm_sq < 1e-250:
+            raise AnnihilatedStateError(f"{spec.family} is empty for these parameters")
+        if norm_sq == math.inf:
+            raise ConvergenceError(f"{spec.family} ladder norm leaves the float range at {spec}")
+        constant = norm_sq**-0.5
     return log_c + math.log(constant), phase
 
 

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -83,6 +84,21 @@ def test_series_matches_oracle(family, rng):
                 assert err / abs(reference) <= 1e-8, (spec, t, j)
             else:
                 assert err <= 1e-10, (spec, t, j)
+
+
+@pytest.mark.parametrize("n", [8, 25, 40])
+@pytest.mark.parametrize("mag", [3.0, 8.0])
+def test_dfs_moments_match_exact_values(n, mag):
+    # D†(alpha) a D(alpha) = a + alpha gives, on D(alpha)|n>: <a> = alpha,
+    # <a†a> = |alpha|^2 + n and <a†^2 a^2> = |alpha|^4 + 4 |alpha|^2 n + n(n-1).
+    alpha = mag * cmath.exp(0.7j)
+    lam = mag * mag
+    spec = StateSpec("DFS", alpha=alpha, n=n)
+    state = build_state(spec, POLICY)
+    exact = {(0, 1): alpha, (1, 1): lam + n, (2, 2): lam * lam + 4.0 * lam * n + n * (n - 1)}
+    for (t, j), value in exact.items():
+        for got in (moment_series(spec, t, j, POLICY), moment_oracle(state, t, j)):
+            assert abs(got - value) <= 1e-10 * abs(value), (t, j, got, value)
 
 
 def test_binomial_series_starts_past_underflowed_terms():

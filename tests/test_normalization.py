@@ -9,6 +9,7 @@ over random parameters.
 
 import cmath
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -109,21 +110,22 @@ def test_numeric_constant_refuses_a_series_cut_by_max_dim():
 
 
 @pytest.mark.parametrize(
-    "spec",
+    "spec, inv_norm_sq, mean",
     [
-        StateSpec("PADFS", alpha=30.0, n=1, added=1),
-        StateSpec("PADFS", alpha=30.0, n=3, added=3),
-        StateSpec("PSDFS", alpha=30.0, n=1, subtracted=1),
+        pytest.param(StateSpec("PADFS", alpha=30.0, n=1, added=1), 902, Fraction(408152, 451), id="PADFS-1"),
+        pytest.param(
+            StateSpec("PADFS", alpha=30.0, n=3, added=3), 758322120, Fraction(5854855056, 6319351), id="PADFS-3"
+        ),
+        pytest.param(StateSpec("PSDFS", alpha=30.0, n=1, subtracted=1), 901, Fraction(813600, 901), id="PSDFS-1"),
     ],
-    ids=lambda spec: f"{spec.family}-{spec.n}",
 )
-def test_cancelled_dfs_norm_series_is_not_an_empty_state(spec):
-    # a^q a†^k D(alpha)|n> never vanishes at alpha != 0, so a norm series that
-    # sums to <= 0 there has lost its value, not found an empty state.
-    with pytest.raises(ConvergenceError):
-        normalization_constant_closed_form(spec)
-    with pytest.raises(ConvergenceError):
-        moment_series(spec, 1, 1)
+def test_cancelled_dfs_norm_series_is_not_an_empty_state(spec, inv_norm_sq, mean):
+    # a^q a†^k D(alpha)|n> never vanishes at alpha != 0, even where e^{-|alpha|^2}
+    # underflows. With lam = 900 the exact values are 1/N^2 = <a^k a†^k>
+    # (PADFS) or <a†^q a^q> (PSDFS) on D(alpha)|n>, and <a†a> =
+    # <a^(k+1) a†^(k+1)> / <a^k a†^k> - 1 or <a†^(q+1) a^(q+1)> / <a†^q a^q>.
+    assert normalization_constant_closed_form(spec) ** -2 == pytest.approx(inv_norm_sq, rel=1e-12)
+    assert moment_series(spec, 1, 1) == pytest.approx(float(mean), rel=1e-10)
 
 
 def test_subtraction_past_a_fock_state_is_empty():

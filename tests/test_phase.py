@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -72,6 +73,9 @@ def test_phase_distribution_rotates_with_displacement_phase():
         StateSpec("PSDFS", alpha=0.8 + 0.3j, n=1, subtracted=1),
         StateSpec("PASDFS", alpha=0.7, n=1, added=2, subtracted=1),
         StateSpec("PASDFS", alpha=15.0, n=1, added=1, subtracted=1),
+        StateSpec("PADFS", alpha=3.0 * cmath.exp(1.1j), n=25, added=1),
+        StateSpec("DFS", alpha=8.0 * cmath.exp(-0.4j), n=40),
+        StateSpec("PASDFS", alpha=3.0 * cmath.exp(2.5j), n=40, added=2, subtracted=3),
     ],
 )
 def test_phase_distribution_closed_form(spec):

@@ -79,6 +79,9 @@ def test_q_total_mass(spec):
         StateSpec("PSDFS", alpha=1.0 + 0.5j, n=2, subtracted=1),
         StateSpec("DFS", alpha=1.3, n=1),
         StateSpec("Coherent", alpha=0.9),
+        StateSpec("PASDFS", alpha=0.7 + 0.2j, n=1, added=2, subtracted=1),
+        StateSpec("DFS", alpha=3.0 * cmath.exp(0.5j), n=25),
+        StateSpec("PSDFS", alpha=2.0 - 1.0j, n=40, subtracted=2),
     ],
 )
 def test_q_closed_form_matches_direct(spec):

@@ -256,15 +256,16 @@ def test_displacement_single_matrix_element():
 
 
 def test_displacement_against_matrix_exponential():
+    # The 400-state basis reaches far past the support of every column checked
+    # (n = 80 at |alpha| = 8 ends near m = 290), so expm's truncation is invisible.
     scipy_linalg = pytest.importorskip("scipy.linalg")
-    dim = 40
+    dim = 400
     a = np.diag(np.sqrt(np.arange(1, dim)), k=1)
-    for alpha, n in ((1.0, 1), (0.6 - 0.8j, 2), (1.5j, 0)):
-        generator = alpha * a.conj().T - np.conjugate(alpha) * a
-        dmat = scipy_linalg.expm(generator)
-        expected = dmat[:, n]
-        got = displacement_coefficients(alpha, n, dim)
-        assert np.max(np.abs(got[:30] - expected[:30])) <= 1e-10
+    for alpha in (cmath.exp(0.3j), 3.0 * cmath.exp(2.1j), 8.0 * cmath.exp(-1.2j)):
+        dmat = scipy_linalg.expm(alpha * a.conj().T - np.conjugate(alpha) * a)
+        for n in (0, 1, 2, 15, 25, 40, 80):
+            got = displacement_coefficients(alpha, n, 300)
+            assert np.max(np.abs(got - dmat[:300, n])) <= 1e-12, (alpha, n)
 
 
 # --- normalization constants ---------------------------------------------------
