@@ -29,7 +29,7 @@ from .exceptions import (
 from .interferometry import linear_entropy, phase_estimation_uncertainty
 from .moments import moment_oracle
 from .phase import barnett_pegg_fluctuations, phase_dispersion, phase_distribution
-from .quasiprob import angular_q, phase_space_grid, q_polar, radial_nodes
+from .quasiprob import angular_q, phase_space_grid, q_polar
 from .states import build_state
 from . import witnesses
 
@@ -158,20 +158,18 @@ def dump_state(config: DumpConfig) -> None:
     state = build_state(config.spec, config.truncation)
     if config.kind == "amplitudes":
         header = ["n", "re", "im", "p"]
+        # p_n stays the scalar abs(c) ** 2 of each Python complex: the
+        # vectorised np.abs(c) ** 2 moves some cells by one ulp.
         rows = (
-            [n, repr(float(c.real)), repr(float(c.imag)), repr(float(abs(c) ** 2))]
-            for n, c in enumerate(state.amplitudes)
+            (n, c.real, c.imag, abs(c) ** 2)
+            for n, c in enumerate(state.amplitudes.tolist())
             if abs(c) >= config.amplitude_floor
         )
     elif config.kind == "husimi_q":
         grid = phase_space_grid(state, n_angles=config.angles, n_radial=config.radial)
-        _, radii, _ = radial_nodes(state, config.radial)
-        values = q_polar(state, radii, config.angles).ravel()
         header = ["re_beta", "im_beta", "q"]
-        rows = (
-            [repr(float(beta.real)), repr(float(beta.imag)), repr(float(value))]
-            for beta, value in zip(grid.beta_samples, values)
-        )
+        values = q_polar(state, grid.radii, config.angles).ravel()
+        rows = zip(grid.beta_samples.real.tolist(), grid.beta_samples.imag.tolist(), values.tolist())
     else:
         if config.kind == "phase":
             profile = phase_distribution(state, config.angles)
@@ -183,11 +181,10 @@ def dump_state(config: DumpConfig) -> None:
                 f"the {config.angles}-angle grid is too coarse for this state"
             )
         header = ["theta", "density"]
-        rows = (
-            [repr(float(theta)), repr(float(value))]
-            for theta, value in zip(profile.theta, profile.density)
-        )
+        rows = zip(profile.theta.tolist(), profile.density.tolist())
+    # Every cell is the shortest round-trip repr of a Python float or int,
+    # which holds no comma, quote or newline, so no cell needs CSV quoting.
+    line = ",".join(["%r"] * len(header)) + "\n"
     with open(config.output_path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        handle.write(",".join(header) + "\n")
+        handle.writelines(line % row for row in rows)

@@ -6,6 +6,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -59,10 +60,24 @@ def q_polar(s: StateVector, radii, n_angles: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PhaseSpaceGrid:
-    """Polar quadrature grid with weights for integrals over d^2 beta = r dr dtheta."""
+    """Polar quadrature grid with weights for integrals over d^2 beta = r dr dtheta.
+
+    ``radii`` are the grid's Gauss-Legendre radial nodes, the radii
+    ``q_polar`` takes to evaluate Q on the same samples.
+    """
 
     beta_samples: np.ndarray
     weights: np.ndarray
+    radii: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``leggauss(n)`` on [-1, 1], computed once per n; the cached arrays are read-only."""
+    x, w = leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def radial_nodes(s: StateVector, n_radial: int) -> tuple[float, np.ndarray, np.ndarray]:
@@ -72,7 +87,7 @@ def radial_nodes(s: StateVector, n_radial: int) -> tuple[float, np.ndarray, np.n
     mass beyond it is negligible for any state respecting the truncation.
     """
     beta_max = math.sqrt(max(s.mean_photon_number(), 0.0)) + 8.0
-    x, w = leggauss(n_radial)
+    x, w = _gauss_legendre(n_radial)
     return beta_max, 0.5 * beta_max * (x + 1.0), 0.5 * beta_max * w
 
 
@@ -88,7 +103,7 @@ def phase_space_grid(s: StateVector, n_angles: int = 360, n_radial: int = 160) -
     rr, tt = np.meshgrid(r, th, indexing="ij")
     betas = rr * np.exp(1j * tt)
     weights = (r * wr)[:, None] * np.full(n_angles, wt)[None, :]
-    return PhaseSpaceGrid(betas.ravel(), weights.ravel())
+    return PhaseSpaceGrid(betas.ravel(), weights.ravel(), r)
 
 
 def q_integral(s: StateVector, grid: PhaseSpaceGrid | None = None) -> float:

@@ -245,17 +245,22 @@ def _ladder_bare(alpha: complex, dim: int, kerr_chi: float | None) -> np.ndarray
         return np.exp(logmag) * phase
 
 
+def _binomial_log_term(p: float, M: int, j: int) -> float:
+    """log sqrt(C(M, j) p^j (1-p)^(M-j)), the log of the binomial series term j <= M."""
+    log_c = (
+        log_factorial(M)
+        - log_factorial(j)
+        - log_factorial(M - j)
+        + float(_log_pow(p, j))
+        + float(_log_pow(1.0 - p, M - j))
+    )
+    return 0.5 * log_c
+
+
 def _binomial_bare(p: float, M: int, dim: int) -> np.ndarray:
     out = np.zeros(dim, dtype=np.complex128)
     for j in range(min(M + 1, dim)):
-        log_c = (
-            log_factorial(M)
-            - log_factorial(j)
-            - log_factorial(M - j)
-            + float(_log_pow(p, j))
-            + float(_log_pow(1.0 - p, M - j))
-        )
-        out[j] = math.exp(0.5 * log_c)
+        out[j] = math.exp(_binomial_log_term(p, M, j))
     return out
 
 
@@ -356,7 +361,8 @@ def build_state(spec: StateSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> S
     The basis size is chosen adaptively so the discarded tail mass stays
     within ``policy.tail_tolerance``, capped at ``policy.max_dim``. Raises
     AnnihilatedStateError when subtraction kills the state (e.g. PSDFS with
-    v >= 1 from the vacuum), and ConvergenceError when the coefficients
+    v >= 1 from the vacuum), TruncationOverflowError when max_dim cuts the
+    series before its peak, and ConvergenceError when the coefficients
     overflow (ECS past |alpha|^2 ~ 710, Kerr past ~ 1420).
     """
     raw, nrm, _ = _adaptive_bare(spec, policy)
@@ -373,7 +379,8 @@ def _adaptive_bare(spec: StateSpec, policy: TruncationPolicy) -> tuple[np.ndarra
     coefficient holds at most tail_tolerance * 1e-4 of the squared norm, or
     reaches max_dim; a Fock or binomial family is built whole at once (up
     to max_dim). Raises ConvergenceError when the squared norm leaves the
-    float range, and AnnihilatedStateError when the norm is below 1e-150.
+    float range, TruncationOverflowError when max_dim cuts the series while it
+    still grows, and AnnihilatedStateError when the norm is below 1e-150.
     """
     dim = _initial_dim(spec, policy)
     while True:
@@ -384,12 +391,40 @@ def _adaptive_bare(spec: StateSpec, policy: TruncationPolicy) -> tuple[np.ndarra
             nrm = float(np.linalg.norm(raw))
         if not math.isfinite(nrm * nrm):
             raise ConvergenceError(f"{spec.family} bare series norm leaves the float range at {spec}")
+        support = _support(spec)
+        if dim >= policy.max_dim and (support is None or support > dim) and _grows_at_cut(spec, dim):
+            raise TruncationOverflowError(
+                f"{spec.family} bare series still grows where max_dim={policy.max_dim} cuts it at {spec}"
+            )
         if nrm < 1e-150:
             raise AnnihilatedStateError(f"{spec.family} bare series has zero norm")
         edge = abs(raw[-1]) ** 2 / (nrm * nrm)
-        if dim >= policy.max_dim or _support(spec) is not None or edge <= policy.tail_tolerance * 1e-4:
+        if dim >= policy.max_dim or support is not None or edge <= policy.tail_tolerance * 1e-4:
             return raw, nrm, edge
         dim = min(dim * 2, policy.max_dim)
+
+
+def _grows_at_cut(spec: StateSpec, dim: int) -> bool:
+    """Whether a basis of ``dim`` states cuts the family's series before its peak.
+
+    Only asked of a series that runs past ``dim`` terms. Judged on log
+    magnitudes, which never underflow: the first term cut, h_dim, is at least
+    as large as every term kept. The ECS and Kerr families are judged on
+    their envelope |alpha|^j / sqrt(j!), and every family on its series
+    before hole burning, which shifts the peak by at most one term.
+    """
+    info = spec.info
+    if info.group == "fock":
+        return spec.n >= dim
+    if info.group == "dfs":
+        log_h, _ = _dfs_log_amplitudes(
+            spec.alpha, spec.param("n"), spec.param("added"), spec.param("subtracted"), dim + 1
+        )
+    elif info.group == "binomial":
+        log_h = np.array([_binomial_log_term(spec.p, spec.M, j) for j in range(dim + 1)])
+    else:
+        log_h = _log_pow(spec.alpha_mag, np.arange(dim + 1)) - 0.5 * LOG_FACTORIAL[: dim + 1]
+    return log_h[-1] > -np.inf and log_h[-1] >= log_h.max()
 
 
 def displacement_coefficients(alpha: complex, n: int, dim: int) -> np.ndarray:

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from focklab.config import DumpConfig
 from focklab.core import TruncationPolicy, make_fock, state_from_amplitudes
 from focklab.harness import dump_state
 from focklab.phase import theta_grid
 from focklab.quasiprob import (
+    _gauss_legendre,
     angular_q,
     phase_space_grid,
     q_function,
@@ -151,3 +153,19 @@ def test_husimi_q_dump_matches_q_function(tmp_path, spec, n_angles, n_radial):
     reference = q_function(s, grid.beta_samples)
     assert np.array_equal(values[:, 0] + 1j * values[:, 1], grid.beta_samples)
     assert np.max(np.abs(values[:, 2] - reference)) <= 1e-12 * np.max(reference)
+
+
+def test_radial_nodes_read_a_read_only_cache():
+    s = build_state(StateSpec("Coherent", alpha=1.5), POLICY)
+    _, r1, w1 = radial_nodes(s, 37)
+    _, r2, w2 = radial_nodes(s, 37)
+    assert np.array_equal(r1, r2) and np.array_equal(w1, w2)
+    x, w = _gauss_legendre(37)
+    assert all(np.array_equal(a, b) for a, b in zip((x, w), leggauss(37)))
+    assert not x.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    r1[:] = -1.0  # the returned nodes are the caller's own arrays
+    w1[:] = -1.0
+    _, r3, w3 = radial_nodes(s, 37)
+    assert np.array_equal(r3, r2) and np.array_equal(w3, w2)

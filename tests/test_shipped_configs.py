@@ -1,12 +1,15 @@
 """Every shipped figure-reproduction config runs end-to-end within budget."""
 
 import csv
+import math
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from focklab.cli import main
+from focklab.config import dump_config_from_text
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 SWEEPS = sorted(p for p in CONFIG_DIR.glob("*.cfg") if "dump" not in p.name and "angular" not in p.name)
@@ -40,8 +43,24 @@ def test_shipped_sweep_config_runs_under_budget(config, tmp_path):
 
 @pytest.mark.parametrize("config", DUMPS, ids=lambda p: p.stem)
 def test_shipped_dump_config_runs_under_budget(config, tmp_path):
+    rewritten = _rewritten(config, tmp_path)
     start = time.monotonic()
-    assert main(["dump", str(_rewritten(config, tmp_path))]) == 0
+    assert main(["dump", str(rewritten)]) == 0
     assert time.monotonic() - start < 60.0
-    out = next(tmp_path.glob("*.csv"))
-    assert out.stat().st_size > 0
+    dump = dump_config_from_text(rewritten.read_text())
+    with open(dump.output_path, newline="") as handle:
+        header, *rows = list(csv.reader(handle))
+    values = np.array(rows, dtype=float)
+    # The checks the benchmark makes of every dump it writes.
+    if dump.kind == "amplitudes":
+        assert header == ["n", "re", "im", "p"]
+        assert abs(values[:, 3].sum() - 1.0) <= 1e-6
+    elif dump.kind == "husimi_q":
+        assert header == ["re_beta", "im_beta", "q"]
+        assert values.shape == (dump.angles * dump.radial, 3)
+        assert np.all(np.isfinite(values)) and np.all(values[:, 2] >= 0.0)
+    else:
+        assert header == ["theta", "density"]
+        assert values.shape == (dump.angles, 2)
+        # The periodic trapezoid rule integrates these trigonometric polynomials exactly.
+        assert abs(values[:, 1].sum() * 2.0 * math.pi / dump.angles - 1.0) <= 1e-6

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from focklab.core import TruncationPolicy, apply_annihilate, apply_create
-from focklab.exceptions import AnnihilatedStateError, ConvergenceError, InvalidParameterError
+from focklab.exceptions import (
+    AnnihilatedStateError,
+    ConvergenceError,
+    InvalidParameterError,
+    TruncationOverflowError,
+)
 from focklab.moments import moment_series
 from focklab.states import (
     FAMILIES,
@@ -103,6 +108,28 @@ def test_psdfs_from_vacuum_annihilates():
 def test_psdfs_oversubtracted_fock_annihilates():
     with pytest.raises(AnnihilatedStateError):
         build_state(StateSpec("PSDFS", alpha=0, n=1, subtracted=2), POLICY)
+
+
+@pytest.mark.parametrize(
+    "spec, max_dim, error",
+    [
+        # max_dim cuts both series while they still grow; every term it keeps
+        # underflows, so the norm alone would read as an empty state.
+        (StateSpec("Coherent", alpha=30.0), 512, TruncationOverflowError),
+        (StateSpec("Binomial", p=0.5, M=10**6), 512, TruncationOverflowError),
+        (StateSpec("Fock", n=600), 512, TruncationOverflowError),
+        # Over-subtraction is empty whatever the basis, even one cut at max_dim.
+        (StateSpec("PSDFS", alpha=0, n=1, subtracted=2), 512, AnnihilatedStateError),
+        (StateSpec("PSDFS", alpha=0, n=1, subtracted=2), 8, AnnihilatedStateError),
+    ],
+    ids=["coherent-30", "binomial-1e6", "fock-600", "psdfs-empty", "psdfs-empty-at-max-dim"],
+)
+def test_error_class_of_a_series_cut_or_emptied(spec, max_dim, error):
+    policy = TruncationPolicy(max_dim=max_dim)
+    with pytest.raises(error):
+        build_state(spec, policy)
+    with pytest.raises(error):
+        normalization_constant(spec, policy)
 
 
 @pytest.mark.parametrize(
