@@ -140,7 +140,7 @@ def truncation_from_config(cfg: dict[str, str]) -> TruncationPolicy:
     tail = _number(cfg, "truncation.tail_tolerance", float, "1e-12")
     try:
         return TruncationPolicy(max_dim=max_dim, tail_tolerance=tail)
-    except ValueError as exc:
+    except InvalidParameterError as exc:
         raise ConfigError(f"truncation: {exc}") from None
 
 

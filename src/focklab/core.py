@@ -9,6 +9,7 @@ in the package are all validated against these O(D) operator routines.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,29 +18,41 @@ from .exceptions import (
     AnnihilatedStateError,
     ConvergenceError,
     DimensionError,
+    InvalidParameterError,
     TruncationOverflowError,
 )
 
 _NORM_TOL = 1e-12
 _ANNIHILATION_TOL = 1e-12
 
+# The most log-factorials ``log_factorials`` serves (32 MiB); it also caps
+# TruncationPolicy.max_dim, so every admitted basis has its log-factorials.
+MAX_LOG_FACTORIALS = 1 << 22
+
 
 @dataclass(frozen=True)
 class TruncationPolicy:
     """Controls how infinite Fock expansions are cut off.
 
-    max_dim is a hard cap on the basis size; tail_tolerance is the largest
-    probability mass that may be discarded by the cut.
+    max_dim is a hard cap on the basis size, an integer in
+    [1, MAX_LOG_FACTORIALS]; tail_tolerance is the largest probability mass
+    that may be discarded by the cut. Either out of range raises
+    InvalidParameterError.
     """
 
     max_dim: int = 512
     tail_tolerance: float = 1e-12
 
     def __post_init__(self):
-        if self.max_dim < 1:
-            raise ValueError("max_dim must be >= 1")
+        try:
+            max_dim = operator.index(self.max_dim)  # Python and numpy integers, not 1e3
+        except TypeError:
+            raise InvalidParameterError(f"max_dim must be an integer, got {self.max_dim!r}") from None
+        if not 1 <= max_dim <= MAX_LOG_FACTORIALS:
+            raise InvalidParameterError(f"max_dim must be >= 1 and <= {MAX_LOG_FACTORIALS}, got {max_dim}")
+        object.__setattr__(self, "max_dim", max_dim)
         if not 0.0 < self.tail_tolerance < 1.0:
-            raise ValueError("tail_tolerance must lie in (0, 1)")
+            raise InvalidParameterError("tail_tolerance must lie in (0, 1)")
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -195,12 +208,23 @@ def photon_number_distribution(s: StateVector) -> np.ndarray:
     return p
 
 
-def log_factorial(n: int) -> float:
-    """log(n!) via lgamma; log(0!) = 0. Negative arguments are the caller's bug."""
-    return math.lgamma(n + 1)
+_log_factorial_table = np.zeros(1)  # log 0! = 0; grown by ``log_factorials``
 
 
-# log(n!) for n = 0..4095 as a running sum of logs, for vectorized lookups.
-# It differs from ``log_factorial`` in the last bits, so a series keeps the
-# source it was written with.
-LOG_FACTORIAL = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, 4096, dtype=np.float64)))))
+def log_factorials(n: int) -> np.ndarray:
+    """Read-only view of log k! = math.lgamma(k + 1) for k < n.
+
+    Every log-factorial in the package is read from this one table, which
+    at least doubles when a longer prefix is asked for, up to
+    MAX_LOG_FACTORIALS entries; past that it raises ConvergenceError.
+    """
+    global _log_factorial_table
+    table = _log_factorial_table
+    if n > len(table):
+        if n > MAX_LOG_FACTORIALS:
+            raise ConvergenceError(f"{n} log-factorials requested, past the {MAX_LOG_FACTORIALS}-entry cap")
+        size = min(max(n, 2 * len(table)), MAX_LOG_FACTORIALS)
+        table = np.concatenate((table, [math.lgamma(k + 1) for k in range(len(table), size)]))
+        table.setflags(write=False)
+        _log_factorial_table = table
+    return table[:n]

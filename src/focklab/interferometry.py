@@ -16,12 +16,16 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import LOG_FACTORIAL, StateVector
+from .core import StateVector, log_factorials
 from .exceptions import ConvergenceError, InvalidParameterError, StationaryPointError
 from .states import StateSpec, ladder_log_amplitudes
 
 # Family groups with a closed-form linear-entropy series.
 ENTROPY_SERIES_GROUPS = ("ecs", "kerr", "binomial")
+
+# Longest s = n + r < 2 cut - 1 the closed-form entropy sums on its O(cut^2)
+# grids (|alpha| ~ 38, M = 2047); a longer series is refused, not allocated.
+_ENTROPY_MAX_TERMS = 4096
 
 
 def _hankel(head: np.ndarray) -> np.ndarray:
@@ -42,8 +46,9 @@ def beam_splitter_split(s: StateVector) -> np.ndarray:
     of sqrt(C(n, j)/2^n) <= 1, which cannot overflow at any dim.
     """
     d = s.dim
-    log_w = _hankel(LOG_FACTORIAL[:d]) - LOG_FACTORIAL[:d, None]
-    log_w -= LOG_FACTORIAL[:d]
+    log_fact = log_factorials(d)
+    log_w = _hankel(log_fact) - log_fact[:, None]
+    log_w -= log_fact
     log_w *= 0.5
     log_w -= _hankel(0.5 * np.arange(d) * math.log(2.0))
     return _hankel(s.amplitudes) * np.exp(log_w, out=log_w)
@@ -81,8 +86,8 @@ def linear_entropy_closed_form(spec: StateSpec) -> float:
     self-convolution of w. Each A_s is summed against its own largest term,
     so no row's scale over- or underflows another's. Agrees with
     ``linear_entropy(build_state(spec))`` within 1e-8; any other family
-    raises InvalidParameterError, and a series longer than the
-    log-factorial table or an overflowing normalization raises
+    raises InvalidParameterError, and a convolution of more than
+    ``_ENTROPY_MAX_TERMS`` terms or an overflowing normalization raises
     ConvergenceError.
     """
     if spec.info.group not in ENTROPY_SERIES_GROUPS:
@@ -90,9 +95,10 @@ def linear_entropy_closed_form(spec: StateSpec) -> float:
     log_c, phase = ladder_log_amplitudes(spec)
     d = len(log_c)
     s = np.arange(2 * d - 1)
-    if len(s) > len(LOG_FACTORIAL):
-        raise ConvergenceError(f"entropy series needs more than {len(LOG_FACTORIAL)} log-factorials")
-    log_w = log_c - 0.5 * LOG_FACTORIAL[:d]
+    if len(s) > _ENTROPY_MAX_TERMS:
+        raise ConvergenceError(f"entropy series of {len(s)} terms exceeds the {_ENTROPY_MAX_TERMS}-term limit")
+    log_fact = log_factorials(len(s))
+    log_w = log_c - 0.5 * log_fact[:d]
     n = np.arange(d)
     r = s[:, None] - n
     ok = (r >= 0) & (r < d)
@@ -100,7 +106,7 @@ def linear_entropy_closed_form(spec: StateSpec) -> float:
     log_t = np.where(ok, log_w[n] + log_w[r], -np.inf)
     shift = np.max(log_t, axis=1)  # -inf on a row with no term, whose weight e^{2 shift} is 0
     a = np.sum(np.exp(log_t - np.where(np.isfinite(shift), shift, 0.0)[:, None]) * (phase[n] * phase[r]), axis=1)
-    purity = np.sum(np.exp(2.0 * shift + LOG_FACTORIAL[s] - s * math.log(2.0)) * (a.real**2 + a.imag**2))
+    purity = np.sum(np.exp(2.0 * shift + log_fact - s * math.log(2.0)) * (a.real**2 + a.imag**2))
     return 1.0 - float(purity)
 
 

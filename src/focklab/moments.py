@@ -33,7 +33,7 @@ def moment_oracle(s: StateVector, t: int, j: int, edge_tolerance: float = 1e-6) 
     against max_dim do not.
     """
     if t < 0 or j < 0:
-        raise ValueError("operator powers must be >= 0")
+        raise InvalidParameterError("operator powers must be >= 0")
     if t + j > MAX_TOTAL_ORDER:
         raise InvalidParameterError(f"moment order {t + j} exceeds cap {MAX_TOTAL_ORDER}")
     bra = lower_amplitudes(s.amplitudes, t)
@@ -67,7 +67,7 @@ def moment_series(
     ``perfbench/workloads.py`` passes it.
     """
     if t < 0 or j < 0:
-        raise ValueError("operator powers must be >= 0")
+        raise InvalidParameterError("operator powers must be >= 0")
     if t + j > MAX_TOTAL_ORDER:
         raise InvalidParameterError(f"moment order {t + j} exceeds cap {MAX_TOTAL_ORDER}")
     log_c, phase = ladder_log_amplitudes(spec)

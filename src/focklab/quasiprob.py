@@ -11,7 +11,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .core import LOG_FACTORIAL, StateVector, log_factorial
+from .core import StateVector, log_factorials
 from .exceptions import InvalidParameterError
 from .phase import PhaseProfile, angular_dft, simpson_weights, theta_grid
 from .states import StateSpec, ladder_log_amplitudes
@@ -23,7 +23,7 @@ def _overlap_weights(mags: np.ndarray, dim: int) -> np.ndarray:
     Large |beta| and large n never overflow; |beta| = 0 keeps only n = 0.
     """
     n = np.arange(dim)
-    half_lf = 0.5 * np.array([log_factorial(k) for k in range(dim)])
+    half_lf = 0.5 * log_factorials(dim)
     safe = np.where(mags > 0.0, mags, 1.0)
     log_mag = np.where(mags > 0.0, np.log(safe), -1.0e18)
     logw = log_mag[:, None] * n[None, :] - half_lf[None, :] - 0.5 * (mags * mags)[:, None]
@@ -145,7 +145,7 @@ def q_function_closed_form(spec: StateSpec, beta: complex) -> float:
     beta = complex(beta)
     bmag = abs(beta)
     m = np.arange(len(log_c))
-    log_w = m * (math.log(bmag) if bmag > 0 else -1.0e18) - 0.5 * bmag * bmag - 0.5 * LOG_FACTORIAL[m]
+    log_w = m * (math.log(bmag) if bmag > 0 else -1.0e18) - 0.5 * bmag * bmag - 0.5 * log_factorials(len(m))
     with np.errstate(under="ignore"):
         terms = np.exp(log_c + log_w) * phase * np.exp(-1j * cmath.phase(beta) * m)
     return abs(complex(np.sum(terms))) ** 2 / math.pi

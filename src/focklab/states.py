@@ -4,7 +4,11 @@ Every family is built two independent ways: ``build_state`` evaluates the
 closed-form Fock coefficients directly, while ``build_by_composition``
 assembles the same state from operator primitives (displace, add photons,
 subtract photons, vacuum-filter). Their elementwise agreement is the
-anti-drift oracle for every closed form in the package.
+anti-drift oracle for every closed form in the package. The closed-form
+coefficients are written once, as log amplitudes in
+``_bare_log_amplitudes``: ``build_state`` exponentiates them, and
+``ladder_log_amplitudes`` normalizes them for the series that sum over them
+without a state vector (moments, entropy, phase, Q).
 
 Supported families: Fock, Coherent, DFS (displaced Fock), PADFS / PSDFS /
 PASDFS (photon-added / -subtracted / added-then-subtracted DFS), ECS (even
@@ -24,10 +28,9 @@ import numpy as np
 
 from .core import (
     DEFAULT_POLICY,
-    LOG_FACTORIAL,
     StateVector,
     TruncationPolicy,
-    log_factorial,
+    log_factorials,
     lower_amplitudes,
     make_fock,
     raise_amplitudes,
@@ -179,7 +182,7 @@ def _displaced_fock(alpha: complex, n: int, dim: int) -> tuple[np.ndarray, np.nd
     prev, ell = np.zeros(dim), np.ones(dim)
     log_scale = np.zeros(dim)
     log_ell, sign = np.zeros(dim), np.ones(dim)  # ell_0 = 1 for the rows with lo = 0
-    for k in range(n):
+    for k in range(min(n, dim)):  # no row reads a degree past min(n, dim - 1)
         prev, ell = ell, ((2 * k + 1 - x + a) * ell - k * prev) / (k + 1 + a)
         if np.abs(ell).max() > _RESCALE:
             grown = np.abs(ell) > _RESCALE
@@ -194,9 +197,10 @@ def _displaced_fock(alpha: complex, n: int, dim: int) -> tuple[np.ndarray, np.nd
         log_ell[n:] = np.log(np.abs(ell[n:])) + log_scale[n:]  # rows m >= n have lo = n
     sign[n:] = np.sign(ell[n:])
     lo = np.minimum(m, n)
+    log_fact = log_factorials(max(dim, n + 1))
     log_mag = (
-        0.5 * (LOG_FACTORIAL[lo + a] - LOG_FACTORIAL[lo])
-        - LOG_FACTORIAL[a]
+        0.5 * (log_fact[lo + a] - log_fact[lo])
+        - log_fact[a]
         + _log_pow(abs(alpha), a)
         - 0.5 * x
         + log_ell
@@ -220,93 +224,69 @@ def _dfs_log_amplitudes(alpha: complex, n: int, added: int, subtracted: int, dim
     m = j + subtracted - added
     valid = m >= 0
     m = np.where(valid, m, 0)
-    shift = LOG_FACTORIAL[j + subtracted] - 0.5 * (LOG_FACTORIAL[j] + LOG_FACTORIAL[m])
+    log_fact = log_factorials(dim + subtracted)
+    shift = log_fact[j + subtracted] - 0.5 * (log_fact[j] + log_fact[m])
     return np.where(valid, log_d[m] + shift, -np.inf), np.where(valid, phase_d[m], 0.0)
 
 
-def _ladder_bare(alpha: complex, dim: int, kerr_chi: float | None) -> np.ndarray:
-    """Shared coefficient ladder of the ECS and Kerr families.
+def _bare_log_amplitudes(spec: StateSpec, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(log|b_i|, e^{i arg b_i}) for i < dim of the bare closed-form series of any family.
 
-    The base series is alpha^j/sqrt(j!) dressed with either the even-parity
-    factor (1+(-1)^j) (ECS group, kerr_chi None) or the Kerr phase
-    exp(-i chi j (j-1)). No Gaussian damping is applied here; see
-    ``_log_damping``.
+    This is the one transcription of the thesis coefficients c_i = N b_i, with
+    N = ``normalization_constant_closed_form(spec)``. The Fock and DFS groups
+    read b_i = <i|a^q a†^k D(alpha)|n> from the displaced-Fock kernel (Fock
+    is alpha = 0). The others are b_i = h_i / sqrt(i!) with h_i =
+    (1 + (-1)^i) alpha^i (ECS), alpha^i e^{-|alpha|^2/2} e^{-i chi i (i-1)}
+    (plain Kerr, whose N is therefore 1; the hole variants drop the damping) or
+    sqrt(M!/(M-i)! p^i (1-p)^(M-i)) (binomial, zero past M). Filtration sets
+    b_0 = 0 and photon addition maps b_i -> sqrt(i) b_{i-1}. log|b_i| is -inf
+    where b_i = 0; in log form no term over- or underflows.
     """
-    mag = abs(alpha)
-    theta = cmath.phase(alpha) if alpha != 0 else 0.0
-    j = np.arange(dim, dtype=np.int64)
-    logmag = _log_pow(mag, j) - 0.5 * LOG_FACTORIAL[j]
-    phase = np.exp(1j * theta * j)
-    if kerr_chi is None:
-        phase = phase * np.where(j % 2 == 0, 2.0, 0.0)
+    info = spec.info
+    base = dim - (info.hole == "added")  # photon addition shifts the series up one
+    i = np.arange(base)
+    if info.group in ("fock", "dfs"):
+        log_b, phase = _dfs_log_amplitudes(
+            spec.param("alpha"), spec.param("n"), spec.param("added"), spec.param("subtracted"), base
+        )
+    elif info.group == "binomial":
+        M = spec.M
+        log_fact = log_factorials(M + 1)
+        k = np.minimum(i, M)
+        log_h = 0.5 * (
+            log_fact[M] - log_fact[k] - log_fact[M - k] + _log_pow(spec.p, k) + _log_pow(1.0 - spec.p, M - k)
+        )
+        log_b, phase = np.where(i <= M, log_h, -np.inf), np.ones(base, dtype=np.complex128)
     else:
-        phase = phase * np.exp(-1j * kerr_chi * j * (j - 1))
-    with np.errstate(under="ignore"):
-        return np.exp(logmag) * phase
-
-
-def _binomial_log_term(p: float, M: int, j: int) -> float:
-    """log sqrt(C(M, j) p^j (1-p)^(M-j)), the log of the binomial series term j <= M."""
-    log_c = (
-        log_factorial(M)
-        - log_factorial(j)
-        - log_factorial(M - j)
-        + float(_log_pow(p, j))
-        + float(_log_pow(1.0 - p, M - j))
-    )
-    return 0.5 * log_c
-
-
-def _binomial_bare(p: float, M: int, dim: int) -> np.ndarray:
-    out = np.zeros(dim, dtype=np.complex128)
-    for j in range(min(M + 1, dim)):
-        out[j] = math.exp(_binomial_log_term(p, M, j))
-    return out
-
-
-def _log_damping(spec: StateSpec) -> float:
-    """Log of the Gaussian factor ``bare_coefficients`` puts on a plain ladder series.
-
-    Plain Kerr carries the coherent-state damping e^{-|alpha|^2/2} in its bare
-    coefficients, which is why its normalization constant is 1. Every other
-    family leaves all scaling to ``normalization_constant_closed_form``.
-    """
-    if spec.info.group == "kerr" and spec.info.hole is None:
-        return -0.5 * spec.alpha_mag**2
-    return 0.0
+        damped = info.group == "kerr" and info.hole is None
+        log_b = _log_pow(spec.alpha_mag, i) - 0.5 * log_factorials(base) - 0.5 * damped * spec.alpha_mag**2
+        if info.group == "ecs":
+            log_b += np.where(i % 2 == 0, math.log(2.0), -np.inf)
+        phase = np.exp(1j * (spec.alpha_phase * i - spec.param("chi") * i * (i - 1)))
+    if info.hole == "filtered":
+        log_b[0] = -np.inf
+    elif info.hole == "added":
+        log_b = np.concatenate(([-np.inf], log_b + 0.5 * np.log(np.arange(1, dim))))
+        phase = np.concatenate(([1.0], phase))
+    return log_b, phase
 
 
 def bare_coefficients(spec: StateSpec, dim: int) -> np.ndarray:
-    """Pre-normalization coefficient vector in each family's analytic series convention.
+    """The bare series b_i, i < dim, of ``_bare_log_amplitudes`` as a vector.
 
-    The vector's norm is exactly what the family's closed-form normalization
-    constant must invert; ``normalization_constant`` and
-    ``normalization_constant_closed_form`` compare these two quantities.
+    Its norm is what the family's closed-form normalization constant must
+    invert; ``normalization_constant`` and
+    ``normalization_constant_closed_form`` compare these two quantities. An
+    undamped series past the float range overflows to inf here.
     """
-    info = spec.info
-    if info.group == "fock":
-        out = np.zeros(dim, dtype=np.complex128)
-        if spec.n < dim:
-            out[spec.n] = 1.0
-        return out
-    if info.group == "dfs":
-        log_c, phase = _dfs_log_amplitudes(
-            spec.alpha, spec.param("n"), spec.param("added"), spec.param("subtracted"), dim
-        )
-        with np.errstate(under="ignore"):
-            return np.exp(log_c) * phase
-    if info.group == "binomial":
-        out = _binomial_bare(spec.p, spec.M, dim)
-    else:
-        out = _ladder_bare(spec.alpha, dim, spec.chi if info.group == "kerr" else None)
-    damping = _log_damping(spec)
-    if damping:
-        out *= math.exp(damping)
-    if info.hole == "filtered":
-        out[0] = 0.0
-    elif info.hole == "added":
-        out = raise_amplitudes(out)[:dim]
-    return out
+    log_b, phase = _bare_log_amplitudes(spec, dim)
+    with np.errstate(under="ignore", over="ignore"):
+        return np.exp(log_b) * phase
+
+
+def _binomial_bare(p: float, M: int, dim: int) -> np.ndarray:
+    """The plain binomial series, the starting vector of the binomial families' composition."""
+    return bare_coefficients(StateSpec("Binomial", p=p, M=M), dim)
 
 
 def _support(spec: StateSpec) -> int | None:
@@ -363,7 +343,8 @@ def build_state(spec: StateSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> S
     AnnihilatedStateError when subtraction kills the state (e.g. PSDFS with
     v >= 1 from the vacuum), TruncationOverflowError when max_dim cuts the
     series before its peak, and ConvergenceError when the coefficients
-    overflow (ECS past |alpha|^2 ~ 710, Kerr past ~ 1420).
+    overflow (the undamped ECS series and Kerr hole variants past
+    |alpha|^2 ~ 710).
     """
     raw, nrm, _ = _adaptive_bare(spec, policy)
     if nrm < 1e-12:
@@ -407,24 +388,14 @@ def _adaptive_bare(spec: StateSpec, policy: TruncationPolicy) -> tuple[np.ndarra
 def _grows_at_cut(spec: StateSpec, dim: int) -> bool:
     """Whether a basis of ``dim`` states cuts the family's series before its peak.
 
-    Only asked of a series that runs past ``dim`` terms. Judged on log
-    magnitudes, which never underflow: the first term cut, h_dim, is at least
-    as large as every term kept. The ECS and Kerr families are judged on
-    their envelope |alpha|^j / sqrt(j!), and every family on its series
-    before hole burning, which shifts the peak by at most one term.
+    Only asked of a series that runs past ``dim`` terms. Judged on the bare
+    log magnitudes, which never underflow, over two terms past the cut (an
+    ECS series is live on every other term): the series grows at the cut
+    when it has not started by then or peaks past the cut.
     """
-    info = spec.info
-    if info.group == "fock":
-        return spec.n >= dim
-    if info.group == "dfs":
-        log_h, _ = _dfs_log_amplitudes(
-            spec.alpha, spec.param("n"), spec.param("added"), spec.param("subtracted"), dim + 1
-        )
-    elif info.group == "binomial":
-        log_h = np.array([_binomial_log_term(spec.p, spec.M, j) for j in range(dim + 1)])
-    else:
-        log_h = _log_pow(spec.alpha_mag, np.arange(dim + 1)) - 0.5 * LOG_FACTORIAL[: dim + 1]
-    return log_h[-1] > -np.inf and log_h[-1] >= log_h.max()
+    log_b, _ = _bare_log_amplitudes(spec, dim + 2)
+    peak = int(np.argmax(log_b))
+    return peak >= dim or log_b[peak] == -np.inf
 
 
 def displacement_coefficients(alpha: complex, n: int, dim: int) -> np.ndarray:
@@ -577,53 +548,26 @@ def normalization_constant_closed_form(spec: StateSpec) -> float | None:
 def ladder_log_amplitudes(spec: StateSpec) -> tuple[np.ndarray, np.ndarray]:
     """(log|c_i|, e^{i arg c_i}) of the normalized closed-form amplitudes of any family.
 
-    For the Fock and DFS groups c_i = N <i|a^q a†^k D(alpha)|n>, read from
-    the displaced-Fock kernel (Fock is alpha = 0). For the others
-    c_i = N h_i / sqrt(i!) with h_i = (1 + (-1)^i) alpha^i (ECS),
-    alpha^i e^{-i chi i (i-1)} (Kerr) or sqrt(M!/(M-i)! p^i (1-p)^(M-i))
-    (binomial); filtration sets h_0 = 0 and photon addition maps
-    h_i -> i h_{i-1}. N is ``normalization_constant_closed_form`` times the
-    ``_log_damping`` factor; where no N is printed (PASDFS) the ladder
-    divides by its own squared sum. The ladder runs to M + 1 (binomial) or
-    |alpha|^2 + n + 14 sqrt((|alpha|^2 + 1)(2n + 1)) + 24 terms, one more
-    per added photon; log|c_i| is -inf where c_i = 0. The ECS, Kerr and
-    binomial ladders are written apart from ``bare_coefficients`` so those
-    closed forms stay independent of the vector their oracles read; the
-    displaced-Fock kernel is shared, and ``build_by_composition`` and the
-    matrix exponential check it. Raises AnnihilatedStateError for an empty
-    state, and ConvergenceError where N does or the ladder outgrows the
-    log-factorial table.
+    c_i = N b_i over the bare series of ``_bare_log_amplitudes``, the same
+    one ``build_state`` exponentiates, with N from
+    ``normalization_constant_closed_form``; where no N is printed (PASDFS)
+    the ladder divides by its own squared sum. The closed forms (moments,
+    entropy, phase, Q) sum over this ladder without a state vector:
+    ``build_by_composition`` checks its coefficients and each operator oracle
+    checks its sum. The ladder runs to M + 1 (binomial) or
+    |alpha|^2 + n + 14 sqrt((|alpha|^2 + 1)(2n + 1)) + 24 terms, one more per
+    added photon; log|c_i| is -inf where c_i = 0. Raises
+    AnnihilatedStateError for an empty state, and ConvergenceError where N
+    does or the ladder needs more log-factorials than ``core`` serves.
     """
     info = spec.info
     constant = normalization_constant_closed_form(spec)
     if info.group == "binomial":
-        M, i = spec.M, np.arange(spec.M + 1)
-        # lgamma, not the table: M may run past it, and its cumulative sum
-        # drifts by 3e-11 near 4000.
-        log_fact = np.array([log_factorial(k) for k in range(M + 1)])
-        log_c = 0.5 * (
-            log_factorial(M) - log_fact - log_fact[::-1] + _log_pow(spec.p, i) + _log_pow(1.0 - spec.p, M - i)
-        )
-        phase = np.ones(M + 1, dtype=np.complex128)
+        cut = spec.M + 1
     else:
-        lam = spec.alpha_mag**2
-        n, added, subtracted = spec.param("n"), spec.param("added"), spec.param("subtracted")
-        cut = int(lam + n + 14.0 * math.sqrt((lam + 1.0) * (2 * n + 1)) + 24) + added
-        if cut + subtracted > len(LOG_FACTORIAL):
-            raise ConvergenceError(f"{spec.family} ladder needs more than {len(LOG_FACTORIAL)} log-factorials")
-        if info.group in ("fock", "dfs"):
-            log_c, phase = _dfs_log_amplitudes(spec.param("alpha"), n, added, subtracted, cut)
-        else:
-            i = np.arange(cut)
-            log_c = _log_pow(spec.alpha_mag, i) - 0.5 * LOG_FACTORIAL[:cut] + _log_damping(spec)
-            if info.group == "ecs":
-                log_c += np.where(i % 2 == 0, math.log(2.0), -np.inf)
-            phase = np.exp(1j * (spec.alpha_phase * i - spec.param("chi") * i * (i - 1)))
-    if info.hole == "filtered":
-        log_c[0] = -np.inf
-    elif info.hole == "added":  # h_i -> i h_{i-1} is c_i -> sqrt(i) c_{i-1} before N
-        log_c = np.concatenate(([-np.inf], log_c + 0.5 * np.log(np.arange(1, len(log_c) + 1))))
-        phase = np.concatenate(([1.0], phase))
+        lam, n = spec.alpha_mag**2, spec.param("n")
+        cut = int(lam + n + 14.0 * math.sqrt((lam + 1.0) * (2 * n + 1)) + 24) + spec.param("added")
+    log_c, phase = _bare_log_amplitudes(spec, cut + (info.hole == "added"))
     if constant is None:  # no printed N, or nothing left to normalize
         with np.errstate(over="ignore"):
             norm_sq = float(np.sum(np.exp(2.0 * log_c)))

@@ -1,12 +1,17 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import focklab
 from focklab.core import (
+    MAX_LOG_FACTORIALS,
     TruncationPolicy,
     apply_annihilate,
     apply_create,
+    log_factorials,
     lower_amplitudes,
     make_fock,
     photon_number_distribution,
@@ -17,6 +22,7 @@ from focklab.exceptions import (
     AnnihilatedStateError,
     ConvergenceError,
     DimensionError,
+    InvalidParameterError,
     TruncationOverflowError,
 )
 from focklab.states import StateSpec, build_state
@@ -158,3 +164,52 @@ def test_global_phase_preserved_by_default():
 def test_non_finite_norm_is_refused(raw):
     with pytest.raises(ConvergenceError):
         state_from_amplitudes(np.array(raw, dtype=complex))
+
+
+# --- log-factorials and the truncation policy ----------------------------------
+
+@pytest.mark.parametrize("n", [0, 1, 7, 4096, 5000])
+def test_log_factorials_are_lgamma_bitwise(n):
+    table = log_factorials(n)
+    assert len(table) == n
+    assert table.tolist() == [math.lgamma(k + 1) for k in range(n)]
+    assert not table.flags.writeable
+
+
+def test_log_factorials_past_the_cap_are_refused():
+    with pytest.raises(ConvergenceError):
+        log_factorials(MAX_LOG_FACTORIALS + 1)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"max_dim": 0}, "max_dim must be >= 1"),
+        ({"max_dim": 1.5}, "max_dim must be an integer"),
+        ({"max_dim": MAX_LOG_FACTORIALS + 1}, "max_dim must be >= 1 and <="),
+        ({"tail_tolerance": 0.0}, "tail_tolerance must lie in"),
+        ({"tail_tolerance": 1.0}, "tail_tolerance must lie in"),
+        ({"tail_tolerance": math.nan}, "tail_tolerance must lie in"),
+    ],
+)
+def test_truncation_policy_rejects_with_a_named_error(kwargs, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        TruncationPolicy(**kwargs)
+
+
+def test_truncation_policy_takes_numpy_integers():
+    policy = TruncationPolicy(max_dim=np.int64(64))
+    assert policy.max_dim == 64 and type(policy.max_dim) is int
+
+
+def test_only_core_builds_log_factorials():
+    # Every log n! is read from core.log_factorials; no other module calls
+    # lgamma or keeps a running sum of logs.
+    pattern = re.compile(r"lgamma|gammaln|cumsum\(\s*np\.log|log\(\s*math\.factorial|\blog_factorial\b")
+    package = Path(focklab.__file__).parent
+    offenders = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        if path.name != "core.py" and pattern.search(path.read_text())
+    ]
+    assert offenders == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from focklab.core import TruncationPolicy, make_fock, state_from_amplitudes
-from focklab.core import LOG_FACTORIAL
+from focklab.core import log_factorials
 from focklab.exceptions import ConvergenceError, InvalidParameterError, StationaryPointError
 from focklab.interferometry import (
     _GRAM_BAND,
@@ -88,13 +88,14 @@ def test_linear_entropy_range_and_trace_symmetry(rng):
 def _loop_split(s):
     d = s.dim
     out = np.zeros((d, d), dtype=np.complex128)
+    log_fact = log_factorials(d)
     for n in range(d):
         c = s.amplitudes[n]
         if c == 0:
             continue
         j = np.arange(n + 1)
         log_w = (
-            0.5 * (LOG_FACTORIAL[n] - LOG_FACTORIAL[j] - LOG_FACTORIAL[n - j])
+            0.5 * (log_fact[n] - log_fact[j] - log_fact[n - j])
             - 0.5 * n * math.log(2.0)
         )
         out[j, n - j] = c * np.exp(log_w)
@@ -168,7 +169,8 @@ def _vandermonde_binom(total, pick):
     ok = (pick >= 0) & (pick <= total)
     t = np.where(ok, total, 0)
     k = np.where(ok, pick, 0)
-    val = LOG_FACTORIAL[t] - LOG_FACTORIAL[k] - LOG_FACTORIAL[t - k]
+    log_fact = log_factorials(int(t.max()) + 1)
+    val = log_fact[t] - log_fact[k] - log_fact[t - k]
     return np.where(ok, val, -np.inf)
 
 
@@ -179,7 +181,8 @@ def _dense_le_sum_ladder(lam, chi, variant, cut):
     m = np.arange(start, 2 * cut)
     N, M, R = np.meshgrid(n, m, r, indexing="ij")
     log_lam = math.log(lam) if lam > 0 else -1.0e18
-    log_mag = (N + R) * log_lam - LOG_FACTORIAL[N] - LOG_FACTORIAL[R]
+    log_fact = log_factorials(cut)
+    log_mag = (N + R) * log_lam - log_fact[N] - log_fact[R]
     if variant == "added":
         log_bin = _vandermonde_binom(N + R + 2, M + 1) - (N + R + 2) * math.log(2.0)
         weight = (M + 1.0) * (N + R - M + 1.0)
@@ -206,19 +209,20 @@ def _dense_le_sum_binomial(p, M_max, variant):
     if variant == "filtered":
         ok &= N + R - Mm >= 1
     s_idx = np.where(ok, N + R - Mm, 0)
+    log_fact = log_factorials(M_max + 1)
     log_g = (
-        2.0 * LOG_FACTORIAL[M_max]
+        2.0 * log_fact[M_max]
         + (N + R) * log_p
         + (2 * M_max - N - R) * log_1p
         - 0.5
         * (
-            LOG_FACTORIAL[M_max - N]
-            + LOG_FACTORIAL[M_max - Mm]
-            + LOG_FACTORIAL[M_max - R]
-            + LOG_FACTORIAL[M_max - s_idx]
+            log_fact[M_max - N]
+            + log_fact[M_max - Mm]
+            + log_fact[M_max - R]
+            + log_fact[M_max - s_idx]
         )
-        - LOG_FACTORIAL[N]
-        - LOG_FACTORIAL[R]
+        - log_fact[N]
+        - log_fact[R]
     )
     log_g = np.where(ok, log_g, -np.inf)
     if variant == "added":
@@ -284,12 +288,18 @@ def test_closed_form_entropy_at_large_parameters(family):
     "family", [f for f in LE_FAMILIES if FAMILY_INFO[f].group != "binomial"]
 )
 def test_closed_form_entropy_refuses_beyond_float_range(family):
-    # The hole variants' normalization overflows past |alpha|^2 ~ 710; every
-    # ladder family's series outgrows the log-factorial table at |alpha| = 40.
+    # The hole variants' normalization overflows past |alpha|^2 ~ 710; at
+    # |alpha| = 40 every ladder family's convolution passes the 4096-term limit.
     mags = (30.0, 40.0) if FAMILY_INFO[family].hole is not None else (40.0,)
     for mag in mags:
         with pytest.raises(ConvergenceError):
             linear_entropy_closed_form(StateSpec(family, alpha=mag, chi=0.29))
+
+
+def test_linear_entropy_past_4096_states():
+    # One state past 4096, where the split's log-factorials once ran out.
+    value = linear_entropy(state_from_amplitudes(np.ones(4097)))
+    assert 0.0 <= value <= 1.0
 
 
 def test_closed_form_entropy_point_values():

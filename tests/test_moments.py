@@ -113,12 +113,17 @@ def test_binomial_series_starts_past_underflowed_terms():
 
 @pytest.mark.parametrize("p, M", [(0.001, 5000), (0.3, 4000)])
 def test_binomial_series_past_the_log_factorial_table(p, M):
-    # The ladder runs to M + 2, past the 4096-entry table, whose running sum
-    # also drifts by 3e-11 near 4000; the binomial terms keep lgamma accuracy.
+    # The ladder runs to M + 2, past 4096 log-factorials; the table grows to
+    # serve it and holds lgamma values, so the terms keep lgamma accuracy.
     policy = TruncationPolicy(max_dim=4096)
     spec = StateSpec("PABS", p=p, M=M)
     reference = moment_oracle(build_state(spec, policy), 1, 1)
     assert abs(moment_series(spec, 1, 1, policy) - reference) <= 1e-11 * abs(reference)
+
+
+def test_coherent_ladder_past_4096_terms():
+    # At |alpha| = 60 the ladder runs to about 4464 terms.
+    assert moment_series(StateSpec("Coherent", alpha=60.0), 1, 1) == pytest.approx(3600.0, rel=1e-10)
 
 
 def test_vf_branch_agreement_at_equal_powers():
@@ -132,6 +137,13 @@ def test_vf_branch_agreement_at_equal_powers():
         s = build_state(spec, POLICY)
         for k in (1, 2):
             assert abs(moment_series(spec, k, k, POLICY) - moment_oracle(s, k, k)) <= 1e-10
+
+
+def test_negative_moment_powers_are_invalid():
+    with pytest.raises(InvalidParameterError):
+        moment_oracle(make_fock(1, 4), -1, 0)
+    with pytest.raises(InvalidParameterError):
+        moment_series(StateSpec("Coherent", alpha=1.0), 0, -1)
 
 
 def test_moment_order_cap():

@@ -92,12 +92,19 @@ def test_ecs_moments_near_float_range_match_oracle():
         assert abs(moment_series(spec, t, j, policy) - reference) <= 1e-10 * abs(reference)
 
 
-@pytest.mark.parametrize("family, lam", [("ECS", 712), ("PAKS", 704), ("Kerr", 1432)])
+@pytest.mark.parametrize("family, lam", [("ECS", 712), ("PAKS", 704)])
 def test_numeric_constant_refuses_overflowing_series(family, lam):
     # The undamped bare series overflows before max_dim caps it: no 0.0 or NaN constant.
     spec = StateSpec(family, alpha=math.sqrt(lam), chi=0.29)
     with pytest.raises(ConvergenceError):
         normalization_constant(spec, TruncationPolicy(max_dim=4096))
+
+
+def test_numeric_constant_of_plain_kerr_past_the_undamped_float_range():
+    # Plain Kerr's damping sits inside each log amplitude, so its bare series
+    # stays normalized where alpha^n / sqrt(n!) alone would overflow.
+    spec = StateSpec("Kerr", alpha=math.sqrt(1432), chi=0.29)
+    assert normalization_constant(spec, TruncationPolicy(max_dim=4096)) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_numeric_constant_refuses_a_series_cut_by_max_dim():

@@ -12,7 +12,7 @@ from focklab.exceptions import (
     InvalidParameterError,
     TruncationOverflowError,
 )
-from focklab.moments import moment_series
+from focklab.moments import moment_oracle, moment_series
 from focklab.states import (
     FAMILIES,
     HOLE_AT_VACUUM,
@@ -134,16 +134,46 @@ def test_error_class_of_a_series_cut_or_emptied(spec, max_dim, error):
 
 @pytest.mark.parametrize(
     "family, lam",
-    [("ECS", 712), ("VFECS", 712), ("VFKS", 712), ("PAECS", 704), ("PAKS", 704), ("Kerr", 1432)],
+    [("ECS", 712), ("VFECS", 712), ("VFKS", 712), ("PAECS", 704), ("PAKS", 704)],
 )
 def test_overflowing_bare_series_is_refused(family, lam):
-    # The squared norm of the undamped series (or, for Kerr, an amplitude)
-    # leaves the float range before max_dim caps the basis.
+    # The squared norm of the undamped series leaves the float range before
+    # max_dim caps the basis.
     policy = TruncationPolicy(max_dim=4096, tail_tolerance=1e-12)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceError):
             build_state(StateSpec(family, alpha=math.sqrt(lam), chi=0.29), policy)
+
+
+def test_plain_kerr_builds_past_the_undamped_float_range():
+    # Plain Kerr's bare series carries e^{-|alpha|^2/2} inside each log
+    # amplitude, so at |alpha|^2 = 1432, where alpha^n / sqrt(n!) alone
+    # overflows, it builds: |c_n| is the coherent state's, and <a†a> from the
+    # closed-form ladder agrees with the oracle on the built vector.
+    policy = TruncationPolicy(max_dim=4096, tail_tolerance=1e-12)
+    spec = StateSpec("Kerr", alpha=math.sqrt(1432), chi=0.29)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kerr = build_state(spec, policy)
+    coherent = build_state(StateSpec("Coherent", alpha=math.sqrt(1432)), policy)
+    assert kerr.dim == coherent.dim
+    assert np.max(np.abs(np.abs(kerr.amplitudes) - np.abs(coherent.amplitudes))) <= 1e-16
+    reference = moment_oracle(kerr, 1, 1)
+    assert abs(moment_series(spec, 1, 1) - reference) <= 1e-12 * abs(reference)
+
+
+@pytest.mark.parametrize("family", ["Coherent", "PADFS", "Kerr"])
+def test_build_past_4096_states(family):
+    # |alpha| = 60 needs about 4031 states; the log-factorials grow with the basis.
+    s = build_state(StateSpec(family, alpha=60.0, n=1, added=1, chi=0.1), TruncationPolicy(max_dim=8192))
+    assert 4000 <= s.dim <= 4096 + 64
+    assert s.norm == pytest.approx(1.0, abs=1e-12)
+
+
+def test_ecs_past_the_float_range_is_refused_at_a_large_max_dim():
+    with pytest.raises(ConvergenceError):
+        build_state(StateSpec("ECS", alpha=60.0), TruncationPolicy(max_dim=8192))
 
 
 def test_ecs_just_inside_float_range_builds():
@@ -168,12 +198,14 @@ _LADDER_SPECS = [
 
 @pytest.mark.parametrize("spec", _LADDER_SPECS, ids=lambda spec: spec.family)
 def test_ladder_matches_bare_coefficients(spec):
-    # The closed forms' ladder and the builder's series are two transcriptions
-    # of one c_i = N h_i / sqrt(i!); this keeps them in step.
+    # The ladder the closed forms sum is N times the builder's bare series by
+    # construction; its coefficients are checked against the operator
+    # composition on the common support.
     log_c, phase = ladder_log_amplitudes(spec)
     ladder = np.exp(log_c) * phase
-    bare = normalization_constant_closed_form(spec) * bare_coefficients(spec, len(log_c))
-    assert np.max(np.abs(ladder - bare)) <= 1e-12 * np.max(np.abs(bare))
+    composed = build_by_composition(spec, TruncationPolicy(max_dim=4096, tail_tolerance=1e-16)).amplitudes
+    d = min(len(ladder), len(composed))
+    assert np.max(np.abs(ladder[:d] - composed[:d])) <= 1e-12 * np.max(np.abs(composed))
 
 
 def test_invalid_binomial_probability():
