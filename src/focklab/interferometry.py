@@ -16,7 +16,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import StateVector, log_factorials
+from .core import DEFAULT_POLICY, StateVector, log_factorials
 from .exceptions import ConvergenceError, InvalidParameterError, StationaryPointError
 from .states import StateSpec, ladder_log_amplitudes
 
@@ -36,26 +36,55 @@ def _hankel(head: np.ndarray) -> np.ndarray:
     return sliding_window_view(padded, d)
 
 
+_split_weight_table = np.empty((0, 0))  # grown by ``_split_weights``
+
+
+def _split_weights(d: int) -> np.ndarray:
+    """Read-only (d, d) beam-splitter weights W[j, m] = sqrt(C(j+m, j)/2^{j+m}) for j + m < d.
+
+    The log-weight log (j+m)! - log j! - log m! - (j+m) log 2 is read
+    through Hankel views and exponentiated once per cell, so no cell
+    overflows at any d; cells with j + m >= d hold values in (0, 1] that
+    only ever multiply zero amplitudes. A cell's value does not depend on
+    the d it was computed at, so one table grows to the largest d asked
+    for and a smaller d reads its corner. The table is kept only while
+    d <= DEFAULT_POLICY.max_dim (at most 2 MiB); a larger d gets weights
+    computed for that call alone.
+    """
+    global _split_weight_table
+    table = _split_weight_table
+    if d > len(table):
+        log_fact = log_factorials(d)
+        log_w = _hankel(log_fact) - log_fact[:, None]
+        log_w -= log_fact
+        log_w *= 0.5
+        log_w -= _hankel(0.5 * np.arange(d) * math.log(2.0))
+        table = np.exp(log_w, out=log_w)
+        table.setflags(write=False)
+        if d > DEFAULT_POLICY.max_dim:
+            return table
+        _split_weight_table = table
+    return table[:d, :d]
+
+
 def beam_splitter_split(s: StateVector) -> np.ndarray:
     """Exact 50:50 split of |s> against vacuum, as the (dim, dim) two-mode amplitude matrix.
 
     M[j, m] = c_{j+m} sqrt(C(j+m, j)) / 2^{(j+m)/2} over the product basis
-    |j> x |m>, zero where j + m >= dim. The amplitude and the log-weight
-    log (j+m)! - (j+m) log 2 depend on j + m only, so both are read as
-    Hankel views of zero-padded vectors; each cell keeps a single exponent
-    of sqrt(C(n, j)/2^n) <= 1, which cannot overflow at any dim.
+    |j> x |m>, zero where j + m >= dim. The amplitude depends on j + m
+    only and is read as a Hankel view of the zero-padded vector; the
+    weights sqrt(C(j+m, j)/2^{j+m}) <= 1 do not depend on the state and
+    are read from one cached table (``_split_weights``).
     """
-    d = s.dim
-    log_fact = log_factorials(d)
-    log_w = _hankel(log_fact) - log_fact[:, None]
-    log_w -= log_fact
-    log_w *= 0.5
-    log_w -= _hankel(0.5 * np.arange(d) * math.log(2.0))
-    return _hankel(s.amplitudes) * np.exp(log_w, out=log_w)
+    return _hankel(s.amplitudes) * _split_weights(s.dim)
 
 
-# Row-band height of the banded Gram product in ``linear_entropy``; of 32, 64
-# and 128, 64 was fastest over the dims 43-351 that the |alpha| ladder builds.
+# Row-band height of the triangular Gram product in ``linear_entropy``. Median
+# ms per call for bands 32/64/96/128 (one BLAS thread, 2-core x86-64 host):
+# dim 37 0.071/0.063/0.062/0.062, dim 131 0.32/0.38/0.42/0.99, dim 351
+# 2.5/2.9/3.2/3.7. 32 is ~15% faster past dim 64, but at 64 a dim <= 64 is
+# one band, the same single product M M^H as a full Gram, so the small-dim
+# entropies (every shipped sweep) keep their last bit; 32 moves them by 3e-16.
 _GRAM_BAND = 64
 
 
@@ -65,15 +94,18 @@ def linear_entropy(s: StateVector) -> float:
     rho_A = M M^H is the partial trace of the split M over the second mode,
     and Tr(rho_A^2) = ||rho_A||_F^2. Row j of M vanishes past column
     dim - 1 - j, so a band of rows starting at a needs only the first
-    dim - a columns; the product is taken one band at a time.
+    dim - a columns. rho_A is Hermitian, so each band is multiplied only
+    against the rows above it and itself: the block above the band counts
+    twice and the diagonal block once, about dim^3/6 complex multiply-adds.
     """
     split = beam_splitter_split(s)
     d = s.dim
     purity = 0.0
     for a in range(0, d, _GRAM_BAND):
-        live = split[:, : d - a]
-        gram = live @ live[a : a + _GRAM_BAND].conj().T
-        purity += float(np.vdot(gram, gram).real)
+        live = split[: a + _GRAM_BAND, : d - a]
+        gram = live @ live[a:].conj().T
+        above, block = gram[:a], gram[a:]
+        purity += 2.0 * float(np.vdot(above, above).real) + float(np.vdot(block, block).real)
     return max(1.0 - purity, 0.0)  # clip the roundoff of exactly-product outputs
 
 

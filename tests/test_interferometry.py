@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from focklab.core import TruncationPolicy, make_fock, state_from_amplitudes
+from focklab import interferometry
+from focklab.core import DEFAULT_POLICY, TruncationPolicy, make_fock, state_from_amplitudes
 from focklab.core import log_factorials
 from focklab.exceptions import ConvergenceError, InvalidParameterError, StationaryPointError
 from focklab.interferometry import (
@@ -140,6 +141,51 @@ def test_entropy_matches_reference_at_band_edges(bands, offset, rng):
     dim = bands * _GRAM_BAND + offset
     s = state_from_amplitudes(rng.normal(size=dim) + 1j * rng.normal(size=dim))
     _assert_matches_reference(s)
+
+
+def _empty_weight_table(monkeypatch):
+    """Empty the split-weight table until the test ends."""
+    monkeypatch.setattr(interferometry, "_split_weight_table", np.empty((0, 0)))
+
+
+def _random_state(rng, dim):
+    return state_from_amplitudes(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+
+
+@pytest.mark.parametrize("dims", [(351, 37), (37, 351)])
+def test_split_weight_table_is_independent_of_call_order(dims, monkeypatch, rng):
+    states = [_random_state(rng, d) for d in dims]
+    fresh = []
+    for s in states:
+        _empty_weight_table(monkeypatch)
+        fresh.append(beam_splitter_split(s))  # weights computed at this dim alone
+    _empty_weight_table(monkeypatch)
+    for s, expected in zip(states, fresh):
+        split = beam_splitter_split(s)
+        assert split.tobytes() == expected.tobytes()
+        loop = _loop_split(s)
+        assert np.max(np.abs(split - loop)) <= 1e-13 * np.max(np.abs(loop))
+    assert interferometry._split_weight_table.shape == (max(dims), max(dims))
+
+
+def test_split_weight_table_is_read_only():
+    beam_splitter_split(make_fock(3, 40))
+    table = interferometry._split_weight_table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 2.0
+    assert not interferometry._split_weights(10).flags.writeable
+
+
+def test_split_weights_past_max_dim_are_served_not_kept(monkeypatch, rng):
+    _empty_weight_table(monkeypatch)
+    cap = DEFAULT_POLICY.max_dim
+    beam_splitter_split(_random_state(rng, 100))
+    kept = interferometry._split_weight_table
+    _assert_matches_reference(_random_state(rng, cap + 1))
+    assert interferometry._split_weight_table is kept
+    beam_splitter_split(_random_state(rng, cap))
+    assert interferometry._split_weight_table.shape == (cap, cap)
 
 
 @pytest.mark.parametrize("spec", [StateSpec("ECS", alpha=3.0), StateSpec("VFKS", alpha=2.0, chi=0.4)])
@@ -296,10 +342,24 @@ def test_closed_form_entropy_refuses_beyond_float_range(family):
             linear_entropy_closed_form(StateSpec(family, alpha=mag, chi=0.29))
 
 
+def _two_copy_entropy_reference(c):
+    """1 - sum_S |sum_{n+m=S} c_n c_m sqrt(C(S, n)/2^S)|^2, O(dim^2), weights from math.lgamma."""
+    d = len(c)
+    log_fact = np.array([math.lgamma(k + 1) for k in range(2 * d - 1)])
+    purity = 0.0
+    for total in range(2 * d - 1):
+        n = np.arange(max(0, total - d + 1), min(total, d - 1) + 1)
+        log_w = 0.5 * (log_fact[total] - log_fact[n] - log_fact[total - n] - total * math.log(2.0))
+        purity += abs(np.sum(c[n] * c[total - n] * np.exp(log_w))) ** 2
+    return 1.0 - purity
+
+
 def test_linear_entropy_past_4096_states():
     # One state past 4096, where the split's log-factorials once ran out.
-    value = linear_entropy(state_from_amplitudes(np.ones(4097)))
-    assert 0.0 <= value <= 1.0
+    s = state_from_amplitudes(np.ones(4097))
+    reference = _two_copy_entropy_reference(s.amplitudes)
+    assert reference == pytest.approx(0.92809654148029, abs=1e-13)
+    assert abs(linear_entropy(s) - reference) <= 1e-10
 
 
 def test_closed_form_entropy_point_values():
