@@ -65,6 +65,7 @@ class StateVector:
     Instances are immutable; every operation returns a new value, so states
     are safe to share across threads and parameter sweeps.  tail_mass is an
     upper bound on the probability discarded when the state was truncated.
+    Its cached rows a^k|s> (``lowered``) are read-only and published atomically.
     """
 
     amplitudes: np.ndarray = field(repr=False)
@@ -91,6 +92,17 @@ class StateVector:
     def mean_photon_number(self) -> float:
         p = self.probabilities()
         return float(np.dot(np.arange(self.dim), p))
+
+    def lowered(self, k: int) -> np.ndarray:
+        """Read-only a^k|s>, bitwise ``lower_amplitudes(amplitudes, k)``; empty for k >= dim."""
+        if k < 0:
+            raise ValueError("k must be >= 0")
+        rows = self.__dict__.get("_lowered", (self.amplitudes,))
+        while len(rows) <= min(k, self.dim):  # each step publishes a new, longer tuple
+            rows += (lower_amplitudes(rows[-1]),)
+            rows[-1].setflags(write=False)
+            self.__dict__["_lowered"] = rows
+        return rows[min(k, self.dim)]
 
     def overlap(self, other: "StateVector") -> complex:
         """<self|other> on the common truncated support."""

@@ -1,8 +1,8 @@
 """General moments <a†^t a^j>, computed two independent ways.
 
-``moment_oracle`` applies ladder operators directly to a truncated state
-vector; exact up to floating point on that space. ``moment_series``
-evaluates the closed-form series of each family from its
+``moment_oracle`` takes the inner product of two ladder rows a^k|s> that
+each state caches; exact up to floating point on the truncated space.
+``moment_series`` evaluates the closed-form series of each family from its
 parameters alone, never touching a state vector. Witnesses consume the
 oracle; the test suite holds the two within 1e-8 of each other.
 """
@@ -11,38 +11,41 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DEFAULT_POLICY, StateVector, TruncationPolicy, lower_amplitudes
+from .core import DEFAULT_POLICY, StateVector, TruncationPolicy
 from .exceptions import InvalidParameterError, TruncationUnsafeError
 from .states import StateSpec, ladder_log_amplitudes
 
 # Power budget: truncation error grows with t + j, so cap the order.
 MAX_TOTAL_ORDER = 16
+# Largest truncation-edge error estimate a moment accepts, relative to its scale.
+EDGE_TOLERANCE = 1e-6
 
 
-def moment_oracle(s: StateVector, t: int, j: int, edge_tolerance: float = 1e-6) -> complex:
-    """<s| a†^t a^j |s> by direct ladder application on the amplitude vector.
-
-    Computed as the inner product of a^t|s> and a^j|s>, which never leaves
-    the truncated space; exact up to floating point for the stored state.
-    For a state that was truncated (tail_mass > 0) the discarded occupation
-    just past the edge contributes at most about tail_mass * dim^((t+j)/2)
-    to a moment of this order (the factorial decay of real tails makes this
-    a loose upper envelope); the call fails when that estimate exceeds
-    edge_tolerance relative to the moment's own scale. States built with
-    the default 1e-12 tail pass for all admissible orders; states pinned
-    against max_dim do not.
-    """
+def _check_powers(t: int, j: int) -> None:
     if t < 0 or j < 0:
         raise InvalidParameterError("operator powers must be >= 0")
     if t + j > MAX_TOTAL_ORDER:
         raise InvalidParameterError(f"moment order {t + j} exceeds cap {MAX_TOTAL_ORDER}")
-    bra = lower_amplitudes(s.amplitudes, t)
-    ket = lower_amplitudes(s.amplitudes, j)
+
+
+def moment_oracle(s: StateVector, t: int, j: int) -> complex:
+    """<s| a†^t a^j |s>, the vdot of the state's cached rows a^t|s> and a^j|s>.
+
+    Exact up to floating point for the stored state. This is the one
+    truncation guard for moments: for a truncated state (tail_mass > 0) the
+    occupation past the edge adds at most about tail_mass * dim^((t+j)/2) to
+    a moment of this order (a loose envelope for factorially decaying tails),
+    and the call fails when that exceeds EDGE_TOLERANCE relative to the
+    moment's own scale. States built with the default 1e-12 tail pass for all
+    admissible orders; states pinned against max_dim do not.
+    """
+    _check_powers(t, j)
+    bra, ket = s.lowered(t), s.lowered(j)
     d = min(len(bra), len(ket))
     value = complex(np.vdot(bra[:d], ket[:d])) if d else 0j
     if s.tail_mass > 0.0 and t + j > 0:
         tail_error = s.tail_mass * (s.dim + t + j) ** (0.5 * (t + j))
-        if tail_error > edge_tolerance * max(1.0, abs(value)):
+        if tail_error > EDGE_TOLERANCE * max(1.0, abs(value)):
             raise TruncationUnsafeError(
                 f"truncation-edge error estimate {tail_error:.2e} is too large for "
                 f"a moment of order {t + j}; rebuild with a tighter tail tolerance"
@@ -66,10 +69,7 @@ def moment_series(
     unused: the ladder sets its own length. It stays because
     ``perfbench/workloads.py`` passes it.
     """
-    if t < 0 or j < 0:
-        raise InvalidParameterError("operator powers must be >= 0")
-    if t + j > MAX_TOTAL_ORDER:
-        raise InvalidParameterError(f"moment order {t + j} exceeds cap {MAX_TOTAL_ORDER}")
+    _check_powers(t, j)
     log_c, phase = ladder_log_amplitudes(spec)
     i = np.arange(j, len(log_c) + min(j - t, 0))  # both i and i - j + t on the ladder
     bra = i - j + t

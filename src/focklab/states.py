@@ -173,8 +173,9 @@ def _displaced_fock(alpha: complex, n: int, dim: int) -> tuple[np.ndarray, np.nd
     ell_k = L_k^(a)(x) / C(k+a, k) through the forward recurrence
     (k+1+a) ell_{k+1} = (2k+1+a-x) ell_k - k ell_{k-1}, vectorised over m,
     and each m reads its ell at k = lo; the prefactor stays in log form. No
-    alternating sum is formed, so nothing cancels as n grows. log|.| is
-    -inf where the element is exactly zero.
+    alternating sum is formed, so nothing cancels as n grows. An exactly zero
+    Laguerre factor gives log|.| = -inf; at alpha = 0 the off-diagonal
+    elements read -1e18 |m - n| (``_log_pow``), which exponentiate to 0.0.
     """
     x = abs(alpha) ** 2
     m = np.arange(dim)
@@ -240,7 +241,9 @@ def _bare_log_amplitudes(spec: StateSpec, dim: int) -> tuple[np.ndarray, np.ndar
     (plain Kerr, whose N is therefore 1; the hole variants drop the damping) or
     sqrt(M!/(M-i)! p^i (1-p)^(M-i)) (binomial, zero past M). Filtration sets
     b_0 = 0 and photon addition maps b_i -> sqrt(i) b_{i-1}. log|b_i| is -inf
-    where b_i = 0; in log form no term over- or underflows.
+    where b_i = 0, except off the kernel's diagonal at alpha = 0: there it is
+    about -1e18 |i - n|, finite so ``_grows_at_cut`` stays an argmax, and exp
+    gives 0.0. In log form no term over- or underflows.
     """
     info = spec.info
     base = dim - (info.hole == "added")  # photon addition shifts the series up one

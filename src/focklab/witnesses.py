@@ -138,14 +138,7 @@ def quadrature_central_moment(s: StateVector, l: int, method: str = "normal-orde
     if method != "normal-ordered":
         raise ValueError(f"unknown method {method!r}")
 
-    cache: dict[tuple[int, int], complex] = {}
-
-    def mom(t: int, j: int) -> complex:
-        if (t, j) not in cache:
-            cache[(t, j)] = moment_oracle(s, t, j)
-        return cache[(t, j)]
-
-    mean_aa = 2.0 * mom(1, 0).real  # <a† + a>
+    mean_aa = 2.0 * moment_oracle(s, 1, 0).real  # <a† + a>
     total = 0.0
     for r in range(l + 1):
         for i in range(r // 2 + 1):
@@ -157,7 +150,7 @@ def quadrature_central_moment(s: StateVector, l: int, method: str = "normal-orde
                     * math.comb(r, 2 * i)
                     * math.comb(r - 2 * i, k)
                     * mean_aa ** (l - r)
-                    * mom(k, r - 2 * i - k)
+                    * moment_oracle(s, k, r - 2 * i - k)
                 )
                 total += term.real
     return total / 2.0 ** (l / 2.0)

@@ -1,5 +1,8 @@
+import ast
 import math
 import re
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +14,7 @@ from focklab.core import (
     TruncationPolicy,
     apply_annihilate,
     apply_create,
+    StateVector,
     log_factorials,
     lower_amplitudes,
     make_fock,
@@ -164,6 +168,114 @@ def test_global_phase_preserved_by_default():
 def test_non_finite_norm_is_refused(raw):
     with pytest.raises(ConvergenceError):
         state_from_amplitudes(np.array(raw, dtype=complex))
+
+
+# --- the cached ladder rows a^k|s> -------------------------------------------
+
+def _row_states(rng):
+    raw = rng.normal(size=40) + 1j * rng.normal(size=40)
+    return [make_fock(5, 9), state_from_amplitudes(raw), make_fock(0, 1)]
+
+
+def _bitwise(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("order", ["increasing", "decreasing", "shuffled"])
+def test_lowered_rows_are_lower_amplitudes_bitwise(order, rng):
+    for s in _row_states(rng):
+        ks = list(range(s.dim + 2))
+        if order == "decreasing":
+            ks.reverse()
+        elif order == "shuffled":
+            rng.shuffle(ks)
+        for k in ks + ks:  # every row asked twice, the second time from the table
+            assert _bitwise(s.lowered(k), lower_amplitudes(s.amplitudes, k)), (s.dim, k)
+        assert len(s.lowered(s.dim)) == 0 and len(s.lowered(s.dim + 1)) == 0
+
+
+def test_lowered_rows_are_read_only(rng):
+    for s in _row_states(rng):
+        for k in range(s.dim + 2):
+            row = s.lowered(k)
+            assert not row.flags.writeable
+            with pytest.raises(ValueError):
+                row[...] = 0.0
+
+
+def test_lowered_rejects_negative_powers():
+    with pytest.raises(ValueError):
+        make_fock(1, 4).lowered(-1)
+
+
+def test_states_from_the_same_amplitudes_do_not_share_rows(rng):
+    raw = rng.normal(size=12) + 1j * rng.normal(size=12)
+    first, second = StateVector(raw, 12), StateVector(raw, 12)
+    for k in range(13):
+        assert not np.shares_memory(first.lowered(k), second.lowered(k)), k
+
+
+def test_lowered_rows_are_consistent_across_threads(rng):
+    # Eight threads race to grow the table of each fresh state in their own
+    # order; whichever tuple is published last, every row read is the reference.
+    states, references = [], []
+    for _ in range(50):
+        raw = rng.normal(size=24) + 1j * rng.normal(size=24)
+        states.append(state_from_amplitudes(raw))
+        references.append([lower_amplitudes(states[-1].amplitudes, k) for k in range(18)])
+    orders = [rng.permutation(18).tolist() for _ in range(8)]
+    barrier = threading.Barrier(len(orders), timeout=60)
+    mismatches, finished = [], []
+
+    def worker(order):
+        for s, reference in zip(states, references):
+            barrier.wait()
+            mismatches.extend((s, k) for k in order if not _bitwise(s.lowered(k), reference[k]))
+        finished.append(order)
+
+    threads = [threading.Thread(target=worker, args=(order,)) for order in orders]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so that the races happen
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(finished) == len(orders) and mismatches == []
+
+
+def _referrers(tree, name):
+    """The functions (or "<module>") that refer to ``name``, and "<alias>" if it is renamed on import."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (isinstance(node, ast.Name) and node.id == name) or (isinstance(node, ast.Attribute) and node.attr == name):
+            found.add(owner)
+        if isinstance(node, ast.alias) and node.name == name and node.asname:
+            found.add("<alias>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_the_operator_references_lower_a_vector_outside_core():
+    # Moments read the rows each StateVector caches; outside core only the
+    # composition builder and the quadrature operator X lower a vector.
+    package = Path(focklab.__file__).parent
+    referrers = {
+        f"{path.stem}.{owner}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "core.py"
+        for owner in _referrers(ast.parse(path.read_text()), "lower_amplitudes")
+    }
+    assert referrers == {"states.build_by_composition", "witnesses._apply_quadrature"}
 
 
 # --- log-factorials and the truncation policy ----------------------------------

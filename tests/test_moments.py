@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from focklab.core import TruncationPolicy, make_fock
+from focklab.core import TruncationPolicy, lower_amplitudes, make_fock, state_from_amplitudes
 from focklab.exceptions import InvalidParameterError, TruncationUnsafeError
-from focklab.moments import moment_oracle, moment_series
+from focklab.moments import MAX_TOTAL_ORDER, moment_oracle, moment_series
 from focklab.states import FAMILIES, StateSpec, build_state
 
 from test_states import random_spec
@@ -161,3 +161,52 @@ def test_truncation_unsafe_detection():
     assert hot.tail_mass > 1e-6
     with pytest.raises(TruncationUnsafeError):
         moment_oracle(hot, 4, 4)
+
+
+def _vdot_of_lowered_vectors(s, t, j):
+    # The moment as each call used to compute it, from two freshly lowered vectors.
+    bra = lower_amplitudes(s.amplitudes, t)
+    ket = lower_amplitudes(s.amplitudes, j)
+    d = min(len(bra), len(ket))
+    return complex(np.vdot(bra[:d], ket[:d])) if d else 0j
+
+
+def _moment_states(rng):
+    raw = rng.normal(size=40) + 1j * rng.normal(size=40)
+    return {
+        "fock": lambda: make_fock(6, 10),
+        "random-40": lambda: state_from_amplitudes(raw),
+        "padfs-3": lambda: build_state(StateSpec("PADFS", alpha=3.0 * cmath.exp(0.4j), n=2, added=1), POLICY),
+    }
+
+
+@pytest.mark.parametrize("order", ["increasing", "decreasing", "shuffled"])
+def test_oracle_is_the_vdot_of_lowered_vectors_bitwise(order, rng):
+    pairs = [(t, j) for t in range(MAX_TOTAL_ORDER + 1) for j in range(MAX_TOTAL_ORDER + 1 - t)]
+    if order == "decreasing":
+        pairs.reverse()
+    elif order == "shuffled":
+        pairs = [pairs[i] for i in rng.permutation(len(pairs))]
+    for name, make in _moment_states(rng).items():
+        s = make()  # a fresh state, so the rows are built in this call order
+        for t, j in pairs + pairs[::3]:  # a third of the pairs asked again
+            got, want = np.complex128(moment_oracle(s, t, j)), np.complex128(_vdot_of_lowered_vectors(s, t, j))
+            assert got.tobytes() == want.tobytes(), (name, t, j, got, want)
+
+
+def test_cached_rows_do_not_bypass_the_truncation_guard():
+    # Every row the order-8 moment reads is already on the state; the guard
+    # still runs on every call, and a safe order-2 moment stays safe.
+    hot = build_state(
+        StateSpec("Coherent", alpha=3.0), TruncationPolicy(max_dim=12, tail_tolerance=1e-12)
+    )
+    hot.lowered(4)
+    for _ in range(2):
+        with pytest.raises(TruncationUnsafeError):
+            moment_oracle(hot, 4, 4)
+    mild = build_state(StateSpec("Coherent", alpha=1.0), TruncationPolicy(max_dim=12, tail_tolerance=1e-12))
+    assert 0.0 < mild.tail_mass < 1e-8
+    assert moment_oracle(mild, 1, 1).real == pytest.approx(1.0, abs=1e-7)
+    assert moment_oracle(mild, 2, 0) == pytest.approx(1.0, abs=1e-6)
+    with pytest.raises(TruncationUnsafeError):
+        moment_oracle(mild, 4, 4)
