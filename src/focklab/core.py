@@ -58,7 +58,7 @@ class TruncationPolicy:
 DEFAULT_POLICY = TruncationPolicy()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """A pure bosonic state as complex amplitudes over |0>..|dim-1>.
 
@@ -66,6 +66,8 @@ class StateVector:
     are safe to share across threads and parameter sweeps.  tail_mass is an
     upper bound on the probability discarded when the state was truncated.
     Its cached rows a^k|s> (``lowered``) are read-only and published atomically.
+    Equality is identity and states hash by identity; compare the
+    amplitudes of two states with ``overlap`` or ``states.state_distance``.
     """
 
     amplitudes: np.ndarray = field(repr=False)

@@ -4,15 +4,20 @@ Quantities are addressed by registered names, optionally carrying an
 argument after a colon (``antibunching:3`` for the order, ``klyshko:2``
 for the photon index, ``phase_uncertainty:1.5708`` for the interferometer
 phase). Undefined values become empty cells; per-point failures land in
-the ``error`` column without aborting the sweep. Output is byte-stable:
-sequential evaluation, shortest round-trip floats, fixed column order.
+the ``error`` column without aborting the sweep. The points' states are
+built a chunk at a time by ``states.build_states``, which gives each the
+bits ``build_state`` gives it alone, and the quantities are evaluated point
+by point in grid order. Output is byte-stable: shortest round-trip floats,
+fixed column order.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
-from collections.abc import Callable
+from collections import deque
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from .config import DumpConfig, SweepConfig
@@ -30,7 +35,7 @@ from .interferometry import linear_entropy, phase_estimation_uncertainty
 from .moments import moment_oracle
 from .phase import barnett_pegg_fluctuations, phase_dispersion, phase_distribution
 from .quasiprob import angular_q, phase_space_grid, q_polar
-from .states import build_state
+from .states import StateSpec, build_state, build_states
 from . import witnesses
 
 # Exceptions that mean "this quantity is undefined here", not "the sweep broke".
@@ -51,10 +56,19 @@ class Quantity:
     integer_arg: bool = True
 
 
+@functools.lru_cache(maxsize=1)
+def _fluctuations(state: StateVector):
+    """The U, S, Q triple of a state, kept for the last state asked for (states hash by identity).
+
+    The three fluctuation columns of a sweep row read one evaluation; the
+    cache holds that one state until the next row's state replaces it.
+    """
+    return barnett_pegg_fluctuations(state)
+
+
 def _fluct(which: str):
     def evaluate(state: StateVector, _arg):
-        triple = barnett_pegg_fluctuations(state)
-        return getattr(triple, which)
+        return getattr(_fluctuations(state), which)
 
     return evaluate
 
@@ -110,6 +124,29 @@ def _format_cell(value: float | None) -> str:
     return repr(float(value))
 
 
+# Points whose states are built in one ``build_states`` call; only one
+# chunk's states are alive at a time, whatever the number of steps.
+_CHUNK = 64
+
+
+def _point_states(config: SweepConfig, points: list[tuple[float, ...]]) -> Iterator[StateVector | FockLabError]:
+    """Each point's state, or the FockLabError its spec or build raises, in point order.
+
+    A state is handed out and forgotten here, so it lives only as long as
+    the caller keeps it.
+    """
+    for start in range(0, len(points), _CHUNK):
+        specs: list[StateSpec | FockLabError] = []
+        for point in points[start : start + _CHUNK]:
+            try:
+                specs.append(config.spec_at(point))
+            except FockLabError as exc:
+                specs.append(exc)
+        built = deque(build_states([s for s in specs if isinstance(s, StateSpec)], config.truncation))
+        for spec in specs:
+            yield built.popleft() if isinstance(spec, StateSpec) else spec
+
+
 def run_sweep(config: SweepConfig) -> None:
     """Evaluate the sweep and write one CSV row per grid point."""
     resolved = [parse_quantity(token) for token in config.quantities]
@@ -123,15 +160,13 @@ def run_sweep(config: SweepConfig) -> None:
     with open(config.output_path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        for point in points:
+        for point, state in zip(points, _point_states(config, points)):
             row = [repr(float(v)) for v in point]
             cells: list[str] = []
             error = ""
-            try:
-                state = build_state(config.spec_at(point), config.truncation)
-            except FockLabError as exc:
+            if isinstance(state, FockLabError):
                 cells = [""] * len(resolved)
-                error = f"{type(exc).__name__}: {exc}"
+                error = f"{type(state).__name__}: {state}"
             else:
                 for quantity, arg, _label in resolved:
                     try:

@@ -6,7 +6,8 @@ assembles the same state from operator primitives (displace, add photons,
 subtract photons, vacuum-filter). Their elementwise agreement is the
 anti-drift oracle for every closed form in the package. The closed-form
 coefficients are written once, as log amplitudes in
-``_bare_log_amplitudes``: ``build_state`` exponentiates them, and
+``_bare_log_amplitudes``: ``build_state`` exponentiates them (and
+``build_states`` does so for a batch of specs in one kernel pass), and
 ``ladder_log_amplitudes`` normalizes them for the series that sum over them
 without a state vector (moments, entropy, phase, Q).
 
@@ -19,7 +20,9 @@ coherent), Binomial, Kerr, plus the hole-burnt variants VFECS/VFBS/VFKS
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import numbers
 import operator
 import sys
 from dataclasses import dataclass
@@ -36,7 +39,13 @@ from .core import (
     raise_amplitudes,
     state_from_amplitudes,
 )
-from .exceptions import AnnihilatedStateError, ConvergenceError, InvalidParameterError, TruncationOverflowError
+from .exceptions import (
+    AnnihilatedStateError,
+    ConvergenceError,
+    FockLabError,
+    InvalidParameterError,
+    TruncationOverflowError,
+)
 
 # Exponent used in place of log(0) so that 0^e underflows to exactly 0.0 for
 # e > 0 while 0^0 stays exp(0 * _LOG_ZERO) = 1.
@@ -128,6 +137,13 @@ class StateSpec:
             if count < 0:
                 raise InvalidParameterError(f"{attr} must be >= 0")
             object.__setattr__(self, attr, count)
+        for attr in ("p", "chi"):
+            value = getattr(self, attr)
+            if not isinstance(value, numbers.Real):
+                raise InvalidParameterError(f"{attr} must be a real number, got {value!r}")
+            # Stored as float, as alpha is as complex: an int chi would enter the
+            # Kerr phase as int64, which wraps, and alone in another dtype than in a batch.
+            object.__setattr__(self, attr, float(value))
         for attr, value in (("alpha", self.alpha), ("p", self.p), ("chi", self.chi)):
             if not cmath.isfinite(value):
                 raise InvalidParameterError(f"{attr} must be finite, got {value}")
@@ -152,10 +168,19 @@ class StateSpec:
         return cmath.phase(self.alpha) if self.alpha != 0 else 0.0
 
 
-def _log_pow(mag: float, exponent) -> np.ndarray:
-    """exponent * log(mag), with mag = 0 handled so 0^0 = 1 and 0^e = 0."""
-    log_mag = math.log(mag) if mag > 0.0 else _LOG_ZERO
-    return np.asarray(exponent, dtype=np.float64) * log_mag
+def _per_spec(values: list):
+    """One Python scalar per spec as a kernel operand: the scalar itself for one spec, else a (specs, 1) column.
+
+    The kernels broadcast these over the basis, so their results carry a
+    leading axis per spec only when there is more than one.
+    """
+    return values[0] if len(values) == 1 else np.array(values)[:, None]
+
+
+def _log_pow(mags: list[float], exponent) -> np.ndarray:
+    """exponent * log(mag) for each mag, with mag = 0 handled so 0^0 = 1 and 0^e = 0."""
+    log_mags = _per_spec([math.log(mag) if mag > 0.0 else _LOG_ZERO for mag in mags])
+    return np.asarray(exponent, dtype=np.float64) * log_mags
 
 
 # Rows of the Laguerre recurrence are scaled down by this exact power of two
@@ -163,62 +188,70 @@ def _log_pow(mag: float, exponent) -> np.ndarray:
 _RESCALE = 2.0**500
 
 
-def _displaced_fock(alpha: complex, n: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """(log|<m|D(alpha)|n>|, e^{i arg <m|D(alpha)|n>}) for m < dim.
+def _displaced_fock(alphas: list[complex], n: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(log|<m|D(alpha)|n>|, e^{i arg <m|D(alpha)|n>}) for m < dim, a row per alpha (``_per_spec``).
 
     <m|D(alpha)|n> = sqrt(lo!/hi!) (alpha or -alpha*)^a e^{-x/2} L_lo^(a)(x),
     with lo, hi = min, max(m, n), a = hi - lo and x = |alpha|^2: alpha^a for
     m >= n, (-alpha*)^a below (Cahill & Glauber, Phys. Rev. 177, 1857 (1969);
     de Oliveira et al., PRA 41, 2645 (1990)). The Laguerre factor runs as
     ell_k = L_k^(a)(x) / C(k+a, k) through the forward recurrence
-    (k+1+a) ell_{k+1} = (2k+1+a-x) ell_k - k ell_{k-1}, vectorised over m,
-    and each m reads its ell at k = lo; the prefactor stays in log form. No
-    alternating sum is formed, so nothing cancels as n grows. An exactly zero
-    Laguerre factor gives log|.| = -inf; at alpha = 0 the off-diagonal
-    elements read -1e18 |m - n| (``_log_pow``), which exponentiate to 0.0.
+    (k+1+a) ell_{k+1} = (2k+1+a-x) ell_k - k ell_{k-1}, vectorised over alpha
+    and m, and each m reads its ell at k = lo; the prefactor stays in log
+    form. No alternating sum is formed, so nothing cancels as n grows. An
+    exactly zero Laguerre factor gives log|.| = -inf; at alpha = 0 the
+    off-diagonal elements read -1e18 |m - n| (``_log_pow``), which
+    exponentiate to 0.0. Every element is computed by itself, so a row is
+    bitwise the same whatever its batch and whatever the dim it is cut from.
     """
-    x = abs(alpha) ** 2
+    mags = [abs(alpha) for alpha in alphas]
+    x = _per_spec([mag**2 for mag in mags])
     m = np.arange(dim)
     a = np.abs(m - n)
-    prev, ell = np.zeros(dim), np.ones(dim)
-    log_scale = np.zeros(dim)
-    log_ell, sign = np.zeros(dim), np.ones(dim)  # ell_0 = 1 for the rows with lo = 0
-    for k in range(min(n, dim)):  # no row reads a degree past min(n, dim - 1)
-        prev, ell = ell, ((2 * k + 1 - x + a) * ell - k * prev) / (k + 1 + a)
-        if np.abs(ell).max() > _RESCALE:
-            grown = np.abs(ell) > _RESCALE
-            prev[grown] /= _RESCALE
-            ell[grown] /= _RESCALE
-            log_scale[grown] += math.log(_RESCALE)
-        if k + 1 < min(n, dim):  # row m = k + 1 < n has reached its degree lo = m
-            value = ell[k + 1]
-            log_ell[k + 1] = (math.log(abs(value)) if value else -math.inf) + log_scale[k + 1]
-            sign[k + 1] = math.copysign(1.0, value)
-    with np.errstate(divide="ignore"):
-        log_ell[n:] = np.log(np.abs(ell[n:])) + log_scale[n:]  # rows m >= n have lo = n
-    sign[n:] = np.sign(ell[n:])
+    shape = (dim,) if len(alphas) == 1 else (len(alphas), dim)
+    log_ell, sign = np.zeros(shape), np.ones(shape)  # ell_0 = 1, the factor of every row when n = 0
+    if n:
+        prev, ell = np.zeros(shape), np.ones(shape)
+        log_scale = np.zeros(shape)
+        for k in range(min(n, dim)):  # no row reads a degree past min(n, dim - 1)
+            prev, ell = ell, ((2 * k + 1 - x + a) * ell - k * prev) / (k + 1 + a)
+            if np.abs(ell).max() > _RESCALE:
+                grown = np.abs(ell) > _RESCALE
+                prev[grown] /= _RESCALE
+                ell[grown] /= _RESCALE
+                log_scale[grown] += math.log(_RESCALE)
+            if k + 1 < min(n, dim):  # row m = k + 1 < n has reached its degree lo = m
+                value = ell[..., k + 1]
+                logs = [math.log(abs(v)) if v else -math.inf for v in np.ravel(value).tolist()]
+                log_ell[..., k + 1] = np.reshape(logs, value.shape) + log_scale[..., k + 1]
+                sign[..., k + 1] = np.copysign(1.0, value)
+        with np.errstate(divide="ignore"):
+            log_ell[..., n:] = np.log(np.abs(ell[..., n:])) + log_scale[..., n:]  # rows m >= n have lo = n
+        sign[..., n:] = np.sign(ell[..., n:])
+        sign = np.where((m < n) & (a % 2 == 1), -sign, sign)  # (-alpha*)^a below the diagonal
     lo = np.minimum(m, n)
     log_fact = log_factorials(max(dim, n + 1))
     log_mag = (
         0.5 * (log_fact[lo + a] - log_fact[lo])
         - log_fact[a]
-        + _log_pow(abs(alpha), a)
+        + _log_pow(mags, a)
         - 0.5 * x
         + log_ell
     )
-    theta = cmath.phase(alpha) if alpha != 0 else 0.0
-    sign = np.where((m < n) & (a % 2 == 1), -sign, sign)  # (-alpha*)^a below the diagonal
-    return log_mag, sign * np.exp(1j * theta * (m - n))
+    turn = _per_spec([1j * (cmath.phase(alpha) if alpha != 0 else 0.0) for alpha in alphas])
+    return log_mag, sign * np.exp(turn * (m - n))
 
 
-def _dfs_log_amplitudes(alpha: complex, n: int, added: int, subtracted: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """(log|c_j|, e^{i arg c_j}) for j < dim of a^q a†^k D(alpha)|n>  (k = added, q = subtracted).
+def _dfs_log_amplitudes(
+    alphas: list[complex], n: int, added: int, subtracted: int, dim: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(log|c_j|, e^{i arg c_j}) for j < dim of a^q a†^k D(alpha)|n>  (k = added, q = subtracted), a row per alpha.
 
     c_j = sqrt((j+q)!/j!) sqrt((j+q)!/m!) <m|D(alpha)|n> with m = j + q - k:
     the two ladder powers are square-root factor shifts of the displaced-Fock
     kernel. log|c_j| is -inf where m < 0.
     """
-    log_d, phase_d = _displaced_fock(alpha, n, dim + subtracted)
+    log_d, phase_d = _displaced_fock(alphas, n, dim + subtracted)
     if not added and not subtracted:  # the shift is exactly zero
         return log_d, phase_d
     j = np.arange(dim)
@@ -227,12 +260,20 @@ def _dfs_log_amplitudes(alpha: complex, n: int, added: int, subtracted: int, dim
     m = np.where(valid, m, 0)
     log_fact = log_factorials(dim + subtracted)
     shift = log_fact[j + subtracted] - 0.5 * (log_fact[j] + log_fact[m])
-    return np.where(valid, log_d[m] + shift, -np.inf), np.where(valid, phase_d[m], 0.0)
+    # take() gathers along the basis axis of one row or of a batch alike
+    log_c = np.where(valid, log_d.take(m, axis=-1) + shift, -np.inf)
+    return log_c, np.where(valid, phase_d.take(m, axis=-1), 0.0)
 
 
-def _bare_log_amplitudes(spec: StateSpec, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """(log|b_i|, e^{i arg b_i}) for i < dim of the bare closed-form series of any family.
+def _shape_key(spec: StateSpec) -> tuple:
+    """The fields that set the shape of a family's series; specs that share them share one kernel pass."""
+    return (spec.family, spec.n, spec.added, spec.subtracted, spec.M)
 
+
+def _bare_log_amplitudes(specs: list[StateSpec], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(log|b_i|, e^{i arg b_i}) for i < dim of the bare closed-form series, a row per spec (``_per_spec``).
+
+    The specs share one ``_shape_key``; their alpha, p and chi may differ.
     This is the one transcription of the thesis coefficients c_i = N b_i, with
     N = ``normalization_constant_closed_form(spec)``. The Fock and DFS groups
     read b_i = <i|a^q a†^k D(alpha)|n> from the displaced-Fock kernel (Fock
@@ -243,35 +284,55 @@ def _bare_log_amplitudes(spec: StateSpec, dim: int) -> tuple[np.ndarray, np.ndar
     b_0 = 0 and photon addition maps b_i -> sqrt(i) b_{i-1}. log|b_i| is -inf
     where b_i = 0, except off the kernel's diagonal at alpha = 0: there it is
     about -1e18 |i - n|, finite so ``_grows_at_cut`` stays an argmax, and exp
-    gives 0.0. In log form no term over- or underflows.
+    gives 0.0. In log form no term over- or underflows. The per-spec scalars
+    (log |alpha|, its phase, log p, chi) are Python floats, as in a one-spec
+    call, so each row is bitwise that spec's series alone.
     """
+    spec = specs[0]
     info = spec.info
     base = dim - (info.hole == "added")  # photon addition shifts the series up one
     i = np.arange(base)
     if info.group in ("fock", "dfs"):
-        log_b, phase = _dfs_log_amplitudes(
-            spec.param("alpha"), spec.param("n"), spec.param("added"), spec.param("subtracted"), base
-        )
+        alphas = [s.param("alpha") for s in specs]
+        log_b, phase = _dfs_log_amplitudes(alphas, spec.param("n"), spec.param("added"), spec.param("subtracted"), base)
     elif info.group == "binomial":
         M = spec.M
         log_fact = log_factorials(M + 1)
         k = np.minimum(i, M)
         log_h = 0.5 * (
-            log_fact[M] - log_fact[k] - log_fact[M - k] + _log_pow(spec.p, k) + _log_pow(1.0 - spec.p, M - k)
+            log_fact[M]
+            - log_fact[k]
+            - log_fact[M - k]
+            + _log_pow([s.p for s in specs], k)
+            + _log_pow([1.0 - s.p for s in specs], M - k)
         )
-        log_b, phase = np.where(i <= M, log_h, -np.inf), np.ones(base, dtype=np.complex128)
+        log_b = np.where(i <= M, log_h, -np.inf)
+        phase = np.ones(log_b.shape, dtype=np.complex128)
     else:
-        damped = info.group == "kerr" and info.hole is None
-        log_b = _log_pow(spec.alpha_mag, i) - 0.5 * log_factorials(base) - 0.5 * damped * spec.alpha_mag**2
+        mags = [s.alpha_mag for s in specs]
+        log_b = _log_pow(mags, i) - 0.5 * log_factorials(base)
+        turn = _per_spec([s.alpha_phase for s in specs]) * i
         if info.group == "ecs":
             log_b += np.where(i % 2 == 0, math.log(2.0), -np.inf)
-        phase = np.exp(1j * (spec.alpha_phase * i - spec.param("chi") * i * (i - 1)))
+        else:
+            if info.hole is None:  # plain Kerr carries the coherent damping
+                log_b = log_b - _per_spec([0.5 * mag**2 for mag in mags])
+            turn = turn - _per_spec([s.chi for s in specs]) * i * (i - 1)
+        phase = np.exp(1j * turn)
     if info.hole == "filtered":
-        log_b[0] = -np.inf
+        log_b[..., 0] = -np.inf
     elif info.hole == "added":
-        log_b = np.concatenate(([-np.inf], log_b + 0.5 * np.log(np.arange(1, dim))))
-        phase = np.concatenate(([1.0], phase))
+        log_b = _raised(log_b + 0.5 * np.log(np.arange(1, dim)), -np.inf)
+        phase = _raised(phase, 1.0)
     return log_b, phase
+
+
+def _raised(values: np.ndarray, vacuum: float) -> np.ndarray:
+    """``values`` moved up one term along the basis axis, with ``vacuum`` as the new term 0."""
+    out = np.empty(values.shape[:-1] + (values.shape[-1] + 1,), dtype=values.dtype)
+    out[..., 0] = vacuum
+    out[..., 1:] = values
+    return out
 
 
 def bare_coefficients(spec: StateSpec, dim: int) -> np.ndarray:
@@ -282,7 +343,7 @@ def bare_coefficients(spec: StateSpec, dim: int) -> np.ndarray:
     ``normalization_constant_closed_form`` compare these two quantities. An
     undamped series past the float range overflows to inf here.
     """
-    log_b, phase = _bare_log_amplitudes(spec, dim)
+    log_b, phase = _bare_log_amplitudes([spec], dim)
     with np.errstate(under="ignore", over="ignore"):
         return np.exp(log_b) * phase
 
@@ -325,9 +386,10 @@ def _trim(raw: np.ndarray, policy: TruncationPolicy) -> tuple[np.ndarray, float]
     if total <= 0.0:
         raise AnnihilatedStateError("state has zero norm")
     suffix = np.cumsum(p[::-1])[::-1] / total
-    keep = len(raw)
-    while keep > 1 and suffix[keep - 1] <= policy.tail_tolerance:
-        keep -= 1
+    # keep is one past the last index >= 1 whose suffix mass is not within
+    # tolerance; `~(<=)` counts a NaN suffix as not within it.
+    live = (~(suffix[1:] <= policy.tail_tolerance)).nonzero()[0]
+    keep = int(live[-1]) + 2 if live.size else 1
     tail = float(suffix[keep]) if keep < len(raw) else 0.0
     if keep == policy.max_dim and tail <= policy.tail_tolerance:
         edge = p[keep - 1] / total
@@ -341,41 +403,92 @@ def _trim(raw: np.ndarray, policy: TruncationPolicy) -> tuple[np.ndarray, float]
 def build_state(spec: StateSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> StateVector:
     """Normalized state vector of ``spec`` from its closed-form coefficients.
 
-    The basis size is chosen adaptively so the discarded tail mass stays
-    within ``policy.tail_tolerance``, capped at ``policy.max_dim``. Raises
-    AnnihilatedStateError when subtraction kills the state (e.g. PSDFS with
-    v >= 1 from the vacuum), TruncationOverflowError when max_dim cuts the
-    series before its peak, and ConvergenceError when the coefficients
-    overflow (the undamped ECS series and Kerr hole variants past
-    |alpha|^2 ~ 710).
+    ``build_states`` with one spec. The basis size is chosen adaptively so
+    the discarded tail mass stays within ``policy.tail_tolerance``, capped
+    at ``policy.max_dim``. Raises AnnihilatedStateError when subtraction
+    kills the state (e.g. PSDFS with v >= 1 from the vacuum),
+    TruncationOverflowError when max_dim cuts the series before its peak,
+    and ConvergenceError when the coefficients overflow (the undamped ECS
+    series and Kerr hole variants past |alpha|^2 ~ 710).
     """
-    raw, nrm, _ = _adaptive_bare(spec, policy)
-    if nrm < 1e-12:
-        raise AnnihilatedStateError(f"{spec.family} state vanishes for these parameters")
-    trimmed, tail = _trim(raw, policy)
-    return state_from_amplitudes(trimmed, tail_mass=tail)
+    (state,) = build_states([spec], policy)
+    if isinstance(state, FockLabError):
+        raise state
+    return state
 
 
-def _adaptive_bare(spec: StateSpec, policy: TruncationPolicy) -> tuple[np.ndarray, float, float]:
+def build_states(
+    specs: list[StateSpec], policy: TruncationPolicy = DEFAULT_POLICY
+) -> list[StateVector | FockLabError]:
+    """For each spec in order, its ``build_state`` vector or the FockLabError that call raises.
+
+    Specs that share family, n, added, subtracted and M (the points of a
+    sweep over alpha, p or chi) share one pass of the series kernel at the
+    widest of their initial bases; each row then runs its own doubling,
+    guards, trim and normalization on a slice of its own length, so every
+    state is bitwise the one ``build_state`` gives. Memory grows with the
+    batch: callers with many specs pass them a chunk at a time.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for index, spec in enumerate(specs):
+        groups.setdefault(_shape_key(spec), []).append(index)
+    results: list = [None] * len(specs)
+    for indices in groups.values():
+        group = [specs[index] for index in indices]
+        dims = [_initial_dim(spec, policy) for spec in group]
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # as in _adaptive_bare
+                log_b, phase = _bare_log_amplitudes(group, max(dims))
+        except FockLabError:  # the log-factorials run out: let each spec fail on its own basis
+            rows = itertools.repeat(None)
+        else:
+            rows = zip(log_b.reshape(len(group), -1), phase.reshape(len(group), -1))
+        for index, spec, dim, series in zip(indices, group, dims, rows):
+            results[index] = _build_row(spec, policy, dim, series)
+    return results
+
+
+def _build_row(spec: StateSpec, policy: TruncationPolicy, dim: int, series: tuple | None) -> StateVector | FockLabError:
+    """``build_state`` of one spec from its (log|b_i|, phase) rows, at least ``dim`` terms long (or None)."""
+    try:
+        raw, nrm, _ = _adaptive_bare(spec, policy, dim, series)
+        if nrm < 1e-12:
+            raise AnnihilatedStateError(f"{spec.family} state vanishes for these parameters")
+        trimmed, tail = _trim(raw, policy)
+        return state_from_amplitudes(trimmed, tail_mass=tail)
+    except FockLabError as exc:
+        return exc
+
+
+def _adaptive_bare(
+    spec: StateSpec, policy: TruncationPolicy, dim: int | None = None, series: tuple | None = None
+) -> tuple[np.ndarray, float, float]:
     """``bare_coefficients`` on an adaptive basis, with its norm and edge occupation.
 
-    The basis starts at ``_initial_dim`` and doubles until the last
-    coefficient holds at most tail_tolerance * 1e-4 of the squared norm, or
-    reaches max_dim; a Fock or binomial family is built whole at once (up
-    to max_dim). Raises ConvergenceError when the squared norm leaves the
-    float range, TruncationOverflowError when max_dim cuts the series while it
-    still grows, and AnnihilatedStateError when the norm is below 1e-150.
+    The basis starts at ``dim`` (default ``_initial_dim``) and doubles until
+    the last coefficient holds at most tail_tolerance * 1e-4 of the squared
+    norm, or reaches max_dim; a Fock or binomial family is built whole at
+    once (up to max_dim). Each basis exponentiates a prefix of ``series``,
+    the spec's (log|b_i|, phase) pair, where that is long enough, else of a
+    fresh ``_bare_log_amplitudes``. Raises ConvergenceError when the squared
+    norm leaves the float range, TruncationOverflowError when max_dim cuts
+    the series while it still grows, and AnnihilatedStateError when the norm
+    is below 1e-150.
     """
-    dim = _initial_dim(spec, policy)
+    if dim is None:
+        dim = _initial_dim(spec, policy)
+    support = _support(spec)
     while True:
         # The bare series of the undamped families reaches e^{|alpha|^2/2}; refuse
         # before its squared norm (or an amplitude) leaves the float range.
-        with np.errstate(over="ignore", invalid="ignore"):
-            raw = bare_coefficients(spec, dim)
+        with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+            if series is None or len(series[0]) < dim:
+                series = _bare_log_amplitudes([spec], dim)
+            log_b, phase = series
+            raw = np.exp(log_b[:dim]) * phase[:dim]
             nrm = float(np.linalg.norm(raw))
         if not math.isfinite(nrm * nrm):
             raise ConvergenceError(f"{spec.family} bare series norm leaves the float range at {spec}")
-        support = _support(spec)
         if dim >= policy.max_dim and (support is None or support > dim) and _grows_at_cut(spec, dim):
             raise TruncationOverflowError(
                 f"{spec.family} bare series still grows where max_dim={policy.max_dim} cuts it at {spec}"
@@ -396,7 +509,7 @@ def _grows_at_cut(spec: StateSpec, dim: int) -> bool:
     ECS series is live on every other term): the series grows at the cut
     when it has not started by then or peaks past the cut.
     """
-    log_b, _ = _bare_log_amplitudes(spec, dim + 2)
+    log_b, _ = _bare_log_amplitudes([spec], dim + 2)
     peak = int(np.argmax(log_b))
     return peak >= dim or log_b[peak] == -np.inf
 
@@ -405,7 +518,7 @@ def displacement_coefficients(alpha: complex, n: int, dim: int) -> np.ndarray:
     """Exact Fock coefficients <m|D(alpha)|n>, m < dim, in Laguerre form; no renormalization applied."""
     if n < 0:
         raise InvalidParameterError("n must be >= 0")
-    log_d, phase = _displaced_fock(alpha, n, dim)
+    log_d, phase = _displaced_fock([alpha], n, dim)
     with np.errstate(under="ignore"):
         return np.exp(log_d) * phase
 
@@ -570,7 +683,7 @@ def ladder_log_amplitudes(spec: StateSpec) -> tuple[np.ndarray, np.ndarray]:
     else:
         lam, n = spec.alpha_mag**2, spec.param("n")
         cut = int(lam + n + 14.0 * math.sqrt((lam + 1.0) * (2 * n + 1)) + 24) + spec.param("added")
-    log_c, phase = _bare_log_amplitudes(spec, cut + (info.hole == "added"))
+    log_c, phase = _bare_log_amplitudes([spec], cut + (info.hole == "added"))
     if constant is None:  # no printed N, or nothing left to normalize
         with np.errstate(over="ignore"):
             norm_sq = float(np.sum(np.exp(2.0 * log_c)))

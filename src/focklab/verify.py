@@ -241,8 +241,8 @@ def check_limiting_cases(rng: np.random.Generator, n_points: int = 24) -> CheckR
             )
         )
     for spec in seeds:
+        a = build_state(spec, policy)
         for reduced in limiting_cases(spec):
-            a = build_state(spec, policy)
             b = build_state(reduced, policy)
             worst = max(worst, state_distance(a, b))
             count += 1

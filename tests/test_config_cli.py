@@ -15,8 +15,11 @@ from focklab.config import (
     parse_flat_config,
     sweep_config_from_text,
 )
+from focklab import harness
 from focklab.exceptions import ConfigError
 from focklab.harness import dump_state, parse_quantity, run_sweep
+from focklab.phase import barnett_pegg_fluctuations
+from focklab.states import build_state
 
 
 def read_csv(path):
@@ -100,6 +103,36 @@ output = {out}
     assert len(rows) == 7
     for row in rows[1:]:
         assert float(row[1]) == pytest.approx(0.5, abs=1e-8)
+
+
+def test_fluctuation_columns_share_one_triple_per_point(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(state):
+        calls.append(state)
+        return barnett_pegg_fluctuations(state)
+
+    monkeypatch.setattr(harness, "barnett_pegg_fluctuations", counted)
+    out = tmp_path / "usq.csv"
+    text = f"""
+state.family = PADFS
+state.n = 1
+state.added = 1
+state.alpha.phase = 0.4
+sweep.param = alpha.mag
+sweep.start = 0.5
+sweep.stop = 3.0
+sweep.steps = 6
+quantities = fluctuation_u, mean_photon, fluctuation_s, fluctuation_q
+output = {out}
+"""
+    config = sweep_config_from_text(text)
+    run_sweep(config)
+    rows = read_csv(out)
+    assert len(calls) == 6
+    for row in rows[1:]:
+        triple = barnett_pegg_fluctuations(build_state(config.spec_at((float(row[0]),)), config.truncation))
+        assert [row[1], row[3], row[4]] == [repr(triple.u), repr(triple.s), repr(triple.q)]
 
 
 def test_subtracted_coherent_antibunching_sweep(tmp_path):

@@ -43,6 +43,13 @@ def test_make_fock_basis_vector():
     assert np.allclose(s.amplitudes, [0, 0, 1, 0])
 
 
+def test_state_vectors_compare_and_hash_by_identity():
+    a, b = make_fock(1, 4), make_fock(1, 4)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+    assert a.overlap(b) == 1.0
+
+
 def test_make_fock_out_of_range():
     with pytest.raises(DimensionError):
         make_fock(4, 4)

@@ -1,6 +1,8 @@
 """Every shipped figure-reproduction config runs end-to-end within budget."""
 
 import csv
+import io
+import itertools
 import math
 import time
 from pathlib import Path
@@ -9,7 +11,10 @@ import numpy as np
 import pytest
 
 from focklab.cli import main
-from focklab.config import dump_config_from_text
+from focklab.config import dump_config_from_text, sweep_config_from_text
+from focklab.exceptions import FockLabError
+from focklab.harness import _UNDEFINED, parse_quantity
+from focklab.states import build_state
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 SWEEPS = sorted(p for p in CONFIG_DIR.glob("*.cfg") if "dump" not in p.name and "angular" not in p.name)
@@ -39,6 +44,40 @@ def test_shipped_sweep_config_runs_under_budget(config, tmp_path):
     assert len(rows) >= 2
     assert rows[0][-1] == "error"
     assert all(row[-1] == "" for row in rows[1:])
+
+
+def _reference_sweep_csv(config) -> str:
+    """The sweep's CSV written one point at a time with build_state and the quantity registry."""
+    resolved = [parse_quantity(token) for token in config.quantities]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([axis.param for axis in config.axes] + [label for _, _, label in resolved] + ["error"])
+    for point in itertools.product(*(axis.values() for axis in config.axes)):
+        cells, error = [], ""
+        try:
+            state = build_state(config.spec_at(point), config.truncation)
+        except FockLabError as exc:
+            cells, error = [""] * len(resolved), f"{type(exc).__name__}: {exc}"
+        else:
+            for quantity, arg, _ in resolved:
+                try:
+                    value = quantity.evaluate(state, arg)
+                except _UNDEFINED:
+                    value = None
+                except FockLabError as exc:
+                    value, error = None, f"{type(exc).__name__}: {exc}"
+                cells.append("" if value is None else repr(float(value)))
+        writer.writerow([repr(float(v)) for v in point] + cells + [error])
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("config", SWEEPS, ids=lambda p: p.stem)
+def test_shipped_sweep_csv_is_the_per_point_reference(config, tmp_path):
+    rewritten = _rewritten(config, tmp_path)
+    assert main(["sweep", str(rewritten)]) == 0
+    sweep = sweep_config_from_text(rewritten.read_text())
+    with open(sweep.output_path, newline="") as handle:
+        assert handle.read() == _reference_sweep_csv(sweep)
 
 
 @pytest.mark.parametrize("config", DUMPS, ids=lambda p: p.stem)

@@ -4,11 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from focklab.core import TruncationPolicy, apply_annihilate, apply_create
 from focklab.exceptions import (
     AnnihilatedStateError,
     ConvergenceError,
+    FockLabError,
     InvalidParameterError,
     TruncationOverflowError,
 )
@@ -20,6 +23,7 @@ from focklab.states import (
     bare_coefficients,
     build_by_composition,
     build_state,
+    build_states,
     displacement_coefficients,
     ladder_log_amplitudes,
     limiting_cases,
@@ -27,6 +31,7 @@ from focklab.states import (
     normalization_constant_closed_form,
     state_distance,
 )
+from focklab.states import _initial_dim
 from focklab.verify import _random_spec as random_spec
 
 POLICY = TruncationPolicy(max_dim=512, tail_tolerance=1e-14)
@@ -181,6 +186,80 @@ def test_ecs_just_inside_float_range_builds():
     assert s.norm == pytest.approx(1.0, abs=1e-12)
 
 
+# --- batched builds ------------------------------------------------------------
+
+
+def _outcome(result):
+    """A build's result as comparable data: the state's bytes, dim and tail, or the error's class and message."""
+    if isinstance(result, FockLabError):
+        return type(result), str(result)
+    return result.amplitudes.tobytes(), result.dim, result.tail_mass
+
+
+def _built_alone(spec, policy):
+    try:
+        return build_state(spec, policy)
+    except FockLabError as exc:
+        return exc
+
+
+def _assert_batch_is_per_spec(specs, policy):
+    batch = build_states(specs, policy)
+    assert [_outcome(r) for r in batch] == [_outcome(_built_alone(s, policy)) for s in specs]
+    return batch
+
+
+_SHAPE = st.fixed_dictionaries(
+    {"n": st.integers(0, 3), "added": st.integers(0, 2), "subtracted": st.integers(0, 2), "M": st.integers(0, 12)}
+)
+_POINT = st.tuples(st.floats(0.0, 6.0), st.floats(-math.pi, math.pi), st.floats(0.0, 1.0), st.floats(-1.0, 1.0))
+
+
+@st.composite
+def _batches(draw):
+    """Specs of a few families, several points sharing each family's shape fields, in shuffled order."""
+    group = st.tuples(st.sampled_from(FAMILIES), _SHAPE, st.lists(_POINT, min_size=1, max_size=5))
+    groups = draw(st.lists(group, min_size=1, max_size=4))
+    specs = [
+        StateSpec(family, alpha=mag * cmath.exp(1j * phase), p=p, chi=chi, **shape)
+        for family, shape, points in groups
+        for mag, phase, p, chi in points
+    ]
+    return draw(st.permutations(specs))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    specs=_batches(),
+    policy=st.sampled_from([TruncationPolicy(), TruncationPolicy(512, 1e-16), TruncationPolicy(24, 1e-12)]),
+)
+def test_batch_builds_each_spec_as_it_builds_alone(specs, policy):
+    _assert_batch_is_per_spec(specs, policy)
+
+
+def test_batch_covers_doubling_annihilation_overflow_and_convergence():
+    # At tail 1e-300 the coherent series at |alpha| = 1 and 3 outgrows its
+    # initial basis and doubles; its |alpha| = 0.2 neighbour does not.
+    deep = TruncationPolicy(512, 1e-300)
+    doubling = [StateSpec("Coherent", alpha=a) for a in (0.2, 1.0, 3.0j)]
+    batch = _assert_batch_is_per_spec(doubling, deep)
+    assert batch[2].dim > _initial_dim(doubling[2], deep)
+    # PSDFS from the vacuum at alpha = 0 is annihilated between two live points.
+    psdfs = [StateSpec("PSDFS", alpha=a, n=0, subtracted=1) for a in (0.7, 0, 1.5j)]
+    batch = _assert_batch_is_per_spec(psdfs, POLICY)
+    assert [type(r) for r in batch] == [type(batch[0]), AnnihilatedStateError, type(batch[0])]
+    # max_dim = 24 cuts the |alpha| = 5 coherent series while it still grows.
+    small = [StateSpec("Coherent", alpha=a) for a in (1.0, 5.0)]
+    assert isinstance(_assert_batch_is_per_spec(small, TruncationPolicy(24))[1], TruncationOverflowError)
+    # An integer chi is stored as a float: as an int64 its Kerr phase chi i (i - 1)
+    # would wrap from i = 4 here, alone but not beside a float coupling.
+    kerr = [StateSpec("Kerr", alpha=1.3, chi=chi) for chi in (10**18, 0.2)]
+    _assert_batch_is_per_spec(kerr, POLICY)
+    # The undamped ECS series past |alpha|^2 = 1416 leaves the float range.
+    ecs = [StateSpec("ECS", alpha=a) for a in (1.0, math.sqrt(1500.0))]
+    assert isinstance(_assert_batch_is_per_spec(ecs, TruncationPolicy(4096))[1], ConvergenceError)
+
+
 _LADDER_SPECS = [
     *[StateSpec(f, alpha=a) for f in ("ECS", "VFECS", "PAECS") for a in (0.3, 1.7 * cmath.exp(0.4j), 6.0j)],
     *[
@@ -229,6 +308,12 @@ def test_unknown_family_rejected():
 )
 def test_non_finite_parameters_rejected(kwargs):
     with pytest.raises(InvalidParameterError, match="must be finite"):
+        StateSpec(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [{"family": "Kerr", "alpha": 1.0, "chi": 0.1j}, {"family": "Binomial", "p": "0.5", "M": 3}])
+def test_non_real_couplings_rejected(kwargs):
+    with pytest.raises(InvalidParameterError, match="must be a real number"):
         StateSpec(**kwargs)
 
 
