@@ -125,7 +125,7 @@ def state_from_amplitudes(
     amps = np.asarray(amps, dtype=np.complex128)
     with np.errstate(over="ignore"):
         nrm = np.linalg.norm(amps)
-    if not np.isfinite(nrm):
+    if not math.isfinite(nrm):
         raise ConvergenceError("amplitude vector norm leaves the float range")
     if nrm < _ANNIHILATION_TOL:
         raise AnnihilatedStateError("amplitude vector has (numerically) zero norm")

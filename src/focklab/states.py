@@ -20,7 +20,6 @@ coherent), Binomial, Kerr, plus the hole-burnt variants VFECS/VFBS/VFKS
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import numbers
 import operator
@@ -434,21 +433,27 @@ def build_states(
         groups.setdefault(_shape_key(spec), []).append(index)
     results: list = [None] * len(specs)
     for indices in groups.values():
-        group = [specs[index] for index in indices]
-        dims = [_initial_dim(spec, policy) for spec in group]
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):  # as in _adaptive_bare
-                log_b, phase = _bare_log_amplitudes(group, max(dims))
-        except FockLabError:  # the log-factorials run out: let each spec fail on its own basis
-            rows = itertools.repeat(None)
-        else:
-            rows = zip(log_b.reshape(len(group), -1), phase.reshape(len(group), -1))
-        for index, spec, dim, series in zip(indices, group, dims, rows):
-            results[index] = _build_row(spec, policy, dim, series)
+        for index, result in zip(indices, _build_group([specs[index] for index in indices], policy)):
+            results[index] = result
     return results
 
 
-def _build_row(spec: StateSpec, policy: TruncationPolicy, dim: int, series: tuple | None) -> StateVector | FockLabError:
+def _build_group(group: list[StateSpec], policy: TruncationPolicy) -> list[StateVector | FockLabError]:
+    """``build_states`` of specs that share one ``_shape_key``."""
+    if len(group) == 1:  # nothing to share: the row computes its own series
+        return [_build_row(group[0], policy)]
+    dims = [_initial_dim(spec, policy) for spec in group]
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # as in _adaptive_bare
+            log_b, phase = _bare_log_amplitudes(group, max(dims))
+    except FockLabError:  # the log-factorials run out: let each spec fail on its own basis
+        return [_build_row(spec, policy) for spec in group]
+    return [_build_row(spec, policy, dim, series) for spec, dim, series in zip(group, dims, zip(log_b, phase))]
+
+
+def _build_row(
+    spec: StateSpec, policy: TruncationPolicy, dim: int | None = None, series: tuple | None = None
+) -> StateVector | FockLabError:
     """``build_state`` of one spec from its (log|b_i|, phase) rows, at least ``dim`` terms long (or None)."""
     try:
         raw, nrm, _ = _adaptive_bare(spec, policy, dim, series)

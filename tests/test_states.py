@@ -237,7 +237,7 @@ def test_batch_builds_each_spec_as_it_builds_alone(specs, policy):
     _assert_batch_is_per_spec(specs, policy)
 
 
-def test_batch_covers_doubling_annihilation_overflow_and_convergence():
+def test_batch_matches_per_spec_builds_at_the_edges():
     # At tail 1e-300 the coherent series at |alpha| = 1 and 3 outgrows its
     # initial basis and doubles; its |alpha| = 0.2 neighbour does not.
     deep = TruncationPolicy(512, 1e-300)
@@ -255,6 +255,9 @@ def test_batch_covers_doubling_annihilation_overflow_and_convergence():
     # would wrap from i = 4 here, alone but not beside a float coupling.
     kerr = [StateSpec("Kerr", alpha=1.3, chi=chi) for chi in (10**18, 0.2)]
     _assert_batch_is_per_spec(kerr, POLICY)
+    # n past the log-factorial table fails each spec of the group, not the batch.
+    past_table = [StateSpec("DFS", alpha=a, n=2**22) for a in (0.5, 1.0)]
+    assert all(isinstance(r, ConvergenceError) for r in _assert_batch_is_per_spec(past_table, TruncationPolicy(8)))
     # The undamped ECS series past |alpha|^2 = 1416 leaves the float range.
     ecs = [StateSpec("ECS", alpha=a) for a in (1.0, math.sqrt(1500.0))]
     assert isinstance(_assert_batch_is_per_spec(ecs, TruncationPolicy(4096))[1], ConvergenceError)
