@@ -385,10 +385,12 @@ def _trim(raw: np.ndarray, policy: TruncationPolicy) -> tuple[np.ndarray, float]
     if total <= 0.0:
         raise AnnihilatedStateError("state has zero norm")
     suffix = np.cumsum(p[::-1])[::-1] / total
-    # keep is one past the last index >= 1 whose suffix mass is not within
-    # tolerance; `~(<=)` counts a NaN suffix as not within it.
-    live = (~(suffix[1:] <= policy.tail_tolerance)).nonzero()[0]
-    keep = int(live[-1]) + 2 if live.size else 1
+    keep = len(raw)
+    if keep > 1 and suffix[-1] <= policy.tail_tolerance:
+        # keep is one past the last index >= 1 whose suffix mass is not within
+        # tolerance; `~(<=)` counts a NaN suffix as not within it.
+        live = (~(suffix[1:] <= policy.tail_tolerance)).nonzero()[0]
+        keep = int(live[-1]) + 2 if live.size else 1
     tail = float(suffix[keep]) if keep < len(raw) else 0.0
     if keep == policy.max_dim and tail <= policy.tail_tolerance:
         edge = p[keep - 1] / total
@@ -410,7 +412,7 @@ def build_state(spec: StateSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> S
     and ConvergenceError when the coefficients overflow (the undamped ECS
     series and Kerr hole variants past |alpha|^2 ~ 710).
     """
-    (state,) = build_states([spec], policy)
+    (state,) = _build_group([spec], policy)
     if isinstance(state, FockLabError):
         raise state
     return state
