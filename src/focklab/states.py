@@ -146,6 +146,10 @@ class StateSpec:
         for attr, value in (("alpha", self.alpha), ("p", self.p), ("chi", self.chi)):
             if not cmath.isfinite(value):
                 raise InvalidParameterError(f"{attr} must be finite, got {value}")
+        # Every alpha-reading series starts from |alpha|^2; hypot, unlike abs, returns inf rather than raise.
+        mag = math.hypot(self.alpha.real, self.alpha.imag)
+        if "alpha" in self.info.fields and mag * mag == math.inf:
+            raise InvalidParameterError(f"|alpha| = {mag} is too large: |alpha|^2 leaves the float range")
         if "p" in self.info.fields and not 0.0 <= self.p <= 1.0:
             raise InvalidParameterError(f"binomial probability p={self.p} not in [0, 1]")
 
@@ -605,67 +609,69 @@ def normalization_constant(spec: StateSpec, policy: TruncationPolicy = DEFAULT_P
     return 1.0 / nrm
 
 
-def _subtracted_norm_sq(lam: float, n: int, q: int) -> float:
-    """||a^q D(alpha)|n>||^2 = sum_i C(q, i)^2 lam^(q-i) n!/(n-i)!, with lam = |alpha|^2.
+def _dfs_norm_sq(lam: float, n: int, k: int, q: int) -> float:
+    """||a^q a†^k D(alpha)|n>||^2 with lam = |alpha|^2, a finite sum of squares of positive sums.
 
-    D†(alpha) a D(alpha) = a + alpha, and the terms of (a + alpha)^q|n> lie
-    on distinct Fock states, so every term of the sum is positive.
+    a^q a†^k D(alpha) = D(alpha) (a + alpha)^q (a† + alpha*)^k, and each term
+    C(k, i) C(q, j) alpha*^(k-i) alpha^(q-j) a^j a†^i |n> that lands on
+    |n + i - j> carries the same phase e^{i arg(alpha) (q - k + i - j)}, so
+    every Fock component is a sum of positive terms and nothing cancels at
+    any |alpha|. k = q = 0 gives exactly 1.0.
     """
-    return math.fsum(math.comb(q, i) ** 2 * lam ** (q - i) * math.perm(n, i) for i in range(min(q, n) + 1))
+    components = [0.0] * (k + q + 1)  # the amplitude on |n + i - j> sits at i - j + q
+    for i in range(k + 1):
+        for j in range(min(q, n + i) + 1):
+            term = math.comb(k, i) * math.comb(q, j) * lam ** ((k - i + q - j) / 2)
+            components[i - j + q] += term * math.sqrt(math.perm(n + i, i) * math.perm(n + i, j))
+    return math.fsum(c * c for c in components)
 
 
-# 1/N^2, the squared norm of the bare series, as (lam, spec) -> float for each
-# family whose N is not 1, in forms that neither cancel at small |alpha| or p
-# nor overflow before 1/N^2 itself does. PSDFS and PADFS are finite sums of
-# positive terms, the latter through a^k a†^k = sum_r r! C(k, r)^2 a†^(k-r) a^(k-r);
-# 4 (cosh lam - 1) = 8 sinh^2(lam/2), e^lam - 1 = expm1(lam) and
-# 1 - (1-p)^M = -expm1(M log1p(-p)).
+# 1/N^2, the squared norm of the bare series, as (lam, spec) -> float per
+# (group, hole), in forms that neither cancel at small |alpha| or p nor
+# overflow before 1/N^2 itself does: 4 (cosh lam - 1) = 8 sinh^2(lam/2),
+# e^lam - 1 = expm1(lam) and 1 - (1-p)^M = -expm1(M log1p(-p)). Plain ECS
+# writes N itself; every other (group, hole) not listed has N = 1.
 _NORM_SQ = {
-    "PADFS": lambda lam, s: math.fsum(
-        math.factorial(r) * math.comb(s.added, r) ** 2 * _subtracted_norm_sq(lam, s.n, s.added - r)
-        for r in range(s.added + 1)
-    ),
-    "PSDFS": lambda lam, s: _subtracted_norm_sq(lam, s.n, s.subtracted),
-    "VFECS": lambda lam, s: 8.0 * math.sinh(0.5 * lam) ** 2,
-    "PAECS": lambda lam, s: 4.0 * (math.cosh(lam) + lam * math.sinh(lam)),
-    "VFKS": lambda lam, s: math.expm1(lam),
-    "PAKS": lambda lam, s: math.exp(lam) * (1.0 + lam),
-    "VFBS": lambda lam, s: -math.expm1(s.M * math.log1p(-s.p)) if s.p < 1.0 else float(s.M > 0),
-    "PABS": lambda lam, s: 1.0 + s.M * s.p,
+    ("dfs", None): lambda lam, s: _dfs_norm_sq(lam, s.param("n"), s.param("added"), s.param("subtracted")),
+    ("ecs", "filtered"): lambda lam, s: 8.0 * math.sinh(0.5 * lam) ** 2,
+    ("ecs", "added"): lambda lam, s: 4.0 * (math.cosh(lam) + lam * math.sinh(lam)),
+    ("kerr", "filtered"): lambda lam, s: math.expm1(lam),
+    ("kerr", "added"): lambda lam, s: math.exp(lam) * (1.0 + lam),
+    ("binomial", "filtered"): lambda lam, s: -math.expm1(s.M * math.log1p(-s.p)) if s.p < 1.0 else float(s.M > 0),
+    ("binomial", "added"): lambda lam, s: 1.0 + s.M * s.p,
 }
 
 
-def normalization_constant_closed_form(spec: StateSpec) -> float | None:
+def normalization_constant_closed_form(spec: StateSpec) -> float:
     """The analytic normalization constant N of ``bare_coefficients(spec)``.
 
     This is the one place a family's N is written; the moment and entropy
-    series take theirs from here. Returns None where the thesis prints none
-    that survives scrutiny (PASDFS, whose normalization is always derived
-    numerically) or where filtration or subtraction leaves nothing to
-    normalize (e.g. alpha = 0 vacuum-filtered states). Raises
+    series take theirs from here. The whole displaced-Fock group (Coherent,
+    DFS, PADFS, PSDFS and PASDFS) reads one finite sum, ``_dfs_norm_sq``;
+    Fock and the plain Kerr and binomial series are normalized as written.
+    Raises AnnihilatedStateError where filtration or subtraction leaves
+    nothing to normalize (1/N^2 = 0, e.g. the vacuum-filtered vacuum), and
     ConvergenceError where 1/N^2 overflows or goes subnormal, or N itself
     goes subnormal (ECS past |alpha|^2 ~ 1416).
     """
-    fam = spec.family
-    lam = spec.alpha_mag**2
-    if fam in ("Fock", "Coherent", "DFS", "Binomial", "Kerr"):
-        return 1.0  # bare series is normalized as written
-    if fam == "PASDFS":
-        return None
-    if fam == "ECS":
+    key = (spec.info.group, spec.info.hole)
+    lam = abs(spec.param("alpha")) ** 2
+    if key == ("ecs", None):
         constant = math.exp(-0.5 * lam) / math.sqrt(2.0 * (1.0 + math.exp(-2.0 * lam)))
         if constant >= sys.float_info.min:
             return constant
+    elif key not in _NORM_SQ:
+        return 1.0
     else:
         try:
-            norm_sq = _NORM_SQ[fam](lam, spec)
+            norm_sq = _NORM_SQ[key](lam, spec)
         except OverflowError:
             norm_sq = math.inf
         if norm_sq == 0.0:
-            return None
+            raise AnnihilatedStateError(f"{spec.family} is empty for these parameters")
         if sys.float_info.min <= norm_sq < math.inf:
             return norm_sq**-0.5
-    raise ConvergenceError(f"{fam} normalization leaves the float range at {spec}")
+    raise ConvergenceError(f"{spec.family} normalization leaves the float range at {spec}")
 
 
 def ladder_log_amplitudes(spec: StateSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -673,32 +679,24 @@ def ladder_log_amplitudes(spec: StateSpec) -> tuple[np.ndarray, np.ndarray]:
 
     c_i = N b_i over the bare series of ``_bare_log_amplitudes``, the same
     one ``build_state`` exponentiates, with N from
-    ``normalization_constant_closed_form``; where no N is printed (PASDFS)
-    the ladder divides by its own squared sum. The closed forms (moments,
+    ``normalization_constant_closed_form``. The closed forms (moments,
     entropy, phase, Q) sum over this ladder without a state vector:
     ``build_by_composition`` checks its coefficients and each operator oracle
     checks its sum. The ladder runs to M + 1 (binomial) or
     |alpha|^2 + n + 14 sqrt((|alpha|^2 + 1)(2n + 1)) + 24 terms, one more per
-    added photon; log|c_i| is -inf where c_i = 0. Raises
-    AnnihilatedStateError for an empty state, and ConvergenceError where N
-    does or the ladder needs more log-factorials than ``core`` serves.
+    added photon; log|c_i| is -inf where c_i = 0. Raises what N raises
+    (AnnihilatedStateError for an empty state, ConvergenceError out of the
+    float range), and ConvergenceError where the ladder needs more
+    log-factorials than ``core`` serves.
     """
     info = spec.info
     constant = normalization_constant_closed_form(spec)
     if info.group == "binomial":
         cut = spec.M + 1
     else:
-        lam, n = spec.alpha_mag**2, spec.param("n")
+        lam, n = abs(spec.param("alpha")) ** 2, spec.param("n")
         cut = int(lam + n + 14.0 * math.sqrt((lam + 1.0) * (2 * n + 1)) + 24) + spec.param("added")
     log_c, phase = _bare_log_amplitudes([spec], cut + (info.hole == "added"))
-    if constant is None:  # no printed N, or nothing left to normalize
-        with np.errstate(over="ignore"):
-            norm_sq = float(np.sum(np.exp(2.0 * log_c)))
-        if norm_sq < 1e-250:
-            raise AnnihilatedStateError(f"{spec.family} is empty for these parameters")
-        if norm_sq == math.inf:
-            raise ConvergenceError(f"{spec.family} ladder norm leaves the float range at {spec}")
-        constant = norm_sq**-0.5
     return log_c + math.log(constant), phase
 
 

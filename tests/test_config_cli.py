@@ -173,6 +173,25 @@ output = {out}
     assert rows[2][2] == "" and float(rows[2][1]) > 0
 
 
+def test_sweep_to_an_alpha_whose_square_overflows_writes_error_rows(tmp_path):
+    out = tmp_path / "huge.csv"
+    text = f"""
+state.family = Coherent
+sweep.param = alpha.mag
+sweep.start = 0.0
+sweep.stop = 1e200
+sweep.steps = 3
+quantities = mean_photon
+output = {out}
+"""
+    run_sweep(sweep_config_from_text(text))
+    rows = read_csv(out)
+    assert len(rows) == 4
+    assert rows[1][1:] == ["0.0", ""]
+    for row in rows[2:]:
+        assert row[1] == "" and row[2].startswith("InvalidParameterError: |alpha|")
+
+
 def test_undefined_witness_gives_empty_cell(tmp_path):
     out = tmp_path / "undef.csv"
     text = f"""

@@ -124,6 +124,12 @@ def test_numeric_constant_refuses_a_series_cut_by_max_dim():
             StateSpec("PADFS", alpha=30.0, n=3, added=3), 758322120, Fraction(5854855056, 6319351), id="PADFS-3"
         ),
         pytest.param(StateSpec("PSDFS", alpha=30.0, n=1, subtracted=1), 901, Fraction(813600, 901), id="PSDFS-1"),
+        pytest.param(
+            StateSpec("PASDFS", alpha=30.0, n=1, added=1, subtracted=1),
+            902**2 + 30**2 + 2 * 30**2,
+            900 + Fraction(817204 + 60 * 81180, 816304),
+            id="PASDFS-1",
+        ),
     ],
 )
 def test_cancelled_dfs_norm_series_is_not_an_empty_state(spec, inv_norm_sq, mean):
@@ -131,15 +137,23 @@ def test_cancelled_dfs_norm_series_is_not_an_empty_state(spec, inv_norm_sq, mean
     # underflows. With lam = 900 the exact values are 1/N^2 = <a^k a†^k>
     # (PADFS) or <a†^q a^q> (PSDFS) on D(alpha)|n>, and <a†a> =
     # <a^(k+1) a†^(k+1)> / <a^k a†^k> - 1 or <a†^(q+1) a^(q+1)> / <a†^q a^q>.
+    # PASDFS n = k = q = 1 is D(alpha) psi with psi = (a + 30)(a† + 30)|1> =
+    # 30|0> + 902|1> + 30 sqrt(2)|2>, so 1/N^2 = |psi|^2 and
+    # <a†a> = 900 + (<psi|a†a|psi> + 60 Re <psi|a|psi>) / |psi|^2.
     assert normalization_constant_closed_form(spec) ** -2 == pytest.approx(inv_norm_sq, rel=1e-12)
     assert moment_series(spec, 1, 1) == pytest.approx(float(mean), rel=1e-10)
 
 
 def test_subtraction_past_a_fock_state_is_empty():
-    spec = StateSpec("PSDFS", alpha=0, n=1, subtracted=2)
-    assert normalization_constant_closed_form(spec) is None
-    with pytest.raises(AnnihilatedStateError):
-        moment_series(spec, 1, 1)
+    # At alpha = 0, a^q a†^k |n> is empty once q > n + k.
+    for spec in (StateSpec("PSDFS", alpha=0, n=1, subtracted=2), StateSpec("PASDFS", alpha=0, added=1, subtracted=2)):
+        with pytest.raises(AnnihilatedStateError):
+            normalization_constant_closed_form(spec)
+        with pytest.raises(AnnihilatedStateError):
+            normalization_constant(spec)
+        with pytest.raises(AnnihilatedStateError):
+            moment_series(spec, 1, 1)
+    assert normalization_constant_closed_form(StateSpec("PASDFS", alpha=0, added=1, subtracted=1)) == 1.0
 
 
 def _or_none(evaluate):

@@ -314,6 +314,27 @@ def test_non_finite_parameters_rejected(kwargs):
         StateSpec(**kwargs)
 
 
+ALPHA_FAMILIES = [name for name in FAMILIES if "alpha" in StateSpec(name).info.fields]
+
+
+@pytest.mark.parametrize("alpha", [1.35e154, 1e200, 1e308 + 1e308j])
+def test_alpha_whose_square_overflows_is_refused(alpha):
+    # |alpha|^2 past the float maximum would end the basis guess, N and the
+    # ladder in a bare OverflowError; a family that ignores alpha still builds.
+    for family in ALPHA_FAMILIES:
+        with pytest.raises(InvalidParameterError, match="too large"):
+            StateSpec(family, alpha=alpha)
+    fock = StateSpec("Fock", alpha=alpha, n=1)
+    assert build_state(fock).amplitudes.tolist() == [0.0, 1.0]
+    assert moment_series(fock, 1, 1) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_largest_accepted_alpha_fails_with_a_focklab_error():
+    for family in ALPHA_FAMILIES:
+        with pytest.raises(FockLabError):
+            build_state(StateSpec(family, alpha=1.34e154j, n=2, added=1, subtracted=1, chi=0.1))
+
+
 @pytest.mark.parametrize("kwargs", [{"family": "Kerr", "alpha": 1.0, "chi": 0.1j}, {"family": "Binomial", "p": "0.5", "M": 3}])
 def test_non_real_couplings_rejected(kwargs):
     with pytest.raises(InvalidParameterError, match="must be a real number"):
@@ -422,18 +443,21 @@ def test_normalization_closed_forms(family, rng):
     for _ in range(6):
         spec = random_spec(rng, family)
         closed = normalization_constant_closed_form(spec)
-        if closed is None:  # PASDFS normalization is derived numerically only
-            assert family == "PASDFS"
-            continue
         numeric = normalization_constant(spec)
         assert numeric == pytest.approx(closed, rel=1e-9)
 
 
-def test_pasdfs_normalization_is_numeric_only():
-    spec = StateSpec("PASDFS", alpha=1.0, n=1, added=2, subtracted=1)
-    assert normalization_constant_closed_form(spec) is None
-    s = build_state(spec, POLICY)
-    assert s.norm == pytest.approx(1.0, abs=1e-12)
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=6),
+    added=st.integers(min_value=0, max_value=5),
+    subtracted=st.integers(min_value=0, max_value=5),
+    mag=st.floats(min_value=0.05, max_value=9.0),
+    phase=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+)
+def test_pasdfs_normalization_closed_form_matches_numeric(n, added, subtracted, mag, phase):
+    spec = StateSpec("PASDFS", alpha=mag * cmath.exp(1j * phase), n=n, added=added, subtracted=subtracted)
+    assert normalization_constant_closed_form(spec) == pytest.approx(normalization_constant(spec), rel=1e-12)
 
 
 def test_alpha_phase_convention():
