@@ -26,7 +26,8 @@ _NORM_TOL = 1e-12
 _ANNIHILATION_TOL = 1e-12
 
 # The most log-factorials ``log_factorials`` serves (32 MiB); it also caps
-# TruncationPolicy.max_dim, so every admitted basis has its log-factorials.
+# TruncationPolicy.max_dim, so every admitted basis has its log-factorials,
+# and it caps the square-root table of the ladder operators.
 MAX_LOG_FACTORIALS = 1 << 22
 
 
@@ -65,7 +66,9 @@ class StateVector:
     Instances are immutable; every operation returns a new value, so states
     are safe to share across threads and parameter sweeps.  tail_mass is an
     upper bound on the probability discarded when the state was truncated.
-    Its cached rows a^k|s> (``lowered``) are read-only and published atomically.
+    Its cached rows a^k|s> (``lowered``) are read-only and published atomically;
+    ``moments.moment_oracle`` keeps its memo of the state's moments, each with
+    its truncation verdict, next to them.
     Equality is identity and states hash by identity; compare the
     amplitudes of two states with ``overlap`` or ``states.state_distance``.
     """
@@ -148,13 +151,35 @@ def make_fock(n: int, dim: int) -> StateVector:
     return StateVector(amps, dim, 0.0)
 
 
+_square_root_table = np.zeros(1)  # sqrt 0 = 0; grown by ``_square_roots``
+
+
+def _square_roots(n: int) -> np.ndarray:
+    """Read-only view of sqrt(k), k < n, as float64: the ladder factors of a vector of n amplitudes.
+
+    One table serves every row that ``lower_amplitudes`` and
+    ``raise_amplitudes`` compute; it at least doubles when a longer prefix is
+    asked for, up to MAX_LOG_FACTORIALS entries. A longer prefix is computed
+    for that call alone. IEEE sqrt is correctly rounded, so each factor is
+    bitwise ``np.sqrt`` of its index however it was computed.
+    """
+    global _square_root_table
+    table = _square_root_table
+    if n > len(table):
+        if n > MAX_LOG_FACTORIALS:
+            return np.sqrt(np.arange(n, dtype=np.float64))
+        table = np.sqrt(np.arange(min(max(n, 2 * len(table)), MAX_LOG_FACTORIALS), dtype=np.float64))
+        table.setflags(write=False)
+        _square_root_table = table
+    return table[:n]
+
+
 def raise_amplitudes(amps: np.ndarray, k: int = 1) -> np.ndarray:
     """Raw action of the k-fold creation operator, growing the vector by k."""
     out = np.asarray(amps, dtype=np.complex128)
     for _ in range(k):
-        n = np.arange(1, len(out) + 1, dtype=np.float64)
         grown = np.zeros(len(out) + 1, dtype=np.complex128)
-        grown[1:] = np.sqrt(n) * out
+        grown[1:] = _square_roots(len(out) + 1)[1:] * out
         out = grown
     return out
 
@@ -165,8 +190,7 @@ def lower_amplitudes(amps: np.ndarray, k: int = 1) -> np.ndarray:
     for _ in range(k):
         if len(out) <= 1:
             return np.zeros(0, dtype=np.complex128)
-        n = np.arange(1, len(out), dtype=np.float64)
-        out = np.sqrt(n) * out[1:]
+        out = _square_roots(len(out))[1:] * out[1:]
     return out
 
 

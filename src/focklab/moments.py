@@ -1,13 +1,17 @@
 """General moments <a†^t a^j>, computed two independent ways.
 
 ``moment_oracle`` takes the inner product of two ladder rows a^k|s> that
-each state caches; exact up to floating point on the truncated space.
+each state caches; exact up to floating point on the truncated space. It
+keeps each answer, with its truncation verdict, in a memo on the state, so
+a witness that asks again for a moment pays a dict lookup.
 ``moment_series`` evaluates the closed-form series of each family from its
 parameters alone, never touching a state vector. Witnesses consume the
 oracle; the test suite holds the two within 1e-8 of each other.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -22,6 +26,10 @@ EDGE_TOLERANCE = 1e-6
 
 
 def _check_powers(t: int, j: int) -> None:
+    try:
+        operator.index(t), operator.index(j)
+    except TypeError:
+        raise InvalidParameterError(f"operator powers must be integers, got {t!r} and {j!r}") from None
     if t < 0 or j < 0:
         raise InvalidParameterError("operator powers must be >= 0")
     if t + j > MAX_TOTAL_ORDER:
@@ -38,18 +46,35 @@ def moment_oracle(s: StateVector, t: int, j: int) -> complex:
     and the call fails when that exceeds EDGE_TOLERANCE relative to the
     moment's own scale. States built with the default 1e-12 tail pass for all
     admissible orders; states pinned against max_dim do not.
+
+    Each state keeps a memo of its answers, keyed by (t, j): the value and
+    the guard's verdict, which depends only on the state, t, j and the
+    value. A repeated call returns the same value or raises the same
+    TruncationUnsafeError, as if it were computed again. The powers are
+    checked on every call, before the memo is read, so a power that is
+    negative, over the cap or not an integer is refused however warm the
+    memo is. An entry is published in one assignment, so threads racing on
+    a fresh state only repeat work.
     """
     _check_powers(t, j)
-    bra, ket = s.lowered(t), s.lowered(j)
-    d = min(len(bra), len(ket))
-    value = complex(np.vdot(bra[:d], ket[:d])) if d else 0j
-    if s.tail_mass > 0.0 and t + j > 0:
-        tail_error = s.tail_mass * (s.dim + t + j) ** (0.5 * (t + j))
-        if tail_error > EDGE_TOLERANCE * max(1.0, abs(value)):
-            raise TruncationUnsafeError(
-                f"truncation-edge error estimate {tail_error:.2e} is too large for "
-                f"a moment of order {t + j}; rebuild with a tighter tail tolerance"
-            )
+    memo = s.__dict__.setdefault("_moment_memo", {})
+    entry = memo.get((t, j))
+    if entry is None:
+        bra, ket = s.lowered(t), s.lowered(j)
+        d = min(len(bra), len(ket))
+        value = complex(np.vdot(bra[:d], ket[:d])) if d else 0j
+        unsafe = None
+        if s.tail_mass > 0.0 and t + j > 0:
+            tail_error = s.tail_mass * (s.dim + t + j) ** (0.5 * (t + j))
+            if tail_error > EDGE_TOLERANCE * max(1.0, abs(value)):
+                unsafe = (
+                    f"truncation-edge error estimate {tail_error:.2e} is too large for "
+                    f"a moment of order {t + j}; rebuild with a tighter tail tolerance"
+                )
+        entry = memo[t, j] = (value, unsafe)
+    value, unsafe = entry
+    if unsafe is not None:
+        raise TruncationUnsafeError(unsafe)
     return value
 
 

@@ -30,6 +30,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_POLICY,
+    MAX_LOG_FACTORIALS,
     StateVector,
     TruncationPolicy,
     log_factorials,
@@ -521,7 +522,9 @@ def _grows_at_cut(spec: StateSpec, dim: int) -> bool:
     when it has not started by then or peaks past the cut.
     """
     log_b, _ = _bare_log_amplitudes([spec], dim + 2)
-    peak = int(np.argmax(log_b))
+    # The last maximum: where |alpha|^2 dwarfs dim the log series still grows
+    # by less than its ulp per term, and plateaus in float.
+    peak = len(log_b) - 1 - int(np.argmax(log_b[::-1]))
     return peak >= dim or log_b[peak] == -np.inf
 
 
@@ -696,6 +699,9 @@ def ladder_log_amplitudes(spec: StateSpec) -> tuple[np.ndarray, np.ndarray]:
     else:
         lam, n = abs(spec.param("alpha")) ** 2, spec.param("n")
         cut = int(lam + n + 14.0 * math.sqrt((lam + 1.0) * (2 * n + 1)) + 24) + spec.param("added")
+    needed = cut + spec.param("subtracted")  # the most log-factorials the ladder's kernels read
+    if needed > MAX_LOG_FACTORIALS:  # refuse before allocating cut-long arrays
+        raise ConvergenceError(f"{spec.family} ladder needs {needed} log-factorials, past the {MAX_LOG_FACTORIALS}-entry cap")
     log_c, phase = _bare_log_amplitudes([spec], cut + (info.hole == "added"))
     return log_c + math.log(constant), phase
 

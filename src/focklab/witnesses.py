@@ -22,7 +22,7 @@ from .exceptions import (
     InvalidOrderError,
     UndefinedWitnessError,
 )
-from .moments import moment_oracle
+from .moments import MAX_TOTAL_ORDER, moment_oracle
 
 _MEAN_FLOOR = 1e-12
 
@@ -140,20 +140,36 @@ def quadrature_central_moment(s: StateVector, l: int, method: str = "normal-orde
 
     mean_aa = 2.0 * moment_oracle(s, 1, 0).real  # <a† + a>
     total = 0.0
-    for r in range(l + 1):
-        for i in range(r // 2 + 1):
-            for k in range(r - 2 * i + 1):
-                term = (
-                    (-1.0) ** r
-                    * double_factorial(2 * i - 1)
-                    * math.comb(l, r)
-                    * math.comb(r, 2 * i)
-                    * math.comb(r - 2 * i, k)
-                    * mean_aa ** (l - r)
-                    * moment_oracle(s, k, r - 2 * i - k)
-                )
-                total += term.real
+    for coef, power, t, j in _central_moment_terms(l):
+        total += (coef * mean_aa**power * moment_oracle(s, t, j)).real
     return total / 2.0 ** (l / 2.0)
+
+
+@lru_cache(maxsize=None)
+def _central_moment_terms(l: int) -> tuple[tuple[float, int, int, int], ...]:
+    """The terms (coef, l - r, k, r - 2i - k) of the normal-ordered sum for <(X - <X>)^l>.
+
+    Over r <= l, i <= r/2 and k <= r - 2i, in that order, with coef formed
+    left to right as (-1)^r (2i-1)!! C(l, r) C(r, 2i) C(r-2i, k); a term is
+    coef <a† + a>^(l-r) <a†^k a^(r-2i-k)>. The table stops at
+    r = MAX_TOTAL_ORDER + 1, whose first term the oracle refuses, so a sum
+    of higher order fails at the same term as the whole triple loop would.
+    """
+    return tuple(
+        (
+            (-1.0) ** r
+            * double_factorial(2 * i - 1)
+            * math.comb(l, r)
+            * math.comb(r, 2 * i)
+            * math.comb(r - 2 * i, k),
+            l - r,
+            k,
+            r - 2 * i - k,
+        )
+        for r in range(min(l, MAX_TOTAL_ORDER + 1) + 1)
+        for i in range(r // 2 + 1)
+        for k in range(r - 2 * i + 1)
+    )
 
 
 def hong_mandel_squeezing(s: StateVector, l: int) -> WitnessReport:

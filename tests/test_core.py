@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import focklab
+from focklab import core
 from focklab.core import (
     MAX_LOG_FACTORIALS,
     TruncationPolicy,
@@ -255,13 +256,15 @@ def test_lowered_rows_are_consistent_across_threads(rng):
 
 
 def _referrers(tree, name):
-    """The functions (or "<module>") that refer to ``name``, and "<alias>" if it is renamed on import."""
+    """The functions (or "<module>") that refer to ``name``, or hold it as a string, and "<alias>" if it is renamed on import."""
     found = set()
 
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
         if (isinstance(node, ast.Name) and node.id == name) or (isinstance(node, ast.Attribute) and node.attr == name):
+            found.add(owner)
+        if isinstance(node, ast.Constant) and node.value == name:  # a key of a state's __dict__
             found.add(owner)
         if isinstance(node, ast.alias) and node.name == name and node.asname:
             found.add("<alias>")
@@ -283,6 +286,65 @@ def test_only_the_operator_references_lower_a_vector_outside_core():
         for owner in _referrers(ast.parse(path.read_text()), "lower_amplitudes")
     }
     assert referrers == {"states.build_by_composition", "witnesses._apply_quadrature"}
+
+
+def _package_referrers(name):
+    package = Path(focklab.__file__).parent
+    return {
+        f"{path.stem}.{owner}"
+        for path in sorted(package.glob("*.py"))
+        for owner in _referrers(ast.parse(path.read_text()), name)
+    }
+
+
+def test_only_the_oracle_names_the_moment_memo():
+    # The memo holds each moment with its truncation verdict; reading it
+    # anywhere else would be a moment path that skips the guard.
+    assert _package_referrers("_moment_memo") == {"moments.moment_oracle"}
+
+
+def test_only_core_names_the_square_root_table():
+    for name in ("_square_root_table", "_square_roots"):
+        assert {owner.split(".")[0] for owner in _package_referrers(name)} == {"core"}, name
+
+
+# --- the square roots of the ladder operators ------------------------------------
+
+def _lower_by_arange(amps, k):
+    # The k-fold annihilation operator as it was written before the square-root table.
+    out = np.asarray(amps, dtype=np.complex128)
+    for _ in range(k):
+        if len(out) <= 1:
+            return np.zeros(0, dtype=np.complex128)
+        out = np.sqrt(np.arange(1, len(out), dtype=np.float64)) * out[1:]
+    return out
+
+
+def _raise_by_arange(amps, k):
+    out = np.asarray(amps, dtype=np.complex128)
+    for _ in range(k):
+        grown = np.zeros(len(out) + 1, dtype=np.complex128)
+        grown[1:] = np.sqrt(np.arange(1, len(out) + 1, dtype=np.float64)) * out
+        out = grown
+    return out
+
+
+def test_ladder_operators_are_the_arange_form_bitwise(rng):
+    size = len(core._square_root_table)
+    # lengths inside the table, at its end and past it, which grow it
+    for length in (0, 1, 2, 7, max(size - 1, 1), size, size + 1, 2 * size + 3, 5 * size + 17, 4099):
+        raw = rng.normal(size=length) + 1j * rng.normal(size=length)
+        for k in (1, 2, 5):
+            assert _bitwise(lower_amplitudes(raw, k), _lower_by_arange(raw, k)), (length, k)
+            assert _bitwise(raise_amplitudes(raw, k), _raise_by_arange(raw, k)), (length, k)
+    assert len(core._square_root_table) >= 4100
+    assert not core._square_roots(10).flags.writeable
+
+
+def test_square_roots_past_the_cap_are_computed_not_kept():
+    roots = core._square_roots(MAX_LOG_FACTORIALS + 1)
+    assert len(roots) == MAX_LOG_FACTORIALS + 1 and roots[-1] == math.sqrt(MAX_LOG_FACTORIALS)
+    assert len(core._square_root_table) <= MAX_LOG_FACTORIALS
 
 
 # --- log-factorials and the truncation policy ----------------------------------

@@ -1,5 +1,7 @@
 import cmath
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -189,7 +191,7 @@ def test_oracle_is_the_vdot_of_lowered_vectors_bitwise(order, rng):
         pairs = [pairs[i] for i in rng.permutation(len(pairs))]
     for name, make in _moment_states(rng).items():
         s = make()  # a fresh state, so the rows are built in this call order
-        for t, j in pairs + pairs[::3]:  # a third of the pairs asked again
+        for t, j in pairs + pairs[::3] + pairs:  # every pair asked again, from the state's memo
             got, want = np.complex128(moment_oracle(s, t, j)), np.complex128(_vdot_of_lowered_vectors(s, t, j))
             assert got.tobytes() == want.tobytes(), (name, t, j, got, want)
 
@@ -201,12 +203,66 @@ def test_cached_rows_do_not_bypass_the_truncation_guard():
         StateSpec("Coherent", alpha=3.0), TruncationPolicy(max_dim=12, tail_tolerance=1e-12)
     )
     hot.lowered(4)
-    for _ in range(2):
-        with pytest.raises(TruncationUnsafeError):
+    messages = []
+    for _ in range(3):  # the first read computes the verdict, the others read it back
+        with pytest.raises(TruncationUnsafeError) as refused:
             moment_oracle(hot, 4, 4)
+        messages.append(str(refused.value))
+    assert len(set(messages)) == 1 and "order 8" in messages[0]
     mild = build_state(StateSpec("Coherent", alpha=1.0), TruncationPolicy(max_dim=12, tail_tolerance=1e-12))
     assert 0.0 < mild.tail_mass < 1e-8
     assert moment_oracle(mild, 1, 1).real == pytest.approx(1.0, abs=1e-7)
     assert moment_oracle(mild, 2, 0) == pytest.approx(1.0, abs=1e-6)
     with pytest.raises(TruncationUnsafeError):
         moment_oracle(mild, 4, 4)
+
+
+def test_invalid_powers_are_refused_on_a_warm_memo():
+    s = make_fock(3, 40)
+    for t in range(MAX_TOTAL_ORDER + 1):
+        for j in range(MAX_TOTAL_ORDER + 1 - t):
+            moment_oracle(s, t, j)
+    # (1.0, 1) equals the memo's key (1, 1), but a float power is refused as on a fresh state
+    for t, j in ((-1, 0), (0, -1), (-2, 3), (9, 8), (0, MAX_TOTAL_ORDER + 1), (17, 0), (1.0, 1), (1, 0.5)):
+        for _ in range(2):
+            with pytest.raises(InvalidParameterError):
+                moment_oracle(s, t, j)
+    with pytest.raises(InvalidParameterError, match="integers"):
+        moment_series(StateSpec("Coherent", alpha=1.0), 1.0, 1)
+    assert moment_oracle(s, np.int64(1), True) == moment_oracle(s, 1, 1)
+
+
+def test_memoised_moments_are_consistent_across_threads(rng):
+    # Eight threads race over shuffled (t, j) on fresh states; whichever entry
+    # is published last, every value read is the reference.
+    pairs = [(t, j) for t in range(MAX_TOTAL_ORDER + 1) for j in range(MAX_TOTAL_ORDER + 1 - t)]
+    states, references = [], []
+    for _ in range(30):
+        raw = rng.normal(size=24) + 1j * rng.normal(size=24)
+        states.append(state_from_amplitudes(raw))
+        references.append({pair: _vdot_of_lowered_vectors(states[-1], *pair) for pair in pairs})
+    orders = [[pairs[i] for i in rng.permutation(len(pairs))] for _ in range(8)]
+    barrier = threading.Barrier(len(orders), timeout=60)
+    mismatches, finished = [], []
+
+    def worker(order):
+        for s, reference in zip(states, references):
+            barrier.wait()
+            for t, j in order:
+                got = np.complex128(moment_oracle(s, t, j))
+                if got.tobytes() != np.complex128(reference[t, j]).tobytes():
+                    mismatches.append((t, j))
+        finished.append(order)
+
+    threads = [threading.Thread(target=worker, args=(order,)) for order in orders]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so that the races happen
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(finished) == len(orders) and mismatches == []

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -333,6 +334,29 @@ def test_largest_accepted_alpha_fails_with_a_focklab_error():
     for family in ALPHA_FAMILIES:
         with pytest.raises(FockLabError):
             build_state(StateSpec(family, alpha=1.34e154j, n=2, added=1, subtracted=1, chi=0.1))
+
+
+@pytest.mark.parametrize("mag", [1e8, 1e9, 1e12, 1e100, 1e154])
+@pytest.mark.parametrize("family", ["Coherent", "Kerr", "DFS"])
+def test_series_cut_far_before_its_peak_still_grows(family, mag):
+    # Where |alpha|^2 dwarfs max_dim the log series grows by less than its ulp
+    # per term, so it plateaus in float at the cut; the last maximum lies past it.
+    spec = StateSpec(family, alpha=mag, n=1, chi=0.1)
+    with pytest.raises(TruncationOverflowError):
+        build_state(spec)
+
+
+def test_ladder_past_the_log_factorial_cap_is_refused_before_allocating():
+    # The Coherent ladder at |alpha| = 2100 runs to about 4.44e6 terms, past
+    # core's 2^22 log-factorials; the refusal must come before its arrays.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConvergenceError, match="log-factorials"):
+            moment_series(StateSpec("Coherent", alpha=2100.0), 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("kwargs", [{"family": "Kerr", "alpha": 1.0, "chi": 0.1j}, {"family": "Binomial", "p": "0.5", "M": 3}])

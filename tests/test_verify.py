@@ -49,6 +49,14 @@ def test_injected_quadrature_error_is_caught(monkeypatch):
     def corrupted(n):
         return original(n) + (1 if n == 3 else 0)
 
-    monkeypatch.setattr(witnesses, "double_factorial", corrupted)
-    result = check_hong_mandel_dual_path(np.random.default_rng(0), n_states=5)
+    # The coefficient tables are cached per order: drop them when the patch
+    # goes on, so the corrupted factor reaches the sum, and again when it
+    # comes off, so no later test reads a corrupted table.
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(witnesses, "double_factorial", corrupted)
+            witnesses._central_moment_terms.cache_clear()
+            result = check_hong_mandel_dual_path(np.random.default_rng(0), n_states=5)
+    finally:
+        witnesses._central_moment_terms.cache_clear()
     assert not result.passed

@@ -8,6 +8,7 @@ from focklab.core import TruncationPolicy, make_fock, state_from_amplitudes
 from focklab.exceptions import (
     DimensionError,
     InvalidOrderError,
+    InvalidParameterError,
     UndefinedWitnessError,
 )
 from focklab.moments import moment_oracle
@@ -158,6 +159,47 @@ def test_hong_mandel_dual_paths_agree(rng):
             a = quadrature_central_moment(s, l, "normal-ordered")
             b = quadrature_central_moment(s, l, "binomial")
             assert abs(a - b) <= 1e-8 * max(1.0, abs(b))
+
+
+def _central_moment_by_triple_loop(s, l):
+    # The normal-ordered sum as written before its coefficient table: the reference.
+    mean_aa = 2.0 * moment_oracle(s, 1, 0).real
+    total = 0.0
+    for r in range(l + 1):
+        for i in range(r // 2 + 1):
+            for k in range(r - 2 * i + 1):
+                term = (
+                    (-1.0) ** r
+                    * double_factorial(2 * i - 1)
+                    * math.comb(l, r)
+                    * math.comb(r, 2 * i)
+                    * math.comb(r - 2 * i, k)
+                    * mean_aa ** (l - r)
+                    * moment_oracle(s, k, r - 2 * i - k)
+                )
+                total += term.real
+    return total / 2.0 ** (l / 2.0)
+
+
+@pytest.mark.parametrize("l", range(1, 17))
+def test_central_moment_table_is_the_triple_loop_bitwise(l, rng):
+    raw = rng.normal(size=30) + 1j * rng.normal(size=30)
+    states = [
+        state_from_amplitudes(raw),
+        make_fock(4, 12),
+        build_state(StateSpec("PABS", p=0.35, M=12), POLICY),
+        # a tail tight enough for the guard to pass every order up to 16
+        build_state(StateSpec("PSDFS", alpha=0.6 + 0.3j, n=1, subtracted=1), TruncationPolicy(tail_tolerance=1e-30)),
+    ]
+    for s in states:
+        got = np.float64(quadrature_central_moment(s, l, "normal-ordered"))
+        want = np.float64(_central_moment_by_triple_loop(s, l))
+        assert got.tobytes() == want.tobytes(), (s.dim, l, got, want)
+
+
+def test_central_moment_past_the_order_cap_fails_at_the_same_term():
+    with pytest.raises(InvalidParameterError, match="order 17 exceeds"):
+        quadrature_central_moment(make_fock(2, 6), 20, "normal-ordered")
 
 
 def test_psdfs_shows_squeezing():
