@@ -12,7 +12,7 @@ import sys
 
 from .config import dump_config_from_text, sweep_config_from_text
 from .exceptions import ConfigError, FockLabError
-from .harness import dump_state, parse_quantity, run_sweep
+from .harness import dump_state, run_sweep
 from .verify import run_verification
 
 
@@ -26,8 +26,6 @@ def _read(path: str) -> str:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = sweep_config_from_text(_read(args.config))
-    for token in config.quantities:
-        parse_quantity(token)  # surface bad names before any computation
     run_sweep(config)
     points = 1
     for axis in config.axes:

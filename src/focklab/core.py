@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,9 +22,6 @@ from .exceptions import (
     InvalidParameterError,
     TruncationOverflowError,
 )
-
-_NORM_TOL = 1e-12
-_ANNIHILATION_TOL = 1e-12
 
 # The most log-factorials ``log_factorials`` serves (32 MiB); it also caps
 # TruncationPolicy.max_dim, so every admitted basis has its log-factorials,
@@ -115,29 +113,32 @@ class StateVector:
         return complex(np.vdot(self.amplitudes[:d], other.amplitudes[:d]))
 
 
-def state_from_amplitudes(
-    amps: np.ndarray, tail_mass: float = 0.0, fix_global_phase: bool = False
-) -> StateVector:
-    """Normalize a raw amplitude vector into a StateVector.
+def checked_norm(nrm: float) -> float:
+    """``nrm`` if an amplitude vector of that norm is a state: the package's one existence rule.
 
-    By default the global phase is preserved (phase analysis depends on it);
-    with fix_global_phase the first nonzero amplitude is rotated to the
-    positive real axis. A vector whose norm is not finite raises
-    ConvergenceError.
+    A squared norm of exactly 0 is an empty state (AnnihilatedStateError); a
+    subnormal, inf or NaN one has left the float range (ConvergenceError).
+    Nothing else is refused for being small. ``normalization_constant_closed_form``
+    applies the same rule to 1/N^2.
+    """
+    nrm = float(nrm)  # a Python float: its square goes to inf with no overflow warning
+    norm_sq = nrm * nrm
+    if norm_sq == 0.0:
+        raise AnnihilatedStateError("amplitude vector has zero norm: the state is empty")
+    if not sys.float_info.min <= norm_sq < math.inf:
+        raise ConvergenceError(f"squared norm {norm_sq!r} of the amplitude vector leaves the float range")
+    return nrm
+
+
+def state_from_amplitudes(amps: np.ndarray, tail_mass: float = 0.0) -> StateVector:
+    """Normalize a raw amplitude vector into a StateVector; ``checked_norm`` says whether it is one.
+
+    The global phase is kept: phase analysis depends on it.
     """
     amps = np.asarray(amps, dtype=np.complex128)
     with np.errstate(over="ignore"):
         nrm = np.linalg.norm(amps)
-    if not math.isfinite(nrm):
-        raise ConvergenceError("amplitude vector norm leaves the float range")
-    if nrm < _ANNIHILATION_TOL:
-        raise AnnihilatedStateError("amplitude vector has (numerically) zero norm")
-    amps = amps / nrm
-    if fix_global_phase:
-        idx = np.flatnonzero(np.abs(amps) > 1e-14)
-        if idx.size:
-            amps = amps * np.exp(-1j * np.angle(amps[idx[0]]))
-    return StateVector(amps, len(amps), tail_mass)
+    return StateVector(amps / checked_norm(nrm), len(amps), tail_mass)
 
 
 def make_fock(n: int, dim: int) -> StateVector:
@@ -231,10 +232,7 @@ def apply_annihilate(s: StateVector, k: int = 1) -> tuple[StateVector, float]:
     if k == 0:
         return s, 1.0
     raw = lower_amplitudes(s.amplitudes, k)
-    nrm = float(np.linalg.norm(raw)) if len(raw) else 0.0
-    if nrm < _ANNIHILATION_TOL:
-        raise AnnihilatedStateError(f"a^{k} maps this state to zero")
-    return state_from_amplitudes(raw, s.tail_mass), nrm
+    return state_from_amplitudes(raw, s.tail_mass), float(np.linalg.norm(raw))
 
 
 def photon_number_distribution(s: StateVector) -> np.ndarray:

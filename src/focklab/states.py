@@ -33,6 +33,7 @@ from .core import (
     MAX_LOG_FACTORIALS,
     StateVector,
     TruncationPolicy,
+    checked_norm,
     log_factorials,
     lower_amplitudes,
     make_fock,
@@ -383,12 +384,10 @@ def _trim(raw: np.ndarray, policy: TruncationPolicy) -> tuple[np.ndarray, float]
     When the series is pinned against max_dim with significant edge
     occupation, the uncaptured mass is estimated by geometric
     extrapolation of the trailing probabilities so downstream moment
-    guards can refuse the state.
+    guards can refuse the state. ``raw``'s norm has passed ``checked_norm``.
     """
     p = np.abs(raw) ** 2
     total = float(p.sum())
-    if total <= 0.0:
-        raise AnnihilatedStateError("state has zero norm")
     suffix = np.cumsum(p[::-1])[::-1] / total
     keep = len(raw)
     if keep > 1 and suffix[-1] <= policy.tail_tolerance:
@@ -414,8 +413,8 @@ def build_state(spec: StateSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> S
     at ``policy.max_dim``. Raises AnnihilatedStateError when subtraction
     kills the state (e.g. PSDFS with v >= 1 from the vacuum),
     TruncationOverflowError when max_dim cuts the series before its peak,
-    and ConvergenceError when the coefficients overflow (the undamped ECS
-    series and Kerr hole variants past |alpha|^2 ~ 710).
+    and ConvergenceError when the squared norm overflows (the undamped ECS
+    series and Kerr hole variants past |alpha|^2 ~ 710) or goes subnormal.
     """
     (state,) = _build_group([spec], policy)
     if isinstance(state, FockLabError):
@@ -463,9 +462,7 @@ def _build_row(
 ) -> StateVector | FockLabError:
     """``build_state`` of one spec from its (log|b_i|, phase) rows, at least ``dim`` terms long (or None)."""
     try:
-        raw, nrm, _ = _adaptive_bare(spec, policy, dim, series)
-        if nrm < 1e-12:
-            raise AnnihilatedStateError(f"{spec.family} state vanishes for these parameters")
+        raw, _, _ = _adaptive_bare(spec, policy, dim, series)
         trimmed, tail = _trim(raw, policy)
         return state_from_amplitudes(trimmed, tail_mass=tail)
     except FockLabError as exc:
@@ -483,9 +480,8 @@ def _adaptive_bare(
     once (up to max_dim). Each basis exponentiates a prefix of ``series``,
     the spec's (log|b_i|, phase) pair, where that is long enough, else of a
     fresh ``_bare_log_amplitudes``. Raises ConvergenceError when the squared
-    norm leaves the float range, TruncationOverflowError when max_dim cuts
-    the series while it still grows, and AnnihilatedStateError when the norm
-    is below 1e-150.
+    norm overflows, TruncationOverflowError when max_dim cuts the series
+    while it still grows, and then what ``checked_norm`` raises.
     """
     if dim is None:
         dim = _initial_dim(spec, policy)
@@ -505,8 +501,7 @@ def _adaptive_bare(
             raise TruncationOverflowError(
                 f"{spec.family} bare series still grows where max_dim={policy.max_dim} cuts it at {spec}"
             )
-        if nrm < 1e-150:
-            raise AnnihilatedStateError(f"{spec.family} bare series has zero norm")
+        checked_norm(nrm)
         edge = abs(raw[-1]) ** 2 / (nrm * nrm)
         if dim >= policy.max_dim or support is not None or edge <= policy.tail_tolerance * 1e-4:
             return raw, nrm, edge
@@ -565,11 +560,10 @@ def build_by_composition(spec: StateSpec, policy: TruncationPolicy = DEFAULT_POL
     if info.group == "dfs":
         raw = _compose_dfs(spec.alpha, spec.param("n"), dim)
         raw = lower_amplitudes(raise_amplitudes(raw, added), subtracted)
-        if len(raw) == 0 or float(np.linalg.norm(raw)) < 1e-12:
-            raise AnnihilatedStateError(f"{spec.family} state vanishes for these parameters")
     else:
         if info.group == "ecs":
-            raw = displacement_coefficients(spec.alpha, 0, dim) + displacement_coefficients(-spec.alpha, 0, dim)
+            raw = displacement_coefficients(spec.alpha, 0, dim)
+            raw = raw + (-1.0) ** np.arange(dim) * raw  # |alpha> + |-alpha>, as |-alpha> = (-1)^N |alpha>
         elif info.group == "binomial":
             raw = _binomial_bare(spec.p, spec.M, dim)
         else:
@@ -579,6 +573,7 @@ def build_by_composition(spec: StateSpec, policy: TruncationPolicy = DEFAULT_POL
         raw = _hole_burn(raw, info.hole)
 
     raw = raw[: policy.max_dim]  # photon addition may have grown past the cap
+    checked_norm(np.linalg.norm(raw))
     trimmed, tail = _trim(raw, policy)
     return state_from_amplitudes(trimmed, tail_mass=tail)
 
@@ -588,8 +583,6 @@ def _hole_burn(raw: np.ndarray, hole: str | None) -> np.ndarray:
     if hole == "filtered":
         out = raw.copy()
         out[0] = 0.0
-        if float(np.linalg.norm(out)) < 1e-12:
-            raise AnnihilatedStateError("vacuum filtration removed the entire state")
         return out
     if hole == "added":
         return raise_amplitudes(raw)[: len(raw)]

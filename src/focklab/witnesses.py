@@ -9,6 +9,7 @@ regardless of how it was constructed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -122,8 +123,10 @@ def quadrature_central_moment(s: StateVector, l: int, method: str = "normal-orde
     "normal-ordered" evaluates the analytic triple sum over normally
     ordered moments; "binomial" expands (X - <X>)^l over raw quadrature
     moments obtained by repeated operator application. The two must agree;
-    the verification suite enforces 1e-8.
+    the verification suite enforces 1e-8. Both refuse an order l that is not an integer >= 1.
     """
+    if not isinstance(l, numbers.Integral) or l < 1:
+        raise InvalidOrderError(f"quadrature central moments need an integer order l >= 1, got {l!r}")
     if method == "binomial":
         vec = np.asarray(s.amplitudes)
         raw = [1.0]

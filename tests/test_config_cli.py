@@ -317,6 +317,15 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["sweep", str(tmp_path / "missing.cfg")]) == 2
 
 
+def test_cli_sweep_with_an_unknown_quantity_writes_no_csv(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    out = tmp_path / "out.csv"
+    cfg.write_text(SWEEP_TEMPLATE.format(out=out).replace("quantities = ", "quantities = wigner_volume, "))
+    assert main(["sweep", str(cfg)]) == 2
+    assert "unknown quantity 'wigner_volume'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_verify_small_seed_runs():
     # The full verification runs in the acceptance suite; here only the exit path.
     assert main(["verify", "--seed", "3"]) == 0

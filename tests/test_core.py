@@ -167,15 +167,32 @@ def test_global_phase_preserved_by_default():
     raw = np.array([1.0j, 1.0], dtype=complex)
     s = state_from_amplitudes(raw)
     assert s.amplitudes[0] == pytest.approx(1j / math.sqrt(2))
-    fixed = state_from_amplitudes(raw, fix_global_phase=True)
-    assert fixed.amplitudes[0].imag == pytest.approx(0.0)
-    assert fixed.amplitudes[0].real > 0
 
 
 @pytest.mark.parametrize("raw", [[1e200, 1e200], [np.inf, 1.0], [np.nan, 1.0], [1.0, complex(0, np.inf)]])
 def test_non_finite_norm_is_refused(raw):
     with pytest.raises(ConvergenceError):
         state_from_amplitudes(np.array(raw, dtype=complex))
+
+
+@pytest.mark.parametrize("raw", [[1e155, 0.0], [1e-160, 0.0]])
+def test_norm_whose_square_leaves_the_float_range_is_refused(raw):
+    # A finite norm whose square overflows or goes subnormal.
+    with pytest.raises(ConvergenceError):
+        state_from_amplitudes(np.array(raw, dtype=complex))
+
+
+@pytest.mark.parametrize("raw", [[], [0.0, 0.0], [1e-170, 0.0]])
+def test_zero_norm_is_an_empty_state(raw):
+    # 1e-170 squares to exactly 0.0, so the vector is empty in float.
+    with pytest.raises(AnnihilatedStateError):
+        state_from_amplitudes(np.array(raw, dtype=complex))
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1e-100, 1e-150])
+def test_a_small_norm_is_still_a_state(scale):
+    s = state_from_amplitudes(np.array([3.0, 4.0j]) * scale)
+    assert np.allclose(s.amplitudes, [0.6, 0.8j], rtol=0.0, atol=1e-15)
 
 
 # --- the cached ladder rows a^k|s> -------------------------------------------
@@ -306,6 +323,16 @@ def test_only_the_oracle_names_the_moment_memo():
 def test_only_core_names_the_square_root_table():
     for name in ("_square_root_table", "_square_roots"):
         assert {owner.split(".")[0] for owner in _package_referrers(name)} == {"core"}, name
+
+
+def test_one_rule_decides_that_a_vector_is_empty():
+    # core.checked_norm is the existence rule of every amplitude vector, and the
+    # closed-form constant applies the same rule to 1/N^2; a zero-norm threshold
+    # anywhere else would refuse states that exist.
+    assert _package_referrers("AnnihilatedStateError") == {
+        "core.checked_norm",
+        "states.normalization_constant_closed_form",
+    }
 
 
 # --- the square roots of the ladder operators ------------------------------------

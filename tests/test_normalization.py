@@ -22,9 +22,11 @@ from focklab.moments import moment_oracle, moment_series
 from focklab.states import (
     FAMILY_INFO,
     StateSpec,
+    build_by_composition,
     build_state,
     normalization_constant,
     normalization_constant_closed_form,
+    state_distance,
 )
 
 POLICY = TruncationPolicy(max_dim=512, tail_tolerance=1e-16)
@@ -154,6 +156,82 @@ def test_subtraction_past_a_fock_state_is_empty():
         with pytest.raises(AnnihilatedStateError):
             moment_series(spec, 1, 1)
     assert normalization_constant_closed_form(StateSpec("PASDFS", alpha=0, added=1, subtracted=1)) == 1.0
+
+
+@pytest.mark.parametrize(
+    "spec, constant, mean",
+    [
+        pytest.param(StateSpec("VFECS", alpha=1e-7), 1.0 / (math.sqrt(2.0) * 1e-14), 2.0, id="VFECS"),  # ~ |2>
+        pytest.param(StateSpec("VFKS", alpha=1e-13), 1e13, 1.0, id="VFKS"),  # ~ |1>
+        pytest.param(StateSpec("VFBS", p=1e-25, M=5), 1.0 / math.sqrt(5e-25), 1.0, id="VFBS"),  # ~ |1>
+        # a^3 |alpha> = alpha^3 |alpha>
+        pytest.param(StateSpec("PSDFS", alpha=1e-5, subtracted=3), 1e15, 1e-10, id="PSDFS"),
+        # a^3 a† |alpha> = alpha^2 (3 |alpha> + alpha a† |alpha>) ~ 3 |0> + 4 alpha |1>
+        pytest.param(StateSpec("PASDFS", alpha=1e-7, added=1, subtracted=3), 1.0 / 3e-14, 16e-14 / 9, id="PASDFS"),
+    ],
+)
+def test_a_small_parameter_state_is_not_empty(spec, constant, mean):
+    # Each bare series has a squared norm far below any absolute floor (1e-30
+    # for PSDFS) and still normalizes to a state.
+    state = build_state(spec)
+    assert state_distance(state, build_by_composition(spec)) <= 1e-12
+    assert normalization_constant_closed_form(spec) == pytest.approx(constant, rel=1e-9)
+    assert normalization_constant(spec) == pytest.approx(constant, rel=1e-9)
+    assert moment_series(spec, 1, 1) == pytest.approx(mean, rel=1e-9)
+    assert abs(moment_oracle(state, 1, 1) - mean) <= 1e-10
+
+
+def _outcome(evaluate):
+    """(value, None) from evaluate(), or (None, the class of the FockLabError it raises)."""
+    try:
+        return evaluate(), None
+    except FockLabError as exc:
+        return None, type(exc)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    family=st.sampled_from(["VFECS", "VFKS", "VFBS", "PAECS", "PAKS", "PABS", "PSDFS", "PASDFS"]),
+    log_mag=st.floats(min_value=-14.0, max_value=-2.0),
+    phase=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    chi=st.floats(min_value=-math.pi, max_value=math.pi),
+    log_p=st.floats(min_value=-30.0, max_value=-2.0),
+    M=st.integers(min_value=0, max_value=12),
+    n=st.integers(min_value=0, max_value=3),
+    added=st.integers(min_value=0, max_value=2),
+    subtracted=st.integers(min_value=0, max_value=3),
+)
+def test_builders_and_constants_agree_at_small_parameters(family, log_mag, phase, chi, log_p, M, n, added, subtracted):
+    alpha = 10.0**log_mag * cmath.exp(1j * phase)
+    spec = StateSpec(family, alpha=alpha, chi=chi, p=10.0**log_p, M=M, n=n, added=added, subtracted=subtracted)
+    state, built = _outcome(lambda: build_state(spec))
+    composed, by_composition = _outcome(lambda: build_by_composition(spec))
+    _, numeric = _outcome(lambda: normalization_constant(spec))
+    _, closed = _outcome(lambda: normalization_constant_closed_form(spec))
+    assert built is by_composition is numeric is closed, (built, by_composition, numeric, closed)
+    if state is not None:
+        assert state_distance(state, composed) <= 1e-12
+        assert abs(moment_series(spec, 1, 1) - moment_oracle(state, 1, 1)) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "spec, error",
+    [
+        # 1/N^2 is subnormal: the state exists but its norm leaves the float range.
+        (StateSpec("VFBS", p=1e-310, M=10), ConvergenceError),
+        (StateSpec("VFECS", alpha=1e-80), ConvergenceError),
+        (StateSpec("VFKS", alpha=1e-155), ConvergenceError),
+        (StateSpec("PSDFS", alpha=1e-80, subtracted=2), ConvergenceError),
+        # |alpha|^2 underflows to 0.0, so in float the state is empty.
+        (StateSpec("VFECS", alpha=1e-200), AnnihilatedStateError),
+        (StateSpec("PSDFS", alpha=1e-90, subtracted=2), AnnihilatedStateError),
+    ],
+    ids=lambda value: getattr(value, "family", None),
+)
+def test_builders_and_constants_refuse_alike_past_the_float_range(spec, error):
+    for evaluate in (build_state, build_by_composition, normalization_constant, normalization_constant_closed_form):
+        with pytest.raises(error):
+            evaluate(spec)
 
 
 def _or_none(evaluate):

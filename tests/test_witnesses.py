@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from focklab import witnesses
 from focklab.core import TruncationPolicy, make_fock, state_from_amplitudes
 from focklab.exceptions import (
     DimensionError,
@@ -200,6 +201,18 @@ def test_central_moment_table_is_the_triple_loop_bitwise(l, rng):
 def test_central_moment_past_the_order_cap_fails_at_the_same_term():
     with pytest.raises(InvalidParameterError, match="order 17 exceeds"):
         quadrature_central_moment(make_fock(2, 6), 20, "normal-ordered")
+
+
+@pytest.mark.parametrize("method", ["normal-ordered", "binomial"])
+@pytest.mark.parametrize("l", [0, -2, 2.5])
+def test_central_moment_refuses_an_order_below_one_or_not_integer(l, method, monkeypatch):
+    def no_moment(*args):
+        raise AssertionError("a moment was read")
+
+    monkeypatch.setattr(witnesses, "moment_oracle", no_moment)
+    monkeypatch.setattr(witnesses, "_apply_quadrature", no_moment)
+    with pytest.raises(InvalidOrderError):
+        quadrature_central_moment(make_fock(2, 6), l, method)
 
 
 def test_psdfs_shows_squeezing():
