@@ -182,6 +182,30 @@ def _per_spec(values: list):
     return values[0] if len(values) == 1 else np.array(values)[:, None]
 
 
+def _shared(specs: list[StateSpec], field: str):
+    """A count field (n, added, subtracted, M) as a kernel operand: the one int its specs share, else their column.
+
+    A shared count keeps the kernels on their one-shape path, with the same
+    numpy calls as for one spec; only a group that mixes counts pays for
+    per-spec masks and gathers.
+    """
+    first = specs[0].param(field)
+    if len(specs) == 1:
+        return first
+    counts = [spec.param(field) for spec in specs]
+    return first if counts.count(first) == len(counts) else np.array(counts)[:, None]
+
+
+def _largest(count: int | np.ndarray) -> int:
+    """The largest value of a ``_shared`` operand."""
+    return int(count.max()) if isinstance(count, np.ndarray) else count
+
+
+def _gather(values: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """values[..., index] along the basis axis, with one index row per spec when ``index`` has them."""
+    return values.take(index, axis=-1) if index.ndim == 1 else np.take_along_axis(values, index, axis=-1)
+
+
 def _log_pow(mags: list[float], exponent) -> np.ndarray:
     """exponent * log(mag) for each mag, with mag = 0 handled so 0^0 = 1 and 0^e = 0."""
     log_mags = _per_spec([math.log(mag) if mag > 0.0 else _LOG_ZERO for mag in mags])
@@ -193,7 +217,7 @@ def _log_pow(mags: list[float], exponent) -> np.ndarray:
 _RESCALE = 2.0**500
 
 
-def _displaced_fock(alphas: list[complex], n: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+def _displaced_fock(alphas: list[complex], n: int | np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """(log|<m|D(alpha)|n>|, e^{i arg <m|D(alpha)|n>}) for m < dim, a row per alpha (``_per_spec``).
 
     <m|D(alpha)|n> = sqrt(lo!/hi!) (alpha or -alpha*)^a e^{-x/2} L_lo^(a)(x),
@@ -206,8 +230,11 @@ def _displaced_fock(alphas: list[complex], n: int, dim: int) -> tuple[np.ndarray
     form. No alternating sum is formed, so nothing cancels as n grows. An
     exactly zero Laguerre factor gives log|.| = -inf; at alpha = 0 the
     off-diagonal elements read -1e18 |m - n| (``_log_pow``), which
-    exponentiate to 0.0. Every element is computed by itself, so a row is
-    bitwise the same whatever its batch and whatever the dim it is cut from.
+    exponentiate to 0.0. ``n`` is one int or a (specs, 1) column
+    (``_shared``); with a column the recurrence runs to the largest
+    min(n, dim) for every row, and each row reads its own degrees. Every
+    element is computed by itself, so a row is bitwise the same whatever its
+    batch and whatever the dim it is cut from.
     """
     mags = [abs(alpha) for alpha in alphas]
     x = _per_spec([mag**2 for mag in mags])
@@ -215,27 +242,44 @@ def _displaced_fock(alphas: list[complex], n: int, dim: int) -> tuple[np.ndarray
     a = np.abs(m - n)
     shape = (dim,) if len(alphas) == 1 else (len(alphas), dim)
     log_ell, sign = np.zeros(shape), np.ones(shape)  # ell_0 = 1, the factor of every row when n = 0
-    if n:
+    mixed = isinstance(n, np.ndarray)  # a column of per-spec n, not one shared n
+    top = _largest(n)
+    # Taken before the recurrence, so a table past its cap refuses before any step runs.
+    log_fact = log_factorials(max(dim, top + 1))
+    steps = min(top, dim)  # no row reads a degree past min(n, dim - 1)
+    if steps:
         prev, ell = np.zeros(shape), np.ones(shape)
         log_scale = np.zeros(shape)
-        for k in range(min(n, dim)):  # no row reads a degree past min(n, dim - 1)
+        if mixed:  # rows m >= n read ell at degree n, kept here as each row reaches it
+            counts = n[:, 0].tolist()
+            tail_log, tail_sign = np.zeros(shape), np.ones(shape)
+        for k in range(steps):
             prev, ell = ell, ((2 * k + 1 - x + a) * ell - k * prev) / (k + 1 + a)
-            if np.abs(ell).max() > _RESCALE:
+            if not np.abs(ell).max() <= _RESCALE:  # a NaN past some row's own degree must not hide the others
                 grown = np.abs(ell) > _RESCALE
                 prev[grown] /= _RESCALE
                 ell[grown] /= _RESCALE
                 log_scale[grown] += math.log(_RESCALE)
-            if k + 1 < min(n, dim):  # row m = k + 1 < n has reached its degree lo = m
+            if k + 1 < steps:  # row m = k + 1 < n has reached its degree lo = m
                 value = ell[..., k + 1]
                 logs = [math.log(abs(v)) if v else -math.inf for v in np.ravel(value).tolist()]
                 log_ell[..., k + 1] = np.reshape(logs, value.shape) + log_scale[..., k + 1]
                 sign[..., k + 1] = np.copysign(1.0, value)
-        with np.errstate(divide="ignore"):
-            log_ell[..., n:] = np.log(np.abs(ell[..., n:])) + log_scale[..., n:]  # rows m >= n have lo = n
-        sign[..., n:] = np.sign(ell[..., n:])
+            if mixed:
+                done = [row for row, count in enumerate(counts) if count == k + 1]
+                if done:
+                    with np.errstate(divide="ignore"):
+                        tail_log[done] = np.log(np.abs(ell[done])) + log_scale[done]
+                    tail_sign[done] = np.sign(ell[done])
+        if mixed:
+            log_ell = np.where(m >= n, tail_log, log_ell)
+            sign = np.where(m >= n, tail_sign, sign)
+        else:
+            with np.errstate(divide="ignore"):
+                log_ell[..., n:] = np.log(np.abs(ell[..., n:])) + log_scale[..., n:]  # rows m >= n have lo = n
+            sign[..., n:] = np.sign(ell[..., n:])
         sign = np.where((m < n) & (a % 2 == 1), -sign, sign)  # (-alpha*)^a below the diagonal
     lo = np.minimum(m, n)
-    log_fact = log_factorials(max(dim, n + 1))
     log_mag = (
         0.5 * (log_fact[lo + a] - log_fact[lo])
         - log_fact[a]
@@ -248,41 +292,39 @@ def _displaced_fock(alphas: list[complex], n: int, dim: int) -> tuple[np.ndarray
 
 
 def _dfs_log_amplitudes(
-    alphas: list[complex], n: int, added: int, subtracted: int, dim: int
+    alphas: list[complex], n: int | np.ndarray, added: int | np.ndarray, subtracted: int | np.ndarray, dim: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(log|c_j|, e^{i arg c_j}) for j < dim of a^q a†^k D(alpha)|n>  (k = added, q = subtracted), a row per alpha.
 
     c_j = sqrt((j+q)!/j!) sqrt((j+q)!/m!) <m|D(alpha)|n> with m = j + q - k:
     the two ladder powers are square-root factor shifts of the displaced-Fock
-    kernel. log|c_j| is -inf where m < 0.
+    kernel. log|c_j| is -inf where m < 0. n, k and q are each one int or a
+    (specs, 1) column (``_shared``).
     """
-    log_d, phase_d = _displaced_fock(alphas, n, dim + subtracted)
-    if not added and not subtracted:  # the shift is exactly zero
+    top = _largest(subtracted)
+    log_d, phase_d = _displaced_fock(alphas, n, dim + top)
+    if not isinstance(added, np.ndarray) and not added and not top:  # the shift is exactly zero
         return log_d, phase_d
     j = np.arange(dim)
     m = j + subtracted - added
     valid = m >= 0
     m = np.where(valid, m, 0)
-    log_fact = log_factorials(dim + subtracted)
+    log_fact = log_factorials(dim + top)
     shift = log_fact[j + subtracted] - 0.5 * (log_fact[j] + log_fact[m])
-    # take() gathers along the basis axis of one row or of a batch alike
-    log_c = np.where(valid, log_d.take(m, axis=-1) + shift, -np.inf)
-    return log_c, np.where(valid, phase_d.take(m, axis=-1), 0.0)
-
-
-def _shape_key(spec: StateSpec) -> tuple:
-    """The fields that set the shape of a family's series; specs that share them share one kernel pass."""
-    return (spec.family, spec.n, spec.added, spec.subtracted, spec.M)
+    log_c = np.where(valid, _gather(log_d, m) + shift, -np.inf)
+    return log_c, np.where(valid, _gather(phase_d, m), 0.0)
 
 
 def _bare_log_amplitudes(specs: list[StateSpec], dim: int) -> tuple[np.ndarray, np.ndarray]:
     """(log|b_i|, e^{i arg b_i}) for i < dim of the bare closed-form series, a row per spec (``_per_spec``).
 
-    The specs share one ``_shape_key``; their alpha, p and chi may differ.
-    This is the one transcription of the thesis coefficients c_i = N b_i, with
-    N = ``normalization_constant_closed_form(spec)``. The Fock and DFS groups
-    read b_i = <i|a^q a†^k D(alpha)|n> from the displaced-Fock kernel (Fock
-    is alpha = 0). The others are b_i = h_i / sqrt(i!) with h_i =
+    The specs share one family; every parameter may differ. This is the one
+    transcription of the thesis coefficients c_i = N b_i, with
+    N = ``normalization_constant_closed_form(spec)``. Fock is b_i = 1 at
+    i = n and 0 elsewhere (log|b_i| = 0 and -inf). The DFS group reads
+    b_i = <i|a^q a†^k D(alpha)|n> from the displaced-Fock kernel, whose
+    recurrence runs to the specs' largest min(n, dim) for every row. The
+    others are b_i = h_i / sqrt(i!) with h_i =
     (1 + (-1)^i) alpha^i (ECS), alpha^i e^{-|alpha|^2/2} e^{-i chi i (i-1)}
     (plain Kerr, whose N is therefore 1; the hole variants drop the damping) or
     sqrt(M!/(M-i)! p^i (1-p)^(M-i)) (binomial, zero past M). Filtration sets
@@ -291,18 +333,23 @@ def _bare_log_amplitudes(specs: list[StateSpec], dim: int) -> tuple[np.ndarray, 
     about -1e18 |i - n|, finite so ``_grows_at_cut`` stays an argmax, and exp
     gives 0.0. In log form no term over- or underflows. The per-spec scalars
     (log |alpha|, its phase, log p, chi) are Python floats, as in a one-spec
-    call, so each row is bitwise that spec's series alone.
+    call, and counts the specs share stay ints (``_shared``), so each row is
+    bitwise that spec's series alone.
     """
     spec = specs[0]
     info = spec.info
     base = dim - (info.hole == "added")  # photon addition shifts the series up one
     i = np.arange(base)
-    if info.group in ("fock", "dfs"):
+    if info.group == "fock":  # exact: no kernel pass for a Kronecker delta
+        log_b = np.where(i == _per_spec([s.n for s in specs]), 0.0, -np.inf)
+        phase = np.ones(log_b.shape, dtype=np.complex128)
+    elif info.group == "dfs":
         alphas = [s.param("alpha") for s in specs]
-        log_b, phase = _dfs_log_amplitudes(alphas, spec.param("n"), spec.param("added"), spec.param("subtracted"), base)
+        counts = _shared(specs, "n"), _shared(specs, "added"), _shared(specs, "subtracted")
+        log_b, phase = _dfs_log_amplitudes(alphas, *counts, base)
     elif info.group == "binomial":
-        M = spec.M
-        log_fact = log_factorials(M + 1)
+        M = _shared(specs, "M")
+        log_fact = log_factorials(_largest(M) + 1)
         k = np.minimum(i, M)
         log_h = 0.5 * (
             log_fact[M]
@@ -427,16 +474,18 @@ def build_states(
 ) -> list[StateVector | FockLabError]:
     """For each spec in order, its ``build_state`` vector or the FockLabError that call raises.
 
-    Specs that share family, n, added, subtracted and M (the points of a
-    sweep over alpha, p or chi) share one pass of the series kernel at the
-    widest of their initial bases; each row then runs its own doubling,
-    guards, trim and normalization on a slice of its own length, so every
-    state is bitwise the one ``build_state`` gives. Memory grows with the
-    batch: callers with many specs pass them a chunk at a time.
+    Specs of one family share one pass of the series kernel at the widest of
+    their initial bases, whatever their n, added, subtracted, M, alpha, p or
+    chi; each row then runs its own doubling, guards, trim and
+    normalization on a slice of its own length, so every state is bitwise
+    the one ``build_state`` gives. A DFS-group pass runs the Laguerre
+    recurrence to the group's largest min(n, dim) for every row, so one
+    large n makes its whole family pay for it. Memory grows with the batch:
+    callers with many specs pass them a chunk at a time.
     """
-    groups: dict[tuple, list[int]] = {}
+    groups: dict[str, list[int]] = {}
     for index, spec in enumerate(specs):
-        groups.setdefault(_shape_key(spec), []).append(index)
+        groups.setdefault(spec.family, []).append(index)
     results: list = [None] * len(specs)
     for indices in groups.values():
         for index, result in zip(indices, _build_group([specs[index] for index in indices], policy)):
@@ -445,7 +494,7 @@ def build_states(
 
 
 def _build_group(group: list[StateSpec], policy: TruncationPolicy) -> list[StateVector | FockLabError]:
-    """``build_states`` of specs that share one ``_shape_key``."""
+    """``build_states`` of specs of one family."""
     if len(group) == 1:  # nothing to share: the row computes its own series
         return [_build_row(group[0], policy)]
     dims = [_initial_dim(spec, policy) for spec in group]

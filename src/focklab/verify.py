@@ -2,17 +2,23 @@
 
 Each check draws its parameter points from a seeded generator, so a report
 is fully reproducible from its seed, and different seeds probe different
-points with the same pass/fail semantics.
+points with the same pass/fail semantics. A check that builds states draws
+all its points first and then builds them in one ``build_states`` batch
+(one kernel pass per family); builds draw no random numbers, so the points
+and the report are those of building each spec as it is drawn, and a
+failed build raises when the check's loop reaches that spec.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TruncationPolicy, state_from_amplitudes
+from .core import StateVector, TruncationPolicy, state_from_amplitudes
+from .exceptions import FockLabError
 from .interferometry import ENTROPY_SERIES_GROUPS, linear_entropy, linear_entropy_closed_form
 from .moments import moment_oracle, moment_series
 from .states import (
@@ -21,6 +27,7 @@ from .states import (
     StateSpec,
     build_by_composition,
     build_state,
+    build_states,
     limiting_cases,
     normalization_constant,
     normalization_constant_closed_form,
@@ -29,6 +36,8 @@ from .states import (
 from . import witnesses
 
 _ORACLE_POLICY = TruncationPolicy(max_dim=512, tail_tolerance=1e-16)
+# The policy of the checks that compare two built states elementwise.
+_STATE_POLICY = TruncationPolicy(max_dim=512, tail_tolerance=1e-14)
 
 
 @dataclass(frozen=True)
@@ -80,6 +89,14 @@ def _random_spec(rng: np.random.Generator, family: str) -> StateSpec:
     return StateSpec(**kwargs)
 
 
+def _built(specs: list[StateSpec], policy: TruncationPolicy) -> Iterator[StateVector]:
+    """``build_state`` of each spec in order, from one ``build_states`` batch; a failed build raises when it is reached."""
+    for state in build_states(specs, policy):
+        if isinstance(state, FockLabError):
+            raise state
+        yield state
+
+
 def _result(name: str, abs_err: float, rel_err: float, tol: float, points: int, rel: bool = False) -> CheckResult:
     err = rel_err if rel else abs_err
     return CheckResult(name, abs_err, rel_err, tol, err <= tol, points)
@@ -87,17 +104,12 @@ def _result(name: str, abs_err: float, rel_err: float, tol: float, points: int, 
 
 def check_state_oracle_equivalence(rng: np.random.Generator, points_per_family: int = 20) -> CheckResult:
     """build_state vs build_by_composition, elementwise, across all families."""
-    policy = TruncationPolicy(max_dim=512, tail_tolerance=1e-14)
+    specs = [_random_spec(rng, family) for family in FAMILIES for _ in range(points_per_family)]
     worst = 0.0
-    count = 0
-    for family in FAMILIES:
-        for _ in range(points_per_family):
-            spec = _random_spec(rng, family)
-            closed = build_state(spec, policy)
-            composed = build_by_composition(spec, policy)
-            worst = max(worst, state_distance(closed, composed))
-            count += 1
-    return _result("state-factory closed form vs operator composition", worst, worst, 1e-10, count)
+    for spec, closed in zip(specs, _built(specs, _STATE_POLICY)):
+        composed = build_by_composition(spec, _STATE_POLICY)
+        worst = max(worst, state_distance(closed, composed))
+    return _result("state-factory closed form vs operator composition", worst, worst, 1e-10, len(specs))
 
 
 def check_moment_series(rng: np.random.Generator, n_points: int = 200) -> CheckResult:
@@ -106,15 +118,15 @@ def check_moment_series(rng: np.random.Generator, n_points: int = 200) -> CheckR
     The pass metric is relative error for |moment| >= 1 and absolute error
     (at a hundredfold tighter bar, 1e-10) below unit scale.
     """
-    worst_metric = 0.0
-    worst_abs = 0.0
     families = list(FAMILIES)
+    points = []
     for _ in range(n_points):
         family = families[int(rng.integers(0, len(families)))]
         spec = _random_spec(rng, family)
-        t = int(rng.integers(0, 5))
-        j = int(rng.integers(0, 5))
-        state = build_state(spec, _ORACLE_POLICY)
+        points.append((spec, int(rng.integers(0, 5)), int(rng.integers(0, 5))))
+    worst_metric = 0.0
+    worst_abs = 0.0
+    for (spec, t, j), state in zip(points, _built([spec for spec, _, _ in points], _ORACLE_POLICY)):
         reference = moment_oracle(state, t, j)
         value = moment_series(spec, t, j, _ORACLE_POLICY)
         abs_err = abs(value - reference)
@@ -126,16 +138,14 @@ def check_moment_series(rng: np.random.Generator, n_points: int = 200) -> CheckR
 
 def check_entropy_closed_forms(rng: np.random.Generator, points_per_family: int = 5) -> CheckResult:
     """Closed-form linear-entropy series vs the numeric partial trace."""
+    families = [f for f in FAMILIES if FAMILY_INFO[f].group in ENTROPY_SERIES_GROUPS]
+    specs = [_random_spec(rng, family) for family in families for _ in range(points_per_family)]
     worst = 0.0
-    count = 0
-    for family in (f for f in FAMILIES if FAMILY_INFO[f].group in ENTROPY_SERIES_GROUPS):
-        for _ in range(points_per_family):
-            spec = _random_spec(rng, family)
-            numeric = linear_entropy(build_state(spec, _ORACLE_POLICY))
-            closed = linear_entropy_closed_form(spec)
-            worst = max(worst, abs(numeric - closed))
-            count += 1
-    return _result("linear entropy closed form vs partial trace", worst, worst, 1e-8, count)
+    for spec, state in zip(specs, _built(specs, _ORACLE_POLICY)):
+        numeric = linear_entropy(state)
+        closed = linear_entropy_closed_form(spec)
+        worst = max(worst, abs(numeric - closed))
+    return _result("linear entropy closed form vs partial trace", worst, worst, 1e-8, len(specs))
 
 
 def check_witness_coherent_boundary(rng: np.random.Generator) -> CheckResult:
@@ -216,9 +226,6 @@ def check_normalization_constants(rng: np.random.Generator, points_per_family: i
 
 def check_limiting_cases(rng: np.random.Generator, n_points: int = 24) -> CheckResult:
     """The reduction lattice: each family collapses to its special cases."""
-    policy = TruncationPolicy(max_dim=512, tail_tolerance=1e-14)
-    worst = 0.0
-    count = 0
     seeds = [
         StateSpec("PADFS", alpha=1.0, n=2),
         StateSpec("PSDFS", alpha=0.8 + 0.4j, n=1),
@@ -238,11 +245,14 @@ def check_limiting_cases(rng: np.random.Generator, n_points: int = 24) -> CheckR
                 n=int(rng.integers(0, 3)),
             )
         )
-    for spec in seeds:
-        a = build_state(spec, policy)
-        for reduced in limiting_cases(spec):
-            b = build_state(reduced, policy)
-            worst = max(worst, state_distance(a, b))
+    lattice = [(spec, limiting_cases(spec)) for spec in seeds]
+    built = _built([s for spec, reduced in lattice for s in (spec, *reduced)], _STATE_POLICY)
+    worst = 0.0
+    count = 0
+    for _, reduced in lattice:
+        a = next(built)
+        for _ in reduced:
+            worst = max(worst, state_distance(a, next(built)))
             count += 1
     return _result("limiting-case reduction lattice", worst, worst, 1e-12, count)
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from focklab.core import TruncationPolicy, apply_annihilate, apply_create
+from focklab.core import StateVector, TruncationPolicy, apply_annihilate, apply_create
 from focklab.exceptions import (
     AnnihilatedStateError,
     ConvergenceError,
@@ -210,21 +210,26 @@ def _assert_batch_is_per_spec(specs, policy):
     return batch
 
 
-_SHAPE = st.fixed_dictionaries(
-    {"n": st.integers(0, 3), "added": st.integers(0, 2), "subtracted": st.integers(0, 2), "M": st.integers(0, 12)}
+_COUNTS = st.fixed_dictionaries(
+    {
+        "n": st.integers(0, 3) | st.integers(4, 45),
+        "added": st.integers(0, 2),
+        "subtracted": st.integers(0, 3),
+        "M": st.integers(0, 12),
+    }
 )
-_POINT = st.tuples(st.floats(0.0, 6.0), st.floats(-math.pi, math.pi), st.floats(0.0, 1.0), st.floats(-1.0, 1.0))
+_POINT = st.tuples(st.floats(0.0, 6.0), st.floats(-math.pi, math.pi), st.floats(0.0, 1.0), st.floats(-1.0, 1.0), _COUNTS)
 
 
 @st.composite
 def _batches(draw):
-    """Specs of a few families, several points sharing each family's shape fields, in shuffled order."""
-    group = st.tuples(st.sampled_from(FAMILIES), _SHAPE, st.lists(_POINT, min_size=1, max_size=5))
+    """Specs of a few families in shuffled order; every point draws its own n, added, subtracted and M, so a family mixes shapes."""
+    group = st.tuples(st.sampled_from(FAMILIES), st.lists(_POINT, min_size=1, max_size=5))
     groups = draw(st.lists(group, min_size=1, max_size=4))
     specs = [
-        StateSpec(family, alpha=mag * cmath.exp(1j * phase), p=p, chi=chi, **shape)
-        for family, shape, points in groups
-        for mag, phase, p, chi in points
+        StateSpec(family, alpha=mag * cmath.exp(1j * phase), p=p, chi=chi, **counts)
+        for family, points in groups
+        for mag, phase, p, chi, counts in points
     ]
     return draw(st.permutations(specs))
 
@@ -259,9 +264,54 @@ def test_batch_matches_per_spec_builds_at_the_edges():
     # n past the log-factorial table fails each spec of the group, not the batch.
     past_table = [StateSpec("DFS", alpha=a, n=2**22) for a in (0.5, 1.0)]
     assert all(isinstance(r, ConvergenceError) for r in _assert_batch_is_per_spec(past_table, TruncationPolicy(8)))
+    # Beside small-n specs of its family it sends the group back to per-spec builds, and the small specs still build.
+    beside = [StateSpec("DFS", alpha=0.5, n=1), StateSpec("DFS", alpha=1.0, n=2**22), StateSpec("DFS", alpha=0.3j, n=0)]
+    batch = _assert_batch_is_per_spec(beside, POLICY)
+    assert [type(r) for r in batch] == [StateVector, ConvergenceError, StateVector]
     # The undamped ECS series past |alpha|^2 = 1416 leaves the float range.
     ecs = [StateSpec("ECS", alpha=a) for a in (1.0, math.sqrt(1500.0))]
     assert isinstance(_assert_batch_is_per_spec(ecs, TruncationPolicy(4096))[1], ConvergenceError)
+
+
+def test_batch_mixes_shapes_within_a_family():
+    # One kernel pass runs the Laguerre recurrence to n = 40 for every row;
+    # the n = 0 and n = 3 rows read their own degrees from it.
+    dfs = [StateSpec("DFS", alpha=8.0 * cmath.exp(1j * phase), n=n) for phase, n in ((0.3, 0), (-2.0, 3), (1.1, 40))]
+    _assert_batch_is_per_spec(dfs, POLICY)
+    # An over-subtracted PSDFS at alpha = 0 is empty between live points with other q.
+    psdfs = [
+        StateSpec("PSDFS", alpha=0.7, n=1, subtracted=1),
+        StateSpec("PSDFS", alpha=0, n=1, subtracted=2),
+        StateSpec("PSDFS", alpha=1.5j, n=2, subtracted=3),
+    ]
+    batch = _assert_batch_is_per_spec(psdfs, POLICY)
+    assert [type(r) for r in batch] == [StateVector, AnnihilatedStateError, StateVector]
+    # Binomial rows of different M, from the bare vacuum to a basis of 361 states.
+    binomial = [StateSpec("Binomial", p=0.4, M=M) for M in (0, 1, 12, 360)]
+    batch = _assert_batch_is_per_spec(binomial, TruncationPolicy(512, 1e-16))
+    assert [r.dim for r in batch][:2] == [1, 2]
+    # A NaN in the recurrence of a row past the float range must not stop the
+    # rescaling of its neighbour, which builds alone at |alpha| = 45, n = 600.
+    far = [StateSpec("DFS", alpha=45.0, n=600), StateSpec("DFS", alpha=1e100, n=600)]
+    batch = _assert_batch_is_per_spec(far, TruncationPolicy(4096))
+    assert [type(r) for r in batch] == [StateVector, ConvergenceError]
+    # Mixed added and subtracted counts in one PASDFS group.
+    pasdfs = [StateSpec("PASDFS", alpha=a, n=n, added=k, subtracted=q) for a, n, k, q in ((1.2, 0, 2, 0), (0.4j, 3, 0, 4), (2.0, 1, 1, 1))]
+    _assert_batch_is_per_spec(pasdfs, POLICY)
+
+
+@pytest.mark.parametrize("n", [512, 513, 2**22])
+def test_fock_past_max_dim_is_cut_while_it_grows(n):
+    # The exact Fock series is 0 below its term n, so a basis of max_dim states cuts it before its peak.
+    with pytest.raises(TruncationOverflowError):
+        build_state(StateSpec("Fock", n=n), TruncationPolicy(max_dim=512))
+
+
+def test_fock_series_is_an_exact_delta():
+    log_c, phase = ladder_log_amplitudes(StateSpec("Fock", n=3))
+    assert log_c[3] == 0.0 and np.all(np.delete(log_c, 3) == -np.inf)
+    assert np.all(phase == 1.0)
+    assert build_state(StateSpec("Fock", n=3), POLICY).amplitudes.tolist() == [0, 0, 0, 1]
 
 
 _LADDER_SPECS = [
