@@ -17,8 +17,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import DEFAULT_POLICY, StateVector, log_factorials
-from .exceptions import ConvergenceError, InvalidParameterError, StationaryPointError
-from .states import StateSpec, ladder_log_amplitudes
+from .exceptions import ConvergenceError, FockLabError, InvalidParameterError, StationaryPointError
+from .states import StateSpec, ladders
 
 # Family groups with a closed-form linear-entropy series.
 ENTROPY_SERIES_GROUPS = ("ecs", "kerr", "binomial")
@@ -124,7 +124,14 @@ def linear_entropy_closed_form(spec: StateSpec) -> float:
     """
     if spec.info.group not in ENTROPY_SERIES_GROUPS:
         raise InvalidParameterError(f"no closed-form entanglement-potential series for {spec.family!r}")
-    log_c, phase = ladder_log_amplitudes(spec)
+    return _entropy_sum(ladders([spec])[0])
+
+
+def _entropy_sum(ladder: tuple[np.ndarray, np.ndarray] | FockLabError) -> float:
+    """``linear_entropy_closed_form`` over one ``states.ladders`` entry of an entropy-series family; an error entry is raised."""
+    if isinstance(ladder, FockLabError):
+        raise ladder
+    log_c, phase = ladder
     d = len(log_c)
     s = np.arange(2 * d - 1)
     if len(s) > _ENTROPY_MAX_TERMS:

@@ -16,8 +16,8 @@ import operator
 import numpy as np
 
 from .core import DEFAULT_POLICY, StateVector, TruncationPolicy
-from .exceptions import InvalidParameterError, TruncationUnsafeError
-from .states import StateSpec, ladder_log_amplitudes
+from .exceptions import FockLabError, InvalidParameterError, TruncationUnsafeError
+from .states import StateSpec, ladders
 
 # Power budget: truncation error grows with t + j, so cap the order.
 MAX_TOTAL_ORDER = 16
@@ -94,8 +94,15 @@ def moment_series(
     unused: the ladder sets its own length. It stays because
     ``perfbench/workloads.py`` passes it.
     """
+    return _moment_sum(ladders([spec])[0], t, j)
+
+
+def _moment_sum(ladder: tuple[np.ndarray, np.ndarray] | FockLabError, t: int, j: int) -> complex:
+    """``moment_series`` over one ``states.ladders`` entry: the powers are checked, then an error entry is raised."""
     _check_powers(t, j)
-    log_c, phase = ladder_log_amplitudes(spec)
+    if isinstance(ladder, FockLabError):
+        raise ladder
+    log_c, phase = ladder
     i = np.arange(j, len(log_c) + min(j - t, 0))  # both i and i - j + t on the ladder
     bra = i - j + t
     log_t = log_c[bra] + log_c[i] + 0.5 * (_log_falling(bra, t) + _log_falling(i, j))

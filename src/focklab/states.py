@@ -127,32 +127,43 @@ class StateSpec:
     chi: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "family", canonical_family(self.family))
-        object.__setattr__(self, "alpha", complex(self.alpha))
+        # Each field already of its stored type (an exact str name, complex,
+        # int or float) skips its conversion; every check still runs.
+        family = self.family
+        info = FAMILY_INFO.get(family) if type(family) is str else None
+        if info is None:
+            info = FAMILY_INFO[canonical_family(family)]
+            object.__setattr__(self, "family", info.name)
+        alpha = self.alpha
+        if type(alpha) is not complex:
+            alpha = complex(alpha)
+            object.__setattr__(self, "alpha", alpha)
         for attr in ("n", "added", "subtracted", "M"):
             value = getattr(self, attr)
-            try:
-                count = operator.index(value)  # Python and numpy integers, not 1.5
-            except TypeError:
-                raise InvalidParameterError(f"{attr} must be an integer, got {value!r}") from None
-            if count < 0:
+            if type(value) is not int:
+                try:
+                    value = operator.index(value)  # Python and numpy integers, not 1.5
+                except TypeError:
+                    raise InvalidParameterError(f"{attr} must be an integer, got {value!r}") from None
+                object.__setattr__(self, attr, value)
+            if value < 0:
                 raise InvalidParameterError(f"{attr} must be >= 0")
-            object.__setattr__(self, attr, count)
         for attr in ("p", "chi"):
             value = getattr(self, attr)
-            if not isinstance(value, numbers.Real):
-                raise InvalidParameterError(f"{attr} must be a real number, got {value!r}")
-            # Stored as float, as alpha is as complex: an int chi would enter the
-            # Kerr phase as int64, which wraps, and alone in another dtype than in a batch.
-            object.__setattr__(self, attr, float(value))
-        for attr, value in (("alpha", self.alpha), ("p", self.p), ("chi", self.chi)):
+            if type(value) is not float:
+                if not isinstance(value, numbers.Real):
+                    raise InvalidParameterError(f"{attr} must be a real number, got {value!r}")
+                # Stored as float, as alpha is as complex: an int chi would enter the
+                # Kerr phase as int64, which wraps, and alone in another dtype than in a batch.
+                object.__setattr__(self, attr, float(value))
+        for attr, value in (("alpha", alpha), ("p", self.p), ("chi", self.chi)):
             if not cmath.isfinite(value):
                 raise InvalidParameterError(f"{attr} must be finite, got {value}")
         # Every alpha-reading series starts from |alpha|^2; hypot, unlike abs, returns inf rather than raise.
-        mag = math.hypot(self.alpha.real, self.alpha.imag)
-        if "alpha" in self.info.fields and mag * mag == math.inf:
+        mag = math.hypot(alpha.real, alpha.imag)
+        if mag * mag == math.inf and "alpha" in info.fields:
             raise InvalidParameterError(f"|alpha| = {mag} is too large: |alpha|^2 leaves the float range")
-        if "p" in self.info.fields and not 0.0 <= self.p <= 1.0:
+        if "p" in info.fields and not 0.0 <= self.p <= 1.0:
             raise InvalidParameterError(f"binomial probability p={self.p} not in [0, 1]")
 
     @property
@@ -425,15 +436,17 @@ def _initial_dim(spec: StateSpec, policy: TruncationPolicy) -> int:
     return min(max(guess, 24), policy.max_dim)
 
 
-def _trim(raw: np.ndarray, policy: TruncationPolicy) -> tuple[np.ndarray, float]:
+def _trim(raw: np.ndarray, policy: TruncationPolicy, p: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Cut the trailing tail, keeping the discarded mass within tolerance.
 
     When the series is pinned against max_dim with significant edge
     occupation, the uncaptured mass is estimated by geometric
     extrapolation of the trailing probabilities so downstream moment
-    guards can refuse the state. ``raw``'s norm has passed ``checked_norm``.
+    guards can refuse the state. ``raw``'s norm has passed ``checked_norm``;
+    ``p`` is |raw|^2 when the caller has it already.
     """
-    p = np.abs(raw) ** 2
+    if p is None:
+        p = np.abs(raw) ** 2
     total = float(p.sum())
     suffix = np.cumsum(p[::-1])[::-1] / total
     keep = len(raw)
@@ -463,7 +476,7 @@ def build_state(spec: StateSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> S
     and ConvergenceError when the squared norm overflows (the undamped ECS
     series and Kerr hole variants past |alpha|^2 ~ 710) or goes subnormal.
     """
-    (state,) = _build_group([spec], policy)
+    (state,) = build_states([spec], policy)
     if isinstance(state, FockLabError):
         raise state
     return state
@@ -476,61 +489,98 @@ def build_states(
 
     Specs of one family share one pass of the series kernel at the widest of
     their initial bases, whatever their n, added, subtracted, M, alpha, p or
-    chi; each row then runs its own doubling, guards, trim and
-    normalization on a slice of its own length, so every state is bitwise
-    the one ``build_state`` gives. A DFS-group pass runs the Laguerre
-    recurrence to the group's largest min(n, dim) for every row, so one
-    large n makes its whole family pay for it. Memory grows with the batch:
-    callers with many specs pass them a chunk at a time.
+    chi, exponentiated and squared as one block (``_first_bases``); each row
+    then runs its own doubling, guards, trim and normalization on a slice of
+    its own length, so every state is bitwise the one ``build_state`` gives.
+    A DFS-group pass runs the Laguerre recurrence to the group's largest
+    min(n, dim) for every row, so one large n makes its whole family pay for
+    it. Memory grows with the batch: callers with many specs pass them a
+    chunk at a time.
     """
+    return _by_family(specs, _adaptive_group, policy, _build_row)
+
+
+def _by_family(specs: list[StateSpec], run_group, *args) -> list:
+    """``run_group(group, *args)`` of each family's specs, its results put back in the specs' order.
+
+    ``run_group`` maps a list of specs of one family to one result per spec.
+    """
+    if len(specs) == 1:
+        return run_group(specs, *args)
     groups: dict[str, list[int]] = {}
     for index, spec in enumerate(specs):
         groups.setdefault(spec.family, []).append(index)
     results: list = [None] * len(specs)
     for indices in groups.values():
-        for index, result in zip(indices, _build_group([specs[index] for index in indices], policy)):
+        for index, result in zip(indices, run_group([specs[index] for index in indices], *args)):
             results[index] = result
     return results
 
 
-def _build_group(group: list[StateSpec], policy: TruncationPolicy) -> list[StateVector | FockLabError]:
-    """``build_states`` of specs of one family."""
+def _adaptive_group(group: list[StateSpec], policy: TruncationPolicy, finish) -> list:
+    """``finish(spec, policy, dim, series, raw, p)`` of each spec of one family, each from its ``_first_bases`` entry."""
     if len(group) == 1:  # nothing to share: the row computes its own series
-        return [_build_row(group[0], policy)]
+        return [finish(group[0], policy)]
+    return [finish(spec, policy, *first) for spec, first in zip(group, _first_bases(group, policy))]
+
+
+def _first_bases(group: list[StateSpec], policy: TruncationPolicy) -> list[tuple]:
+    """For each spec of one family, the (dim, series, raw, p) its ``_adaptive_bare`` starts from.
+
+    One ``_bare_log_amplitudes`` pass runs at the group's widest initial
+    basis, and is exponentiated into raw = b_i and squared into p = |b_i|^2
+    as one block, under the errstate of ``_adaptive_bare``. Each spec gets
+    its own (log|b_i|, phase) rows as its series, and raw and p cut to its
+    own initial dim. A pass that runs out of log-factorials leaves each spec
+    to compute its own series: (None, None, None, None).
+    """
     dims = [_initial_dim(spec, policy) for spec in group]
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # as in _adaptive_bare
+        with np.errstate(under="ignore", over="ignore", invalid="ignore"):  # as in _adaptive_bare
             log_b, phase = _bare_log_amplitudes(group, max(dims))
+            raw = np.exp(log_b) * phase
+            p = np.abs(raw) ** 2
     except FockLabError:  # the log-factorials run out: let each spec fail on its own basis
-        return [_build_row(spec, policy) for spec in group]
-    return [_build_row(spec, policy, dim, series) for spec, dim, series in zip(group, dims, zip(log_b, phase))]
+        return [(None, None, None, None)] * len(group)
+    return [(dim, series, row[:dim], p_row[:dim]) for dim, series, row, p_row in zip(dims, zip(log_b, phase), raw, p)]
 
 
 def _build_row(
-    spec: StateSpec, policy: TruncationPolicy, dim: int | None = None, series: tuple | None = None
+    spec: StateSpec,
+    policy: TruncationPolicy,
+    dim: int | None = None,
+    series: tuple | None = None,
+    raw: np.ndarray | None = None,
+    p: np.ndarray | None = None,
 ) -> StateVector | FockLabError:
-    """``build_state`` of one spec from its (log|b_i|, phase) rows, at least ``dim`` terms long (or None)."""
+    """``build_state`` of one spec, from its ``_first_bases`` entry or, with none, from scratch."""
     try:
-        raw, _, _ = _adaptive_bare(spec, policy, dim, series)
-        trimmed, tail = _trim(raw, policy)
+        grown, _, _ = _adaptive_bare(spec, policy, dim, series, raw)
+        trimmed, tail = _trim(grown, policy, p if grown is raw else None)
         return state_from_amplitudes(trimmed, tail_mass=tail)
     except FockLabError as exc:
         return exc
 
 
 def _adaptive_bare(
-    spec: StateSpec, policy: TruncationPolicy, dim: int | None = None, series: tuple | None = None
+    spec: StateSpec,
+    policy: TruncationPolicy,
+    dim: int | None = None,
+    series: tuple | None = None,
+    raw: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float, float]:
     """``bare_coefficients`` on an adaptive basis, with its norm and edge occupation.
 
     The basis starts at ``dim`` (default ``_initial_dim``) and doubles until
     the last coefficient holds at most tail_tolerance * 1e-4 of the squared
     norm, or reaches max_dim; a Fock or binomial family is built whole at
-    once (up to max_dim). Each basis exponentiates a prefix of ``series``,
-    the spec's (log|b_i|, phase) pair, where that is long enough, else of a
-    fresh ``_bare_log_amplitudes``. Raises ConvergenceError when the squared
-    norm overflows, TruncationOverflowError when max_dim cuts the series
-    while it still grows, and then what ``checked_norm`` raises.
+    once (up to max_dim). The first basis reads ``raw``, its coefficients
+    already exponentiated, when given. Every other basis exponentiates a
+    prefix of ``series``, the spec's (log|b_i|, phase) pair, where that is
+    long enough, else of a fresh ``_bare_log_amplitudes``. Raises
+    ConvergenceError when the squared norm overflows,
+    TruncationOverflowError when max_dim cuts the series while it still
+    grows, and then what ``checked_norm`` raises.
     """
     if dim is None:
         dim = _initial_dim(spec, policy)
@@ -539,10 +589,11 @@ def _adaptive_bare(
         # The bare series of the undamped families reaches e^{|alpha|^2/2}; refuse
         # before its squared norm (or an amplitude) leaves the float range.
         with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-            if series is None or len(series[0]) < dim:
-                series = _bare_log_amplitudes([spec], dim)
-            log_b, phase = series
-            raw = np.exp(log_b[:dim]) * phase[:dim]
+            if raw is None:
+                if series is None or len(series[0]) < dim:
+                    series = _bare_log_amplitudes([spec], dim)
+                log_b, phase = series
+                raw = np.exp(log_b[:dim]) * phase[:dim]
             nrm = float(np.linalg.norm(raw))
         if not math.isfinite(nrm * nrm):
             raise ConvergenceError(f"{spec.family} bare series norm leaves the float range at {spec}")
@@ -555,6 +606,7 @@ def _adaptive_bare(
         if dim >= policy.max_dim or support is not None or edge <= policy.tail_tolerance * 1e-4:
             return raw, nrm, edge
         dim = min(dim * 2, policy.max_dim)
+        raw = None
 
 
 def _grows_at_cut(spec: StateSpec, dim: int) -> bool:
@@ -587,11 +639,15 @@ def _compose_dfs(alpha: complex, n: int, dim: int) -> np.ndarray:
     Uses the conjugation identity D(alpha) a† D†(alpha) = a† - alpha*, so
     the only closed form consumed is the coherent-state expansion itself.
     """
+    try:
+        scale = math.sqrt(math.factorial(n))
+    except OverflowError:  # n! past the float range, from n = 171
+        raise ConvergenceError(f"{n}! leaves the float range: DFS cannot be composed at n = {n}") from None
     amps = displacement_coefficients(alpha, 0, dim)
     conj = np.conjugate(alpha)
     for _ in range(n):
         amps = raise_amplitudes(amps)[: len(amps)] - conj * amps
-    return amps / math.sqrt(math.factorial(n)) if n else amps
+    return amps / scale if n else amps
 
 
 def build_by_composition(spec: StateSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> StateVector:
@@ -607,8 +663,11 @@ def build_by_composition(spec: StateSpec, policy: TruncationPolicy = DEFAULT_POL
     added, subtracted = spec.param("added"), spec.param("subtracted")
     dim = min(_initial_dim(spec, policy) + added + subtracted + 8, policy.max_dim)
     if info.group == "dfs":
-        raw = _compose_dfs(spec.alpha, spec.param("n"), dim)
-        raw = lower_amplitudes(raise_amplitudes(raw, added), subtracted)
+        # The recurrence drifts by up to sqrt(n!) at large |alpha|; amplitudes
+        # past the float range leave an inf or NaN norm, refused below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw = _compose_dfs(spec.alpha, spec.param("n"), dim)
+            raw = lower_amplitudes(raise_amplitudes(raw, added), subtracted)
     else:
         if info.group == "ecs":
             raw = displacement_coefficients(spec.alpha, 0, dim)
@@ -622,7 +681,8 @@ def build_by_composition(spec: StateSpec, policy: TruncationPolicy = DEFAULT_POL
         raw = _hole_burn(raw, info.hole)
 
     raw = raw[: policy.max_dim]  # photon addition may have grown past the cap
-    checked_norm(np.linalg.norm(raw))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm is inf, which checked_norm refuses
+        checked_norm(np.linalg.norm(raw))
     trimmed, tail = _trim(raw, policy)
     return state_from_amplitudes(trimmed, tail_mass=tail)
 
@@ -641,17 +701,45 @@ def _hole_burn(raw: np.ndarray, hole: str | None) -> np.ndarray:
 def normalization_constant(spec: StateSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
     """Numeric normalization constant: 1 / norm of the family's bare coefficient series.
 
-    The series is summed on ``build_state``'s adaptive basis. Raises
-    ConvergenceError where its squared norm leaves the float range, and
-    TruncationOverflowError where max_dim cuts it short of a negligible edge.
+    ``normalization_constants`` with one spec. The series is summed on
+    ``build_state``'s adaptive basis. Raises ConvergenceError where its
+    squared norm leaves the float range, and TruncationOverflowError where
+    max_dim cuts it short of a negligible edge.
     """
-    raw, nrm, edge = _adaptive_bare(spec, policy)
-    support = _support(spec)
-    if edge > policy.tail_tolerance * 1e-4 and (support is None or support > len(raw)):
-        raise TruncationOverflowError(
-            f"{spec.family} bare series is cut at max_dim={policy.max_dim} with edge occupation {edge:.2e}"
-        )
-    return 1.0 / nrm
+    (constant,) = normalization_constants([spec], policy)
+    if isinstance(constant, FockLabError):
+        raise constant
+    return constant
+
+
+def normalization_constants(specs: list[StateSpec], policy: TruncationPolicy = DEFAULT_POLICY) -> list[float | FockLabError]:
+    """For each spec in order, its ``normalization_constant`` or the FockLabError that call raises.
+
+    Each family's bare series come from one kernel pass, as in
+    ``build_states``, so every constant is bitwise the one-spec value.
+    """
+    return _by_family(specs, _adaptive_group, policy, _normalization_row)
+
+
+def _normalization_row(
+    spec: StateSpec,
+    policy: TruncationPolicy,
+    dim: int | None = None,
+    series: tuple | None = None,
+    raw: np.ndarray | None = None,
+    p: np.ndarray | None = None,
+) -> float | FockLabError:
+    """``normalization_constant`` of one spec, from its ``_first_bases`` entry (``p`` unused) or from scratch."""
+    try:
+        grown, nrm, edge = _adaptive_bare(spec, policy, dim, series, raw)
+        support = _support(spec)
+        if edge > policy.tail_tolerance * 1e-4 and (support is None or support > len(grown)):
+            raise TruncationOverflowError(
+                f"{spec.family} bare series is cut at max_dim={policy.max_dim} with edge occupation {edge:.2e}"
+            )
+        return 1.0 / nrm
+    except FockLabError as exc:
+        return exc
 
 
 def _dfs_norm_sq(lam: float, n: int, k: int, q: int) -> float:
@@ -722,18 +810,38 @@ def normalization_constant_closed_form(spec: StateSpec) -> float:
 def ladder_log_amplitudes(spec: StateSpec) -> tuple[np.ndarray, np.ndarray]:
     """(log|c_i|, e^{i arg c_i}) of the normalized closed-form amplitudes of any family.
 
-    c_i = N b_i over the bare series of ``_bare_log_amplitudes``, the same
-    one ``build_state`` exponentiates, with N from
-    ``normalization_constant_closed_form``. The closed forms (moments,
-    entropy, phase, Q) sum over this ladder without a state vector:
-    ``build_by_composition`` checks its coefficients and each operator oracle
-    checks its sum. The ladder runs to M + 1 (binomial) or
+    ``ladders`` with one spec. c_i = N b_i over the bare series of
+    ``_bare_log_amplitudes``, the same one ``build_state`` exponentiates,
+    with N from ``normalization_constant_closed_form``. The closed forms
+    (moments, entropy, phase, Q) sum over this ladder without a state
+    vector: ``build_by_composition`` checks its coefficients and each
+    operator oracle checks its sum. The ladder runs to M + 1 (binomial) or
     |alpha|^2 + n + 14 sqrt((|alpha|^2 + 1)(2n + 1)) + 24 terms, one more per
     added photon; log|c_i| is -inf where c_i = 0. Raises what N raises
     (AnnihilatedStateError for an empty state, ConvergenceError out of the
     float range), and ConvergenceError where the ladder needs more
     log-factorials than ``core`` serves.
     """
+    (ladder,) = ladders([spec])
+    if isinstance(ladder, FockLabError):
+        raise ladder
+    return ladder
+
+
+def ladders(specs: list[StateSpec]) -> list[tuple[np.ndarray, np.ndarray] | FockLabError]:
+    """For each spec in order, its ``ladder_log_amplitudes`` pair or the FockLabError that call raises.
+
+    Each spec finds its N, its length and its log-factorial cap alone; the
+    specs of one family then share one ``_bare_log_amplitudes`` pass at
+    their longest ladder, and each row is cut to its own length, so every
+    ladder is bitwise its one-spec value. As in ``build_states``, one long
+    ladder makes its whole family pay for its length.
+    """
+    return _by_family(specs, _ladder_group)
+
+
+def _ladder_size(spec: StateSpec) -> tuple[float, int]:
+    """(log N, the ladder's length) of ``spec``; raises what ``ladder_log_amplitudes`` raises."""
     info = spec.info
     constant = normalization_constant_closed_form(spec)
     if info.group == "binomial":
@@ -744,8 +852,49 @@ def ladder_log_amplitudes(spec: StateSpec) -> tuple[np.ndarray, np.ndarray]:
     needed = cut + spec.param("subtracted")  # the most log-factorials the ladder's kernels read
     if needed > MAX_LOG_FACTORIALS:  # refuse before allocating cut-long arrays
         raise ConvergenceError(f"{spec.family} ladder needs {needed} log-factorials, past the {MAX_LOG_FACTORIALS}-entry cap")
-    log_c, phase = _bare_log_amplitudes([spec], cut + (info.hole == "added"))
-    return log_c + math.log(constant), phase
+    return math.log(constant), cut + (info.hole == "added")
+
+
+def _ladder_group(group: list[StateSpec]) -> list:
+    """``ladders`` of specs of one family."""
+    if len(group) == 1:  # nothing to share: the spec takes its own 1-D pass
+        return [_ladder(group[0])]
+    sizes: list = []
+    for spec in group:
+        try:
+            sizes.append(_ladder_size(spec))
+        except FockLabError as exc:
+            sizes.append(exc)
+    live = [index for index, size in enumerate(sizes) if not isinstance(size, FockLabError)]
+    rows: dict[int, tuple] = {}
+    if len(live) > 1:
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # a row run past its own length must not warn
+                block = _bare_log_amplitudes([group[index] for index in live], max(sizes[index][1] for index in live))
+            rows = dict(zip(live, zip(*block)))
+        except FockLabError:  # the group's widest pass runs out of log-factorials: each spec takes its own
+            pass
+    return [
+        size if isinstance(size, FockLabError) else _ladder(spec, size, rows.get(index))
+        for index, (spec, size) in enumerate(zip(group, sizes))
+    ]
+
+
+def _ladder(spec: StateSpec, size: tuple[float, int] | None = None, series: tuple | None = None):
+    """``ladder_log_amplitudes`` of one spec, or the FockLabError it raises.
+
+    ``size`` is the spec's ``_ladder_size`` and ``series`` its row of the
+    family's shared pass, when the caller has them.
+    """
+    try:
+        log_n, length = size or _ladder_size(spec)
+    except FockLabError as exc:
+        return exc
+    if series is None:  # its own pass, exactly its length
+        log_b, phase = _bare_log_amplitudes([spec], length)
+        return log_b + log_n, phase
+    log_b, phase = series
+    return log_b[:length] + log_n, phase[:length]
 
 
 def state_distance(a: StateVector, b: StateVector) -> float:

@@ -19,8 +19,8 @@ import numpy as np
 
 from .core import StateVector, TruncationPolicy, state_from_amplitudes
 from .exceptions import FockLabError
-from .interferometry import ENTROPY_SERIES_GROUPS, linear_entropy, linear_entropy_closed_form
-from .moments import moment_oracle, moment_series
+from .interferometry import ENTROPY_SERIES_GROUPS, _entropy_sum, linear_entropy
+from .moments import _moment_sum, moment_oracle
 from .states import (
     FAMILIES,
     FAMILY_INFO,
@@ -28,9 +28,10 @@ from .states import (
     build_by_composition,
     build_state,
     build_states,
+    ladders,
     limiting_cases,
-    normalization_constant,
     normalization_constant_closed_form,
+    normalization_constants,
     state_distance,
 )
 from . import witnesses
@@ -115,8 +116,9 @@ def check_state_oracle_equivalence(rng: np.random.Generator, points_per_family: 
 def check_moment_series(rng: np.random.Generator, n_points: int = 200) -> CheckResult:
     """moment_series vs moment_oracle on a randomized (family, params, t, j) grid.
 
-    The pass metric is relative error for |moment| >= 1 and absolute error
-    (at a hundredfold tighter bar, 1e-10) below unit scale.
+    Each series sums its spec's entry of one ``ladders`` call. The pass
+    metric is relative error for |moment| >= 1 and absolute error (at a
+    hundredfold tighter bar, 1e-10) below unit scale.
     """
     families = list(FAMILIES)
     points = []
@@ -124,11 +126,12 @@ def check_moment_series(rng: np.random.Generator, n_points: int = 200) -> CheckR
         family = families[int(rng.integers(0, len(families)))]
         spec = _random_spec(rng, family)
         points.append((spec, int(rng.integers(0, 5)), int(rng.integers(0, 5))))
+    specs = [spec for spec, _, _ in points]
     worst_metric = 0.0
     worst_abs = 0.0
-    for (spec, t, j), state in zip(points, _built([spec for spec, _, _ in points], _ORACLE_POLICY)):
+    for (_, t, j), state, ladder in zip(points, _built(specs, _ORACLE_POLICY), ladders(specs)):
         reference = moment_oracle(state, t, j)
-        value = moment_series(spec, t, j, _ORACLE_POLICY)
+        value = _moment_sum(ladder, t, j)  # moment_series of the point's spec
         abs_err = abs(value - reference)
         worst_abs = max(worst_abs, abs_err)
         metric = abs_err / abs(reference) if abs(reference) >= 1.0 else abs_err * 100.0
@@ -141,9 +144,9 @@ def check_entropy_closed_forms(rng: np.random.Generator, points_per_family: int 
     families = [f for f in FAMILIES if FAMILY_INFO[f].group in ENTROPY_SERIES_GROUPS]
     specs = [_random_spec(rng, family) for family in families for _ in range(points_per_family)]
     worst = 0.0
-    for spec, state in zip(specs, _built(specs, _ORACLE_POLICY)):
+    for state, ladder in zip(_built(specs, _ORACLE_POLICY), ladders(specs)):
         numeric = linear_entropy(state)
-        closed = linear_entropy_closed_form(spec)
+        closed = _entropy_sum(ladder)  # linear_entropy_closed_form of the point's spec
         worst = max(worst, abs(numeric - closed))
     return _result("linear entropy closed form vs partial trace", worst, worst, 1e-8, len(specs))
 
@@ -211,17 +214,19 @@ def check_hong_mandel_dual_path(rng: np.random.Generator, n_states: int = 30) ->
 
 
 def check_normalization_constants(rng: np.random.Generator, points_per_family: int = 6) -> CheckResult:
-    """Numeric normalization of each bare series vs the analytic constants, every family included."""
+    """Numeric normalization of each bare series vs the analytic constants, every family included.
+
+    The numeric constants come from one ``normalization_constants`` batch; a
+    failed one raises when the loop reaches its spec.
+    """
+    specs = [_random_spec(rng, family) for family in FAMILIES for _ in range(points_per_family)]
     worst = 0.0
-    count = 0
-    for family in FAMILIES:
-        for _ in range(points_per_family):
-            spec = _random_spec(rng, family)
-            closed = normalization_constant_closed_form(spec)
-            numeric = normalization_constant(spec)
-            worst = max(worst, abs(numeric - closed) / closed)
-            count += 1
-    return _result("analytic normalization constants", worst, worst, 1e-9, count)
+    for spec, numeric in zip(specs, normalization_constants(specs)):
+        closed = normalization_constant_closed_form(spec)
+        if isinstance(numeric, FockLabError):
+            raise numeric
+        worst = max(worst, abs(numeric - closed) / closed)
+    return _result("analytic normalization constants", worst, worst, 1e-9, len(specs))
 
 
 def check_limiting_cases(rng: np.random.Generator, n_points: int = 24) -> CheckResult:

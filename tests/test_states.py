@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from focklab import core, states
 from focklab.core import StateVector, TruncationPolicy, apply_annihilate, apply_create
 from focklab.exceptions import (
     AnnihilatedStateError,
@@ -27,9 +28,11 @@ from focklab.states import (
     build_states,
     displacement_coefficients,
     ladder_log_amplitudes,
+    ladders,
     limiting_cases,
     normalization_constant,
     normalization_constant_closed_form,
+    normalization_constants,
     state_distance,
 )
 from focklab.states import _initial_dim
@@ -187,6 +190,25 @@ def test_ecs_just_inside_float_range_builds():
     assert s.norm == pytest.approx(1.0, abs=1e-12)
 
 
+def test_composed_dfs_past_the_factorial_float_range_is_refused():
+    # sqrt(n!) is formed from n! as a float, which overflows from n = 171.
+    with pytest.raises(ConvergenceError, match="171!"):
+        build_by_composition(StateSpec("DFS", alpha=0.5, n=171))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [StateSpec("DFS", alpha=38.0, n=170), StateSpec("DFS", alpha=40.0, n=170), StateSpec("PASDFS", alpha=45.0, n=150, added=3, subtracted=2)],
+    ids=["norm-overflows", "recurrence-overflows", "ladder-steps-overflow"],
+)
+def test_composed_dfs_past_the_float_range_is_refused_without_a_warning(spec):
+    # The composed amplitudes (or only their squared norm) leave the float range.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="float range"):
+            build_by_composition(spec, TruncationPolicy(4096))
+
+
 # --- batched builds ------------------------------------------------------------
 
 
@@ -298,6 +320,107 @@ def test_batch_mixes_shapes_within_a_family():
     # Mixed added and subtracted counts in one PASDFS group.
     pasdfs = [StateSpec("PASDFS", alpha=a, n=n, added=k, subtracted=q) for a, n, k, q in ((1.2, 0, 2, 0), (0.4j, 3, 0, 4), (2.0, 1, 1, 1))]
     _assert_batch_is_per_spec(pasdfs, POLICY)
+
+
+def test_batch_finishes_doubling_pinned_and_overflowing_rows_of_one_family():
+    # One VFKS block at tail 1e-300: |alpha| = 1 doubles from 53 to 212 states,
+    # |alpha|^2 = 700 starts and stays pinned at max_dim, and |alpha|^2 = 750
+    # overflows its squared norm on its first basis.
+    policy = TruncationPolicy(1024, 1e-300)
+    specs = [StateSpec("VFKS", alpha=a, chi=0.1) for a in (1.0, math.sqrt(700.0), math.sqrt(750.0))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = _assert_batch_is_per_spec(specs, policy)
+    assert batch[0].dim > _initial_dim(specs[0], policy)
+    assert batch[1].dim == policy.max_dim and batch[1].tail_mass > 0.0
+    assert isinstance(batch[2], ConvergenceError)
+
+
+def _batch_normalization_is_per_spec(specs, policy):
+    def alone(spec):
+        try:
+            return normalization_constant(spec, policy)
+        except FockLabError as exc:
+            return exc
+
+    def outcome(result):
+        return (type(result), str(result)) if isinstance(result, FockLabError) else result.hex()
+
+    batch = normalization_constants(specs, policy)
+    assert [outcome(r) for r in batch] == [outcome(alone(s)) for s in specs]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(specs=_batches(), policy=st.sampled_from([TruncationPolicy(), TruncationPolicy(24, 1e-12)]))
+def test_batched_normalization_constants_are_each_spec_alone(specs, policy):
+    _batch_normalization_is_per_spec(specs, policy)
+
+
+# --- batched ladders -----------------------------------------------------------
+
+
+def _ladder_outcome(result):
+    """A ladder as comparable data: the bytes of both arrays, or the error's class and message."""
+    if isinstance(result, FockLabError):
+        return type(result), str(result)
+    log_c, phase = result
+    return log_c.tobytes(), phase.tobytes()
+
+
+def _ladder_alone(spec):
+    try:
+        return ladder_log_amplitudes(spec)
+    except FockLabError as exc:
+        return exc
+
+
+def _assert_ladders_are_per_spec(specs):
+    batch = ladders(specs)
+    assert [_ladder_outcome(r) for r in batch] == [_ladder_outcome(_ladder_alone(s)) for s in specs]
+    return batch
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(specs=_batches())
+def test_batched_ladders_are_each_spec_alone(specs):
+    _assert_ladders_are_per_spec(specs)
+
+
+def test_batched_ladders_mix_every_family_and_their_errors():
+    # Every family, each with three points whose n, added, subtracted or M
+    # differ, shuffled; an empty PSDFS (alpha = 0, q > n) and a Coherent
+    # ladder past the log-factorial cap sit among them in draw order.
+    rng = np.random.default_rng(2011)
+    specs = []
+    for family in FAMILIES:
+        for _ in range(3):
+            spec = random_spec(rng, family)
+            counts = {"n": int(rng.integers(0, 12)), "added": int(rng.integers(0, 4)), "subtracted": int(rng.integers(0, 4)), "M": int(rng.integers(0, 40))}
+            specs.append(StateSpec(family, alpha=spec.alpha, p=spec.p, chi=spec.chi, **counts))
+    specs = [specs[i] for i in rng.permutation(len(specs))]
+    empty = StateSpec("PSDFS", alpha=0, n=1, subtracted=3)
+    past_cap = StateSpec("Coherent", alpha=2100.0)
+    specs[7:7] = [empty]
+    specs[30:30] = [past_cap]
+    batch = _assert_ladders_are_per_spec(specs)
+    assert isinstance(batch[7], AnnihilatedStateError)
+    assert isinstance(batch[30], ConvergenceError) and "log-factorials" in str(batch[30])
+    assert sum(isinstance(r, FockLabError) for r in batch) == 2
+    # A family whose other rows are live still shares one pass; so does one
+    # that keeps a single live row beside an error.
+    _assert_ladders_are_per_spec([empty, StateSpec("PSDFS", alpha=0.4j, n=2, subtracted=1)])
+
+
+def test_ladders_of_one_family_past_the_widest_pass_each_take_their_own(monkeypatch):
+    # Under a cap of 80 log-factorials each ladder fits alone (67 and 39 + 30
+    # entries), but the group's widest pass, the longest cut plus the largest
+    # q, would read 97: each spec then takes its own pass.
+    monkeypatch.setattr(core, "MAX_LOG_FACTORIALS", 80)
+    monkeypatch.setattr(states, "MAX_LOG_FACTORIALS", 80)
+    monkeypatch.setattr(core, "_log_factorial_table", np.zeros(1))
+    specs = [StateSpec("PSDFS", alpha=2.5, n=0), StateSpec("PSDFS", alpha=0.5, n=0, subtracted=30)]
+    batch = _assert_ladders_are_per_spec(specs)
+    assert [len(log_c) for log_c, _ in batch] == [67, 39]
 
 
 @pytest.mark.parametrize("n", [512, 513, 2**22])
@@ -426,6 +549,13 @@ def test_non_real_couplings_rejected(kwargs):
 def test_non_integer_counts_rejected(kwargs):
     with pytest.raises(InvalidParameterError, match="must be an integer"):
         StateSpec(**kwargs)
+
+
+def test_fields_are_stored_as_their_declared_types():
+    spec = StateSpec(np.str_(" pasdfs "), alpha=np.float64(1.5), n=np.int64(2), added=True, subtracted=np.uint8(1), p=np.float32(0.25), chi=1)
+    assert spec.family == "PASDFS" and type(spec.family) is str
+    assert [type(getattr(spec, f)) for f in ("alpha", "n", "added", "subtracted", "M", "p", "chi")] == [complex, int, int, int, int, float, float]
+    assert (spec.alpha, spec.n, spec.added, spec.subtracted, spec.p, spec.chi) == (1.5, 2, 1, 1, 0.25, 1.0)
 
 
 # A value for every StateSpec field; the clean spec takes the fields its

@@ -13,6 +13,8 @@ from focklab.states import (
     build_by_composition,
     build_state,
     limiting_cases,
+    normalization_constant,
+    normalization_constant_closed_form,
     state_distance,
 )
 from focklab.verify import (
@@ -26,6 +28,7 @@ from focklab.verify import (
     check_hosps_central_moments,
     check_limiting_cases,
     check_moment_series,
+    check_normalization_constants,
     check_state_oracle_equivalence,
     run_verification,
 )
@@ -121,6 +124,17 @@ def _entropy_closed_forms_alone(rng, points_per_family=5):
     return _result("linear entropy closed form vs partial trace", worst, worst, 1e-8, count)
 
 
+def _normalization_constants_alone(rng, points_per_family=6):
+    worst, count = 0.0, 0
+    for family in FAMILIES:
+        for _ in range(points_per_family):
+            spec = _random_spec(rng, family)
+            closed = normalization_constant_closed_form(spec)
+            worst = max(worst, abs(normalization_constant(spec) - closed) / closed)
+            count += 1
+    return _result("analytic normalization constants", worst, worst, 1e-9, count)
+
+
 def _limiting_cases_alone(rng, n_points=24):
     seeds = [
         StateSpec("PADFS", alpha=1.0, n=2),
@@ -152,13 +166,15 @@ def _limiting_cases_alone(rng, n_points=24):
         (check_state_oracle_equivalence, _oracle_equivalence_alone),
         (check_moment_series, _moment_series_alone),
         (check_entropy_closed_forms, _entropy_closed_forms_alone),
+        (check_normalization_constants, _normalization_constants_alone),
         (check_limiting_cases, _limiting_cases_alone),
     ],
     ids=lambda f: f.__name__,
 )
 def test_batched_check_matches_building_each_spec_alone(check, alone, seed):
-    # Each check draws its points first and builds them in one batch; a loop
-    # that builds each spec as it draws it must report the same floats.
+    # Each check draws its points first and builds them (or their ladders, or
+    # their bare series) in one batch; a loop that computes each spec alone as
+    # it draws it must report the same floats.
     index = ALL_CHECKS.index(check)  # run_verification seeds each check's generator by its place
     batched = check(np.random.default_rng([seed, index]))
     reference = alone(np.random.default_rng([seed, index]))
