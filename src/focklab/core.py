@@ -176,22 +176,31 @@ def _square_roots(n: int) -> np.ndarray:
 
 
 def raise_amplitudes(amps: np.ndarray, k: int = 1) -> np.ndarray:
-    """Raw action of the k-fold creation operator, growing the vector by k."""
+    """Raw action of the k-fold creation operator along the last axis, growing it by k.
+
+    A block of vectors, one per row, is raised row by row, each row bitwise
+    as it is raised alone.
+    """
     out = np.asarray(amps, dtype=np.complex128)
     for _ in range(k):
-        grown = np.zeros(len(out) + 1, dtype=np.complex128)
-        grown[1:] = _square_roots(len(out) + 1)[1:] * out
+        size = out.shape[-1] + 1
+        grown = np.zeros(out.shape[:-1] + (size,), dtype=np.complex128)
+        grown[..., 1:] = _square_roots(size)[1:] * out
         out = grown
     return out
 
 
 def lower_amplitudes(amps: np.ndarray, k: int = 1) -> np.ndarray:
-    """Raw action of the k-fold annihilation operator (vector shrinks by k)."""
+    """Raw action of the k-fold annihilation operator along the last axis, shrinking it by k (to 0 at most).
+
+    A block of vectors is lowered row by row, as ``raise_amplitudes`` raises it.
+    """
     out = np.asarray(amps, dtype=np.complex128)
     for _ in range(k):
-        if len(out) <= 1:
-            return np.zeros(0, dtype=np.complex128)
-        out = _square_roots(len(out))[1:] * out[1:]
+        size = out.shape[-1]
+        if size <= 1:
+            return np.zeros(out.shape[:-1] + (0,), dtype=np.complex128)
+        out = _square_roots(size)[1:] * out[..., 1:]
     return out
 
 

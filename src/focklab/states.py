@@ -3,7 +3,8 @@
 Every family is built two independent ways: ``build_state`` evaluates the
 closed-form Fock coefficients directly, while ``build_by_composition``
 assembles the same state from operator primitives (displace, add photons,
-subtract photons, vacuum-filter). Their elementwise agreement is the
+subtract photons, vacuum-filter), and ``compositions`` does so for a batch
+of specs, one block per family. Their elementwise agreement is the
 anti-drift oracle for every closed form in the package. The closed-form
 coefficients are written once, as log amplitudes in
 ``_bare_log_amplitudes``: ``build_state`` exponentiates them (and
@@ -411,11 +412,6 @@ def bare_coefficients(spec: StateSpec, dim: int) -> np.ndarray:
         return np.exp(log_b) * phase
 
 
-def _binomial_bare(p: float, M: int, dim: int) -> np.ndarray:
-    """The plain binomial series, the starting vector of the binomial families' composition."""
-    return bare_coefficients(StateSpec("Binomial", p=p, M=M), dim)
-
-
 def _support(spec: StateSpec) -> int | None:
     """Length of the whole Fock expansion of a Fock or binomial family; None for the others."""
     info = spec.info
@@ -461,7 +457,7 @@ def _trim(raw: np.ndarray, policy: TruncationPolicy, p: np.ndarray | None = None
         if edge > policy.tail_tolerance:
             ratio = p[keep - 1] / p[keep - 2] if keep >= 2 and p[keep - 2] > 0 else 1.0
             tail = edge * ratio / (1.0 - ratio) if ratio < 1.0 else 0.5
-            tail = min(max(tail, edge), 0.99)
+            tail = float(min(max(tail, edge), 0.99))
     return raw[:keep], tail
 
 
@@ -633,69 +629,183 @@ def displacement_coefficients(alpha: complex, n: int, dim: int) -> np.ndarray:
         return np.exp(log_d) * phase
 
 
-def _compose_dfs(alpha: complex, n: int, dim: int) -> np.ndarray:
-    """D(alpha)|n> built operationally as (a† - alpha*)^n applied to |alpha>.
-
-    Uses the conjugation identity D(alpha) a† D†(alpha) = a† - alpha*, so
-    the only closed form consumed is the coherent-state expansion itself.
-    """
-    try:
-        scale = math.sqrt(math.factorial(n))
-    except OverflowError:  # n! past the float range, from n = 171
-        raise ConvergenceError(f"{n}! leaves the float range: DFS cannot be composed at n = {n}") from None
-    amps = displacement_coefficients(alpha, 0, dim)
-    conj = np.conjugate(alpha)
-    for _ in range(n):
-        amps = raise_amplitudes(amps)[: len(amps)] - conj * amps
-    return amps / scale if n else amps
-
-
 def build_by_composition(spec: StateSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> StateVector:
     """Same state as ``build_state`` but assembled from operator primitives.
 
-    Photon addition/subtraction is literal repeated ladder application;
-    vacuum filtration literally zeroes c_0 and renormalizes.
+    ``compositions`` with one spec. Photon addition/subtraction is literal
+    repeated ladder application; vacuum filtration literally zeroes c_0 and
+    renormalizes. Raises ConvergenceError where the composition leaves the
+    float range (n! from n = 171, or an overflowing recurrence or norm),
+    TruncationOverflowError where max_dim caps the basis so far below the
+    state that its starting vector is empty, and AnnihilatedStateError for
+    an empty state.
     """
-    info = spec.info
+    (state,) = compositions([spec], policy)
+    if isinstance(state, FockLabError):
+        raise state
+    return state
+
+
+def compositions(
+    specs: list[StateSpec], policy: TruncationPolicy = DEFAULT_POLICY
+) -> list[StateVector | FockLabError]:
+    """For each spec in order, its ``build_by_composition`` vector or the FockLabError that call raises.
+
+    Specs of one family are composed as one block at the widest of their
+    bases (``_composed``); each row is then cut, checked, trimmed and
+    normalized on its own, so every state is bitwise the one-spec one. A DFS
+    group runs its (a† - alpha*) steps to the group's largest n for every
+    row, so one large n makes its whole family pay for it.
+    """
+    return _by_family(specs, _composed_group, policy)
+
+
+def _sqrt_factorial(n: int) -> float:
+    """sqrt(n!) as a float; ConvergenceError where n! itself leaves the float range (from n = 171)."""
+    try:
+        return math.sqrt(math.factorial(n))
+    except OverflowError:
+        raise ConvergenceError(f"{n}! leaves the float range: DFS cannot be composed at n = {n}") from None
+
+
+def _composed_group(group: list[StateSpec], policy: TruncationPolicy) -> list:
+    """``compositions`` of specs of one family: one ``_composed`` block, each row finished by ``_composed_row``.
+
+    A DFS-group spec whose n! leaves the float range gets its error before
+    any arithmetic and stays out of the block. A block that runs out of
+    log-factorials leaves each spec to compose alone.
+    """
+    info = group[0].info
     if info.group == "fock":
-        return make_fock(spec.n, spec.n + 1)
-
-    added, subtracted = spec.param("added"), spec.param("subtracted")
-    dim = min(_initial_dim(spec, policy) + added + subtracted + 8, policy.max_dim)
+        return [make_fock(spec.n, spec.n + 1) for spec in group]
+    results: list = [None] * len(group)
     if info.group == "dfs":
-        # The recurrence drifts by up to sqrt(n!) at large |alpha|; amplitudes
-        # past the float range leave an inf or NaN norm, refused below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            raw = _compose_dfs(spec.alpha, spec.param("n"), dim)
-            raw = lower_amplitudes(raise_amplitudes(raw, added), subtracted)
-    else:
-        if info.group == "ecs":
-            raw = displacement_coefficients(spec.alpha, 0, dim)
-            raw = raw + (-1.0) ** np.arange(dim) * raw  # |alpha> + |-alpha>, as |-alpha> = (-1)^N |alpha>
-        elif info.group == "binomial":
-            raw = _binomial_bare(spec.p, spec.M, dim)
+        for index, spec in enumerate(group):
+            try:
+                _sqrt_factorial(spec.param("n"))
+            except ConvergenceError as exc:
+                results[index] = exc
+    live = [index for index, result in enumerate(results) if result is None]
+    specs = [group[index] for index in live]
+    if not specs:
+        return results
+    added = [spec.param("added") for spec in specs]
+    subtracted = [spec.param("subtracted") for spec in specs]
+    dims = [
+        min(_initial_dim(spec, policy) + k + q + 8, policy.max_dim) for spec, k, q in zip(specs, added, subtracted)
+    ]
+    try:
+        start, raw = _composed(specs, dims)
+    except FockLabError as exc:
+        if len(specs) > 1:
+            return [result or _composed_group([spec], policy)[0] for spec, result in zip(group, results)]
+        results[live[0]] = exc
+        return results
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing row reads inf or NaN, which checked_norm refuses
+        p = np.abs(raw) ** 2
+        rows = zip(start, raw, p) if raw.ndim > 1 else [(start, raw, p)]  # one spec's vectors are its one row
+        for index, spec, dim, k, q, (start_row, raw_row, p_row) in zip(live, specs, dims, added, subtracted, rows):
+            size = min(max(dim + k - q, 0), policy.max_dim)  # photon addition may have grown past the cap
+            results[index] = _composed_row(spec, policy, dim, start_row[:dim], raw_row[:size], p_row[:size])
+    return results
+
+
+def _composed(specs: list[StateSpec], dims: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(start, raw) for specs of one family, a row per spec (``_per_spec``), on the widest of ``dims``.
+
+    start is the vector a composition starts from: the coherent state
+    |alpha> = D(alpha)|0> from the displaced-Fock kernel, or for the binomial
+    families the plain binomial series of ``_bare_log_amplitudes``. raw is
+    the state assembled from it by operator steps: the DFS group takes
+    D(alpha)|n> = (a† - alpha*)^n |alpha> / sqrt(n!) (the conjugation identity
+    D(alpha) a† D†(alpha) = a† - alpha*, so the only closed form read is the
+    coherent state) and then a^q a†^k; ECS takes |alpha> + |-alpha>, as
+    |-alpha> = (-1)^N |alpha>; Kerr takes e^{-i chi N(N-1)} |alpha>; then the
+    family's hole step zeroes c_0 or applies a†. n, k and q are each one int
+    or a per-spec column (``_shared``); with a column each row takes its own
+    count of steps. Every step is elementwise along the basis, so row i's
+    first dims[i] + k_i - q_i entries are bitwise its one-spec composition.
+    The steps run under one errstate: an overflow leaves inf or NaN for
+    ``checked_norm`` to refuse. This is the one composition kernel.
+    """
+    info = specs[0].info
+    width = max(dims)
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+        if info.group == "binomial":
+            plain = next(family.name for family in _TABLE if family.group == info.group and family.hole is None)
+            log_s, phase = _bare_log_amplitudes([StateSpec(plain, p=s.p, M=s.M) for s in specs], width)
         else:
-            raw = displacement_coefficients(spec.alpha, 0, dim)
-            j = np.arange(len(raw))
-            raw = raw * np.exp(-1j * spec.chi * j * (j - 1))
-        raw = _hole_burn(raw, info.hole)
+            log_s, phase = _displaced_fock([s.alpha for s in specs], 0, width)
+        start = np.exp(log_s) * phase
+        raw = start
+        if info.group == "dfs":
+            n = _shared(specs, "n")
+            conj = _per_spec([s.alpha.conjugate() for s in specs])
+            for step in range(_largest(n)):
+                stepped = raise_amplitudes(raw)[..., :width] - conj * raw
+                raw = np.where(step < n, stepped, raw) if isinstance(n, np.ndarray) else stepped
+            scale = _per_spec([_sqrt_factorial(s.param("n")) for s in specs])
+            if isinstance(n, np.ndarray):
+                raw = np.where(n > 0, raw / scale, raw)
+            elif n:
+                raw = raw / scale
+            k, q = _shared(specs, "added"), _shared(specs, "subtracted")
+            raw = _ladder_power(raw, k, raise_amplitudes, raw.shape[-1] + _largest(k))
+            raw = _ladder_power(raw, q, lower_amplitudes, raw.shape[-1])
+        elif info.group == "ecs":
+            raw = raw + (-1.0) ** np.arange(width) * raw
+        elif info.group == "kerr":
+            j = np.arange(width)
+            raw = raw * np.exp(_per_spec([-1j * s.chi for s in specs]) * j * (j - 1))
+        if info.hole == "filtered":
+            raw = raw.copy()
+            raw[..., 0] = 0.0
+        elif info.hole == "added":
+            raw = raise_amplitudes(raw)[..., :width]
+    return start, raw
 
-    raw = raw[: policy.max_dim]  # photon addition may have grown past the cap
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm is inf, which checked_norm refuses
-        checked_norm(np.linalg.norm(raw))
-    trimmed, tail = _trim(raw, policy)
-    return state_from_amplitudes(trimmed, tail_mass=tail)
+
+def _ladder_power(block: np.ndarray, count: int | np.ndarray, step, width: int) -> np.ndarray:
+    """``step(block, count)`` for ``step`` one of the core ladder operators and ``count`` a ``_shared`` operand.
+
+    With a per-spec column of counts, each row is stepped once per unit of its
+    own count, in a block of ``width`` columns: a raised row is cut back to
+    the width and a lowered one keeps its last entries, so only entries past
+    the row's own length differ from stepping it alone.
+    """
+    if not isinstance(count, np.ndarray):
+        return step(block, count)
+    out = np.zeros((len(block), width), dtype=np.complex128)
+    out[:, : block.shape[-1]] = block
+    for done in range(_largest(count)):
+        rows = count[:, 0] > done
+        stepped = step(out[rows])[:, :width]
+        out[rows, : stepped.shape[-1]] = stepped
+    return out
 
 
-def _hole_burn(raw: np.ndarray, hole: str | None) -> np.ndarray:
-    """The family's hole-burning step: vacuum filtration or photon addition."""
-    if hole == "filtered":
-        out = raw.copy()
-        out[0] = 0.0
-        return out
-    if hole == "added":
-        return raise_amplitudes(raw)[: len(raw)]
-    return raw
+def _composed_row(
+    spec: StateSpec, policy: TruncationPolicy, dim: int, start: np.ndarray, raw: np.ndarray, p: np.ndarray
+) -> StateVector | FockLabError:
+    """``build_by_composition`` of one spec from its ``_composed`` rows, cut to its basis, or the FockLabError it raises.
+
+    ``p`` is |raw|^2. Where ``dim`` is max_dim and the composed squared norm
+    is 0 or subnormal because the starting vector already is on that basis,
+    max_dim cut the state away: TruncationOverflowError. Runs under the
+    errstate of ``_composed_group``, so an overflowing norm is inf.
+    """
+    try:
+        nrm = float(np.linalg.norm(raw))
+        tiny = sys.float_info.min
+        if nrm * nrm < tiny and dim >= policy.max_dim and float(np.linalg.norm(start)) ** 2 < tiny:
+            raise TruncationOverflowError(
+                f"{spec.family} composition is cut away where max_dim={policy.max_dim} caps its basis at {spec}"
+            )
+        checked_norm(nrm)
+        trimmed, tail = _trim(raw, policy, p)
+        return state_from_amplitudes(trimmed, tail_mass=tail)
+    except FockLabError as exc:
+        return exc
 
 
 def normalization_constant(spec: StateSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> float:

@@ -3,10 +3,12 @@
 Each check draws its parameter points from a seeded generator, so a report
 is fully reproducible from its seed, and different seeds probe different
 points with the same pass/fail semantics. A check that builds states draws
-all its points first and then builds them in one ``build_states`` batch
-(one kernel pass per family); builds draw no random numbers, so the points
-and the report are those of building each spec as it is drawn, and a
-failed build raises when the check's loop reaches that spec.
+all its points first and then builds them in one ``build_states`` batch (one
+kernel pass per family); the state-oracle check composes its points in one
+``compositions`` batch the same way. Builds and compositions draw no random
+numbers, so the points and the report are those of building each spec as
+it is drawn, and a failed build or composition raises when the check's
+loop reaches that spec.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StateVector, TruncationPolicy, state_from_amplitudes
+from .core import TruncationPolicy, state_from_amplitudes
 from .exceptions import FockLabError
 from .interferometry import ENTROPY_SERIES_GROUPS, _entropy_sum, linear_entropy
 from .moments import _moment_sum, moment_oracle
@@ -25,9 +27,9 @@ from .states import (
     FAMILIES,
     FAMILY_INFO,
     StateSpec,
-    build_by_composition,
     build_state,
     build_states,
+    compositions,
     ladders,
     limiting_cases,
     normalization_constant_closed_form,
@@ -90,12 +92,12 @@ def _random_spec(rng: np.random.Generator, family: str) -> StateSpec:
     return StateSpec(**kwargs)
 
 
-def _built(specs: list[StateSpec], policy: TruncationPolicy) -> Iterator[StateVector]:
-    """``build_state`` of each spec in order, from one ``build_states`` batch; a failed build raises when it is reached."""
-    for state in build_states(specs, policy):
-        if isinstance(state, FockLabError):
-            raise state
-        yield state
+def _reached(batch: list) -> Iterator:
+    """Each entry of a batch in order; an error entry raises when it is reached, as its one-spec call would."""
+    for entry in batch:
+        if isinstance(entry, FockLabError):
+            raise entry
+        yield entry
 
 
 def _result(name: str, abs_err: float, rel_err: float, tol: float, points: int, rel: bool = False) -> CheckResult:
@@ -104,12 +106,12 @@ def _result(name: str, abs_err: float, rel_err: float, tol: float, points: int, 
 
 
 def check_state_oracle_equivalence(rng: np.random.Generator, points_per_family: int = 20) -> CheckResult:
-    """build_state vs build_by_composition, elementwise, across all families."""
+    """build_state vs build_by_composition, elementwise, across all families; each side is one batch."""
     specs = [_random_spec(rng, family) for family in FAMILIES for _ in range(points_per_family)]
     worst = 0.0
-    for spec, closed in zip(specs, _built(specs, _STATE_POLICY)):
-        composed = build_by_composition(spec, _STATE_POLICY)
-        worst = max(worst, state_distance(closed, composed))
+    closed, composed = build_states(specs, _STATE_POLICY), compositions(specs, _STATE_POLICY)
+    for state, oracle in zip(_reached(closed), _reached(composed)):
+        worst = max(worst, state_distance(state, oracle))
     return _result("state-factory closed form vs operator composition", worst, worst, 1e-10, len(specs))
 
 
@@ -129,7 +131,7 @@ def check_moment_series(rng: np.random.Generator, n_points: int = 200) -> CheckR
     specs = [spec for spec, _, _ in points]
     worst_metric = 0.0
     worst_abs = 0.0
-    for (_, t, j), state, ladder in zip(points, _built(specs, _ORACLE_POLICY), ladders(specs)):
+    for (_, t, j), state, ladder in zip(points, _reached(build_states(specs, _ORACLE_POLICY)), ladders(specs)):
         reference = moment_oracle(state, t, j)
         value = _moment_sum(ladder, t, j)  # moment_series of the point's spec
         abs_err = abs(value - reference)
@@ -144,7 +146,7 @@ def check_entropy_closed_forms(rng: np.random.Generator, points_per_family: int 
     families = [f for f in FAMILIES if FAMILY_INFO[f].group in ENTROPY_SERIES_GROUPS]
     specs = [_random_spec(rng, family) for family in families for _ in range(points_per_family)]
     worst = 0.0
-    for state, ladder in zip(_built(specs, _ORACLE_POLICY), ladders(specs)):
+    for state, ladder in zip(_reached(build_states(specs, _ORACLE_POLICY)), ladders(specs)):
         numeric = linear_entropy(state)
         closed = _entropy_sum(ladder)  # linear_entropy_closed_form of the point's spec
         worst = max(worst, abs(numeric - closed))
@@ -251,7 +253,7 @@ def check_limiting_cases(rng: np.random.Generator, n_points: int = 24) -> CheckR
             )
         )
     lattice = [(spec, limiting_cases(spec)) for spec in seeds]
-    built = _built([s for spec, reduced in lattice for s in (spec, *reduced)], _STATE_POLICY)
+    built = _reached(build_states([s for spec, reduced in lattice for s in (spec, *reduced)], _STATE_POLICY))
     worst = 0.0
     count = 0
     for _, reduced in lattice:

@@ -294,7 +294,7 @@ def _referrers(tree, name):
 
 def test_only_the_operator_references_lower_a_vector_outside_core():
     # Moments read the rows each StateVector caches; outside core only the
-    # composition builder and the quadrature operator X lower a vector.
+    # composition kernel and the quadrature operator X lower a vector.
     package = Path(focklab.__file__).parent
     referrers = {
         f"{path.stem}.{owner}"
@@ -302,7 +302,7 @@ def test_only_the_operator_references_lower_a_vector_outside_core():
         if path.name != "core.py"
         for owner in _referrers(ast.parse(path.read_text()), "lower_amplitudes")
     }
-    assert referrers == {"states.build_by_composition", "witnesses._apply_quadrature"}
+    assert referrers == {"states._composed", "witnesses._apply_quadrature"}
 
 
 def _package_referrers(name):

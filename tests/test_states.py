@@ -26,6 +26,7 @@ from focklab.states import (
     build_by_composition,
     build_state,
     build_states,
+    compositions,
     displacement_coefficients,
     ladder_log_amplitudes,
     ladders,
@@ -209,6 +210,26 @@ def test_composed_dfs_past_the_float_range_is_refused_without_a_warning(spec):
             build_by_composition(spec, TruncationPolicy(4096))
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [StateSpec("Coherent", alpha=100.0), StateSpec("DFS", alpha=100.0, n=150), StateSpec("ECS", alpha=100.0)],
+    ids=["coherent", "dfs-150", "ecs"],
+)
+def test_composition_cut_away_by_max_dim_names_the_cut(spec):
+    # On 4096 states every amplitude of |alpha = 100> underflows, so the
+    # composed vector is empty because max_dim cuts it, not because the state is.
+    with pytest.raises(TruncationOverflowError, match="max_dim=4096"):
+        build_by_composition(spec, TruncationPolicy(4096))
+
+
+def test_composition_empty_on_every_basis_stays_annihilated_under_a_capping_max_dim():
+    # max_dim = 24 caps these bases, but their starting vector |0> is whole on
+    # it: filtration or over-subtraction empties them on any basis.
+    for spec in (StateSpec("VFECS", alpha=0), StateSpec("VFBS", p=0.0, M=5), StateSpec("PSDFS", alpha=0, n=1, subtracted=3)):
+        with pytest.raises(AnnihilatedStateError):
+            build_by_composition(spec, TruncationPolicy(24))
+
+
 # --- batched builds ------------------------------------------------------------
 
 
@@ -219,16 +240,16 @@ def _outcome(result):
     return result.amplitudes.tobytes(), result.dim, result.tail_mass
 
 
-def _built_alone(spec, policy):
+def _alone(call, spec, policy):
     try:
-        return build_state(spec, policy)
+        return call(spec, policy)
     except FockLabError as exc:
         return exc
 
 
-def _assert_batch_is_per_spec(specs, policy):
-    batch = build_states(specs, policy)
-    assert [_outcome(r) for r in batch] == [_outcome(_built_alone(s, policy)) for s in specs]
+def _assert_batch_is_per_spec(specs, policy, batched=build_states, alone=build_state):
+    batch = batched(specs, policy)
+    assert [_outcome(r) for r in batch] == [_outcome(_alone(alone, s, policy)) for s in specs]
     return batch
 
 
@@ -336,6 +357,18 @@ def test_batch_finishes_doubling_pinned_and_overflowing_rows_of_one_family():
     assert isinstance(batch[2], ConvergenceError)
 
 
+def test_tail_mass_is_a_float_on_every_path():
+    # |alpha|^2 = 700 is pinned at max_dim, where the tail is extrapolated
+    # from the last probabilities; |alpha| = 1 is not.
+    policy = TruncationPolicy(1024, 1e-300)
+    pinned = StateSpec("VFKS", alpha=math.sqrt(700.0), chi=0.1)
+    alone = build_state(pinned, policy)
+    assert alone.dim == policy.max_dim and alone.tail_mass > 0.0
+    batch = build_states([StateSpec("VFKS", alpha=1.0, chi=0.1), pinned], policy)
+    for state in (alone, *batch, *compositions([pinned, StateSpec("Kerr", alpha=1.0)], policy)):
+        assert type(state.tail_mass) is float
+
+
 def _batch_normalization_is_per_spec(specs, policy):
     def alone(spec):
         try:
@@ -386,10 +419,8 @@ def test_batched_ladders_are_each_spec_alone(specs):
     _assert_ladders_are_per_spec(specs)
 
 
-def test_batched_ladders_mix_every_family_and_their_errors():
-    # Every family, each with three points whose n, added, subtracted or M
-    # differ, shuffled; an empty PSDFS (alpha = 0, q > n) and a Coherent
-    # ladder past the log-factorial cap sit among them in draw order.
+def _three_of_every_family():
+    """Three points of every family whose n, added, subtracted or M differ, shuffled."""
     rng = np.random.default_rng(2011)
     specs = []
     for family in FAMILIES:
@@ -397,7 +428,14 @@ def test_batched_ladders_mix_every_family_and_their_errors():
             spec = random_spec(rng, family)
             counts = {"n": int(rng.integers(0, 12)), "added": int(rng.integers(0, 4)), "subtracted": int(rng.integers(0, 4)), "M": int(rng.integers(0, 40))}
             specs.append(StateSpec(family, alpha=spec.alpha, p=spec.p, chi=spec.chi, **counts))
-    specs = [specs[i] for i in rng.permutation(len(specs))]
+    return [specs[i] for i in rng.permutation(len(specs))]
+
+
+def test_batched_ladders_mix_every_family_and_their_errors():
+    # Every family, each with three points whose n, added, subtracted or M
+    # differ, shuffled; an empty PSDFS (alpha = 0, q > n) and a Coherent
+    # ladder past the log-factorial cap sit among them in draw order.
+    specs = _three_of_every_family()
     empty = StateSpec("PSDFS", alpha=0, n=1, subtracted=3)
     past_cap = StateSpec("Coherent", alpha=2100.0)
     specs[7:7] = [empty]
@@ -421,6 +459,51 @@ def test_ladders_of_one_family_past_the_widest_pass_each_take_their_own(monkeypa
     specs = [StateSpec("PSDFS", alpha=2.5, n=0), StateSpec("PSDFS", alpha=0.5, n=0, subtracted=30)]
     batch = _assert_ladders_are_per_spec(specs)
     assert [len(log_c) for log_c, _ in batch] == [67, 39]
+
+
+# --- batched compositions -----------------------------------------------------
+
+
+@st.composite
+def _every_family(draw):
+    """One to three points of every family, shuffled; each point draws its own n, added, subtracted, M, p and chi."""
+    specs = [
+        StateSpec(family, alpha=mag * cmath.exp(1j * phase), p=p, chi=chi, **counts)
+        for family in FAMILIES
+        for mag, phase, p, chi, counts in draw(st.lists(_POINT, min_size=1, max_size=3))
+    ]
+    return draw(st.permutations(specs))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    specs=_every_family(),
+    policy=st.sampled_from([TruncationPolicy(), TruncationPolicy(512, 1e-16), TruncationPolicy(24, 1e-12)]),
+)
+def test_batched_compositions_are_each_spec_alone(specs, policy):
+    _assert_batch_is_per_spec(specs, policy, compositions, build_by_composition)
+
+
+def test_batched_compositions_keep_their_errors_in_draw_order():
+    # Every family with three points whose counts differ, shuffled, with four
+    # failing compositions among them: n! past the float range, an
+    # over-subtracted vacuum, a recurrence that overflows beside live rows,
+    # and a binomial series past the log-factorial cap, which sends its
+    # family back to one composition per spec.
+    specs = _three_of_every_family()
+    errors = {
+        4: (StateSpec("DFS", alpha=0.5, n=171), ConvergenceError),
+        19: (StateSpec("PSDFS", alpha=0, n=1, subtracted=3), AnnihilatedStateError),
+        33: (StateSpec("DFS", alpha=38.0, n=170), ConvergenceError),
+        40: (StateSpec("Binomial", p=0.5, M=2**22), ConvergenceError),
+    }
+    for index, (spec, _) in errors.items():
+        specs[index:index] = [spec]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = _assert_batch_is_per_spec(specs, TruncationPolicy(4096), compositions, build_by_composition)
+    assert {i for i, r in enumerate(batch) if isinstance(r, FockLabError)} == set(errors)
+    assert all(type(batch[index]) is error for index, (_, error) in errors.items())
 
 
 @pytest.mark.parametrize("n", [512, 513, 2**22])

@@ -172,9 +172,9 @@ def _limiting_cases_alone(rng, n_points=24):
     ids=lambda f: f.__name__,
 )
 def test_batched_check_matches_building_each_spec_alone(check, alone, seed):
-    # Each check draws its points first and builds them (or their ladders, or
-    # their bare series) in one batch; a loop that computes each spec alone as
-    # it draws it must report the same floats.
+    # Each check draws its points first and builds them (or composes them, or
+    # their ladders, or their bare series) in one batch; a loop that computes
+    # each spec alone as it draws it must report the same floats.
     index = ALL_CHECKS.index(check)  # run_verification seeds each check's generator by its place
     batched = check(np.random.default_rng([seed, index]))
     reference = alone(np.random.default_rng([seed, index]))
