@@ -5,12 +5,14 @@ each state caches; exact up to floating point on the truncated space. It
 keeps each answer, with its truncation verdict, in a memo on the state, so
 a witness that asks again for a moment pays a dict lookup.
 ``moment_series`` evaluates the closed-form series of each family from its
-parameters alone, never touching a state vector. Witnesses consume the
+parameters alone, never touching a state vector; ``moment_sums`` is its
+batched form, one vectorised pass per (t, j). Witnesses consume the
 oracle; the test suite holds the two within 1e-8 of each other.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 
 import numpy as np
@@ -88,22 +90,75 @@ def moment_series(
 ) -> complex:
     """<a†^t a^j> from the family's closed-form amplitudes, for all fifteen families.
 
-    Sums sum_i conj(c_{i-j+t}) c_i sqrt((i-j+t)!/(i-j)! i!/(i-j)!) over the
+    The one-point case of ``moment_sums``. Sums
+    sum_i conj(c_{i-j+t}) c_i sqrt((i-j+t)!/(i-j)! i!/(i-j)!) over the
     normalized amplitudes of ``states.ladder_log_amplitudes``, whose errors
-    (AnnihilatedStateError, ConvergenceError) it passes on. ``policy`` is
-    unused: the ladder sets its own length. It stays because
-    ``perfbench/workloads.py`` passes it.
+    (AnnihilatedStateError, ConvergenceError) it passes on once the powers
+    pass. ``policy`` is unused: the ladder sets its own length. It stays
+    because ``perfbench/workloads.py`` passes it.
     """
-    return _moment_sum(ladders([spec])[0], t, j)
-
-
-def _moment_sum(ladder: tuple[np.ndarray, np.ndarray] | FockLabError, t: int, j: int) -> complex:
-    """``moment_series`` over one ``states.ladders`` entry: the powers are checked, then an error entry is raised."""
     _check_powers(t, j)
+    (ladder,) = ladders([spec])
     if isinstance(ladder, FockLabError):
         raise ladder
-    log_c, phase = ladder
-    i = np.arange(j, len(log_c) + min(j - t, 0))  # both i and i - j + t on the ladder
-    bra = i - j + t
-    log_t = log_c[bra] + log_c[i] + 0.5 * (_log_falling(bra, t) + _log_falling(i, j))
-    return complex(np.sum(np.exp(log_t) * (phase[bra].conj() * phase[i])))
+    return _moment_pass([ladder], t, j)[0]
+
+
+def moment_sums(points: list[tuple[StateSpec, int, int]]) -> list[complex | FockLabError]:
+    """For each (spec, t, j) in order, its ``moment_series`` or the FockLabError that call raises.
+
+    A point's powers are checked first, then its ladder comes from one
+    ``states.ladders`` call over the points whose powers pass. The points of
+    one (t, j) are summed in one vectorised pass over their ladders laid end
+    to end (``_moment_pass``), and each point's terms are reduced by np.sum
+    over its own contiguous slice, so every value is bitwise its one-point
+    sum.
+    """
+    results: list = [None] * len(points)
+    valid = []
+    for index, (_, t, j) in enumerate(points):
+        try:
+            _check_powers(t, j)
+        except InvalidParameterError as exc:
+            results[index] = exc
+        else:
+            valid.append(index)
+    groups: dict[tuple[int, int], list] = {}
+    for index, ladder in zip(valid, ladders([points[index][0] for index in valid])):
+        if isinstance(ladder, FockLabError):
+            results[index] = ladder
+        else:
+            _, t, j = points[index]
+            groups.setdefault((operator.index(t), operator.index(j)), []).append((index, ladder))
+    for (t, j), group in groups.items():
+        for (index, _), value in zip(group, _moment_pass([ladder for _, ladder in group], t, j)):
+            results[index] = value
+    return results
+
+
+def _moment_pass(group: list[tuple[np.ndarray, np.ndarray]], t: int, j: int) -> list[complex]:
+    """<a†^t a^j> over each ladder of ``group`` in one pass; a lone ladder is read in place.
+
+    Each point sums its terms i = j .. len - 1 + min(j - t, 0), those with
+    both i and i - j + t on its ladder. The ladders are laid end to end, so
+    a point's terms form one contiguous slice of the pass, read at its
+    ladder's offset.
+    """
+    if len(group) == 1:
+        ((log_c, phase),) = group
+        i = local = np.arange(j, len(log_c) + min(j - t, 0))
+        bra = local_bra = i - j + t
+    else:
+        counts = [max(len(ladder[0]) + min(j - t, 0) - j, 0) for ladder in group]
+        log_c = np.concatenate([ladder[0] for ladder in group])
+        phase = np.concatenate([ladder[1] for ladder in group])
+        firsts = [0, *itertools.accumulate(counts[:-1])]  # each point's first term in the pass
+        offsets = np.repeat([0, *itertools.accumulate(len(ladder[0]) for ladder in group[:-1])], counts)
+        local = np.arange(sum(counts)) - np.repeat([first - j for first in firsts], counts)
+        local_bra = local - j + t
+        i, bra = local + offsets, local_bra + offsets
+    log_t = log_c[bra] + log_c[i] + 0.5 * (_log_falling(local_bra, t) + _log_falling(local, j))
+    terms = np.exp(log_t) * (phase[bra].conj() * phase[i])
+    if len(group) == 1:
+        return [complex(np.sum(terms))]
+    return [complex(np.sum(terms[first : first + count])) for first, count in zip(firsts, counts)]

@@ -39,7 +39,6 @@ from .core import (
     lower_amplitudes,
     make_fock,
     raise_amplitudes,
-    state_from_amplitudes,
 )
 from .exceptions import (
     AnnihilatedStateError,
@@ -173,7 +172,7 @@ class StateSpec:
 
     def param(self, field: str):
         """The value of ``field`` if this family reads it, else 0."""
-        return getattr(self, field) if field in self.info.fields else 0
+        return getattr(self, field) if field in FAMILY_INFO[self.family].fields else 0
 
     @property
     def alpha_mag(self) -> float:
@@ -432,35 +431,6 @@ def _initial_dim(spec: StateSpec, policy: TruncationPolicy) -> int:
     return min(max(guess, 24), policy.max_dim)
 
 
-def _trim(raw: np.ndarray, policy: TruncationPolicy, p: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """Cut the trailing tail, keeping the discarded mass within tolerance.
-
-    When the series is pinned against max_dim with significant edge
-    occupation, the uncaptured mass is estimated by geometric
-    extrapolation of the trailing probabilities so downstream moment
-    guards can refuse the state. ``raw``'s norm has passed ``checked_norm``;
-    ``p`` is |raw|^2 when the caller has it already.
-    """
-    if p is None:
-        p = np.abs(raw) ** 2
-    total = float(p.sum())
-    suffix = np.cumsum(p[::-1])[::-1] / total
-    keep = len(raw)
-    if keep > 1 and suffix[-1] <= policy.tail_tolerance:
-        # keep is one past the last index >= 1 whose suffix mass is not within
-        # tolerance; `~(<=)` counts a NaN suffix as not within it.
-        live = (~(suffix[1:] <= policy.tail_tolerance)).nonzero()[0]
-        keep = int(live[-1]) + 2 if live.size else 1
-    tail = float(suffix[keep]) if keep < len(raw) else 0.0
-    if keep == policy.max_dim and tail <= policy.tail_tolerance:
-        edge = p[keep - 1] / total
-        if edge > policy.tail_tolerance:
-            ratio = p[keep - 1] / p[keep - 2] if keep >= 2 and p[keep - 2] > 0 else 1.0
-            tail = edge * ratio / (1.0 - ratio) if ratio < 1.0 else 0.5
-            tail = float(min(max(tail, edge), 0.99))
-    return raw[:keep], tail
-
-
 def build_state(spec: StateSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> StateVector:
     """Normalized state vector of ``spec`` from its closed-form coefficients.
 
@@ -485,15 +455,17 @@ def build_states(
 
     Specs of one family share one pass of the series kernel at the widest of
     their initial bases, whatever their n, added, subtracted, M, alpha, p or
-    chi, exponentiated and squared as one block (``_first_bases``); each row
-    then runs its own doubling, guards, trim and normalization on a slice of
-    its own length, so every state is bitwise the one ``build_state`` gives.
-    A DFS-group pass runs the Laguerre recurrence to the group's largest
+    chi, and the specs whose series outgrow their basis share one more pass
+    at their doubled bases (``_adaptive_bare``). The rows that pass their
+    guards on a pass are trimmed and normalized as one block (``_finished``),
+    where only the reductions whose bits depend on a row's own length run
+    row by row, so every state is bitwise the one ``build_state`` gives. A
+    DFS-group pass runs the Laguerre recurrence to the group's largest
     min(n, dim) for every row, so one large n makes its whole family pay for
     it. Memory grows with the batch: callers with many specs pass them a
     chunk at a time.
     """
-    return _by_family(specs, _adaptive_group, policy, _build_row)
+    return _by_family(specs, _adaptive_bare, policy, _finished)
 
 
 def _by_family(specs: list[StateSpec], run_group, *args) -> list:
@@ -513,96 +485,131 @@ def _by_family(specs: list[StateSpec], run_group, *args) -> list:
     return results
 
 
-def _adaptive_group(group: list[StateSpec], policy: TruncationPolicy, finish) -> list:
-    """``finish(spec, policy, dim, series, raw, p)`` of each spec of one family, each from its ``_first_bases`` entry."""
-    if len(group) == 1:  # nothing to share: the row computes its own series
-        return [finish(group[0], policy)]
-    return [finish(spec, policy, *first) for spec, first in zip(group, _first_bases(group, policy))]
+def _adaptive_bare(group: list[StateSpec], policy: TruncationPolicy, finish) -> list:
+    """``finish`` of each spec's bare series on its adaptive basis, or the FockLabError that series raises; one family.
 
-
-def _first_bases(group: list[StateSpec], policy: TruncationPolicy) -> list[tuple]:
-    """For each spec of one family, the (dim, series, raw, p) its ``_adaptive_bare`` starts from.
-
-    One ``_bare_log_amplitudes`` pass runs at the group's widest initial
-    basis, and is exponentiated into raw = b_i and squared into p = |b_i|^2
-    as one block, under the errstate of ``_adaptive_bare``. Each spec gets
-    its own (log|b_i|, phase) rows as its series, and raw and p cut to its
-    own initial dim. A pass that runs out of log-factorials leaves each spec
-    to compute its own series: (None, None, None, None).
+    Each basis starts at ``_initial_dim`` and doubles until the last
+    coefficient holds at most tail_tolerance * 1e-4 of the squared norm, or
+    reaches max_dim; a Fock or binomial family is built whole at once (up to
+    max_dim). The specs on their first bases, then those that double, share
+    one ``_bare_log_amplitudes`` pass at their widest basis, exponentiated
+    as one block; a pass that runs out of log-factorials leaves each spec to
+    take its own. Each row is judged on its own length: ConvergenceError
+    where its squared norm overflows, TruncationOverflowError where max_dim
+    cuts the series while it still grows, then what ``checked_norm`` raises.
+    ``finish(specs, policy, raw, lengths, norms, edges)`` maps a pass to a
+    result per row from its length (0 for a row that failed or doubles,
+    whose result is not read), ``_norm`` and edge occupation. One errstate
+    covers it all: an overflowing row reads inf or NaN, which the guards refuse.
     """
-    dims = [_initial_dim(spec, policy) for spec in group]
-    try:
-        with np.errstate(under="ignore", over="ignore", invalid="ignore"):  # as in _adaptive_bare
-            log_b, phase = _bare_log_amplitudes(group, max(dims))
-            raw = np.exp(log_b) * phase
-            p = np.abs(raw) ** 2
-    except FockLabError:  # the log-factorials run out: let each spec fail on its own basis
-        return [(None, None, None, None)] * len(group)
-    return [(dim, series, row[:dim], p_row[:dim]) for dim, series, row, p_row in zip(dims, zip(log_b, phase), raw, p)]
+    results: list = [None] * len(group)
+    rows, specs, sizes = range(len(group)), group, [_initial_dim(spec, policy) for spec in group]
+    edge_bound = policy.tail_tolerance * 1e-4
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+        while rows:
+            try:
+                log_b, phase = _bare_log_amplitudes(specs, max(sizes))
+            except FockLabError as exc:  # the log-factorials run out: each spec takes its own passes
+                for index, spec in zip(rows, specs):
+                    results[index] = exc if len(rows) == 1 else _adaptive_bare([spec], policy, finish)[0]
+                break
+            count = len(rows)
+            raw_rows = (np.exp(log_b) * phase).reshape(count, -1)
+            lengths, norms, edges = [0] * count, [0.0] * count, [0.0] * count
+            doubled = []  # (index, spec, size) of each spec whose series outgrows its basis
+            for row in range(count):
+                spec, size = specs[row], sizes[row]
+                nrm = norms[row] = _norm(raw_rows[row, :size])
+                try:
+                    # The bare series of the undamped families reaches e^{|alpha|^2/2}; refuse
+                    # before its squared norm (or an amplitude) leaves the float range.
+                    if not math.isfinite(nrm * nrm):
+                        raise ConvergenceError(f"{spec.family} bare series norm leaves the float range at {spec}")
+                    if size >= policy.max_dim and (_support(spec) or math.inf) > size and _grows_at_cut(spec, size):
+                        raise TruncationOverflowError(
+                            f"{spec.family} bare series still grows where max_dim={policy.max_dim} cuts it at {spec}"
+                        )
+                    checked_norm(nrm)
+                except FockLabError as exc:
+                    results[rows[row]] = exc
+                    continue
+                edge = edges[row] = abs(raw_rows[row, size - 1]) ** 2 / (nrm * nrm)
+                if size < policy.max_dim and not edge <= edge_bound and _support(spec) is None:
+                    doubled.append((rows[row], spec, min(size * 2, policy.max_dim)))
+                else:
+                    lengths[row] = size
+            finished = finish(specs, policy, raw_rows, lengths, norms, edges)
+            for row in range(count):
+                if lengths[row]:
+                    results[rows[row]] = finished[row]
+            rows, specs, sizes = zip(*doubled) if doubled else ((), (), ())
+    return results
 
 
-def _build_row(
-    spec: StateSpec,
-    policy: TruncationPolicy,
-    dim: int | None = None,
-    series: tuple | None = None,
-    raw: np.ndarray | None = None,
-    p: np.ndarray | None = None,
-) -> StateVector | FockLabError:
-    """``build_state`` of one spec, from its ``_first_bases`` entry or, with none, from scratch."""
-    try:
-        grown, _, _ = _adaptive_bare(spec, policy, dim, series, raw)
-        trimmed, tail = _trim(grown, policy, p if grown is raw else None)
-        return state_from_amplitudes(trimmed, tail_mass=tail)
-    except FockLabError as exc:
-        return exc
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm`` of a complex vector, bitwise: the two BLAS dots it runs, without its dispatch."""
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
-def _adaptive_bare(
-    spec: StateSpec,
-    policy: TruncationPolicy,
-    dim: int | None = None,
-    series: tuple | None = None,
-    raw: np.ndarray | None = None,
-) -> tuple[np.ndarray, float, float]:
-    """``bare_coefficients`` on an adaptive basis, with its norm and edge occupation.
+def _finished(specs, policy: TruncationPolicy, raw: np.ndarray, lengths: list[int], norms: list, edges=None) -> list:
+    """Each row of a block trimmed and normalized into its StateVector, or the FockLabError that raises.
 
-    The basis starts at ``dim`` (default ``_initial_dim``) and doubles until
-    the last coefficient holds at most tail_tolerance * 1e-4 of the squared
-    norm, or reaches max_dim; a Fock or binomial family is built whole at
-    once (up to max_dim). The first basis reads ``raw``, its coefficients
-    already exponentiated, when given. Every other basis exponentiates a
-    prefix of ``series``, the spec's (log|b_i|, phase) pair, where that is
-    long enough, else of a fresh ``_bare_log_amplitudes``. Raises
-    ConvergenceError when the squared norm overflows,
-    TruncationOverflowError when max_dim cuts the series while it still
-    grows, and then what ``checked_norm`` raises.
+    ``raw`` holds a row per spec; a row of length n > 0 has a ``_norm`` over
+    its n entries that passed ``checked_norm``, a row of length 0 gets None
+    (``specs`` and ``edges`` are not read). Each row drops its trailing tail
+    while the discarded mass stays within tail_tolerance; pinned against
+    max_dim with significant edge occupation, its uncaptured mass is
+    estimated by geometric extrapolation of its trailing probabilities, so
+    downstream moment guards can refuse the state. p = |raw|^2, the suffix-mass scan, the keep index
+    and the division by the norm are block ops on p zero-masked past each
+    row's length (adding exact zeros is exact, so each row's suffix keeps its
+    bits), and a row of length 0 is masked whole, so a row that failed its
+    guards never reaches them. Only the reductions whose bits depend on a
+    row's length, its total p[:n].sum() and the norm of its kept prefix, and
+    the reads of its tail and StateVector run row by row, under the caller's
+    errstate.
     """
-    if dim is None:
-        dim = _initial_dim(spec, policy)
-    support = _support(spec)
-    while True:
-        # The bare series of the undamped families reaches e^{|alpha|^2/2}; refuse
-        # before its squared norm (or an amplitude) leaves the float range.
-        with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-            if raw is None:
-                if series is None or len(series[0]) < dim:
-                    series = _bare_log_amplitudes([spec], dim)
-                log_b, phase = series
-                raw = np.exp(log_b[:dim]) * phase[:dim]
-            nrm = float(np.linalg.norm(raw))
-        if not math.isfinite(nrm * nrm):
-            raise ConvergenceError(f"{spec.family} bare series norm leaves the float range at {spec}")
-        if dim >= policy.max_dim and (support is None or support > dim) and _grows_at_cut(spec, dim):
-            raise TruncationOverflowError(
-                f"{spec.family} bare series still grows where max_dim={policy.max_dim} cuts it at {spec}"
-            )
-        checked_norm(nrm)
-        edge = abs(raw[-1]) ** 2 / (nrm * nrm)
-        if dim >= policy.max_dim or support is not None or edge <= policy.tail_tolerance * 1e-4:
-            return raw, nrm, edge
-        dim = min(dim * 2, policy.max_dim)
-        raw = None
+    tol = policy.tail_tolerance
+    count, width = len(lengths), max(lengths)
+    results: list = [None] * count
+    if not width:
+        return results
+    p = np.abs(raw[:, :width]) ** 2
+    back = p[:, ::-1]  # each row backwards from the longest row's end, so its suffix masses are a cumsum
+    if min(lengths) < width:
+        back = np.where(np.arange(width - 1, -1, -1) < _per_spec(lengths), back, 0.0)
+    totals = [p[row, :n].sum() if n else 1.0 for row, n in enumerate(lengths)]
+    suffix = back.cumsum(axis=1)
+    suffix /= _per_spec(totals)
+    # A row keeps up to the last index >= 1 whose suffix mass is not within
+    # tolerance, else index 0 alone; `<=` counts a NaN suffix as not within it.
+    within = suffix <= tol
+    within[:, -1] = False
+    cuts = within.argmin(axis=1).tolist()  # the last kept index, counted from the back
+    tails = [0.0] * count
+    scales = [1.0] * count
+    for row, (n, cut, total) in enumerate(zip(lengths, cuts, totals)):
+        if not n:
+            continue
+        k = width - cut
+        tail = suffix.item(row, cut - 1) if cut else 0.0  # the suffix mass just past the kept entries
+        if k == policy.max_dim and tail <= tol:
+            edge = p[row, k - 1] / total
+            if edge > tol:
+                ratio = p[row, k - 1] / p[row, k - 2] if k >= 2 and p[row, k - 2] > 0 else 1.0
+                tail = edge * ratio / (1.0 - ratio) if ratio < 1.0 else 0.5
+                tail = float(min(max(tail, edge), 0.99))
+        tails[row] = tail
+        try:
+            scales[row] = norms[row] if k == n else checked_norm(_norm(raw[row, :k]))
+        except FockLabError as exc:
+            results[row] = exc
+    amplitudes = raw[:, : width - min(cuts)] / _per_spec(scales)
+    for row, (n, cut, tail) in enumerate(zip(lengths, cuts, tails)):
+        if n and results[row] is None:
+            results[row] = StateVector(amplitudes[row, : width - cut], width - cut, tail)
+    return results
 
 
 def _grows_at_cut(spec: StateSpec, dim: int) -> bool:
@@ -652,8 +659,9 @@ def compositions(
     """For each spec in order, its ``build_by_composition`` vector or the FockLabError that call raises.
 
     Specs of one family are composed as one block at the widest of their
-    bases (``_composed``); each row is then cut, checked, trimmed and
-    normalized on its own, so every state is bitwise the one-spec one. A DFS
+    bases (``_composed``); each row is then cut to its own basis and checked
+    on its own, and the rows that pass are trimmed and normalized as one
+    block (``_finished``), so every state is bitwise the one-spec one. A DFS
     group runs its (a† - alpha*) steps to the group's largest n for every
     row, so one large n makes its whole family pay for it.
     """
@@ -661,19 +669,23 @@ def compositions(
 
 
 def _sqrt_factorial(n: int) -> float:
-    """sqrt(n!) as a float; ConvergenceError where n! itself leaves the float range (from n = 171)."""
-    try:
-        return math.sqrt(math.factorial(n))
-    except OverflowError:
-        raise ConvergenceError(f"{n}! leaves the float range: DFS cannot be composed at n = {n}") from None
+    """sqrt(n!) as a float; ConvergenceError where n! itself leaves the float range (from n = 171), before n! is formed."""
+    if n > 170:
+        raise ConvergenceError(f"{n}! leaves the float range: DFS cannot be composed at n = {n}")
+    return math.sqrt(math.factorial(n))
 
 
 def _composed_group(group: list[StateSpec], policy: TruncationPolicy) -> list:
-    """``compositions`` of specs of one family: one ``_composed`` block, each row finished by ``_composed_row``.
+    """``compositions`` of specs of one family: one ``_composed`` block, finished as one block by ``_finished``.
 
     A DFS-group spec whose n! leaves the float range gets its error before
     any arithmetic and stays out of the block. A block that runs out of
-    log-factorials leaves each spec to compose alone.
+    log-factorials leaves each spec to compose alone. Each row is cut to its
+    basis (at most max_dim); where its dim is max_dim and its squared norm
+    is 0 or subnormal because its starting vector already is, max_dim cut
+    the state away (TruncationOverflowError), else ``checked_norm`` judges
+    it. Under one errstate an overflowing row reads inf or NaN, which
+    ``checked_norm`` refuses.
     """
     info = group[0].info
     if info.group == "fock":
@@ -701,12 +713,27 @@ def _composed_group(group: list[StateSpec], policy: TruncationPolicy) -> list:
             return [result or _composed_group([spec], policy)[0] for spec, result in zip(group, results)]
         results[live[0]] = exc
         return results
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing row reads inf or NaN, which checked_norm refuses
-        p = np.abs(raw) ** 2
-        rows = zip(start, raw, p) if raw.ndim > 1 else [(start, raw, p)]  # one spec's vectors are its one row
-        for index, spec, dim, k, q, (start_row, raw_row, p_row) in zip(live, specs, dims, added, subtracted, rows):
-            size = min(max(dim + k - q, 0), policy.max_dim)  # photon addition may have grown past the cap
-            results[index] = _composed_row(spec, policy, dim, start_row[:dim], raw_row[:size], p_row[:size])
+    # Photon addition may have grown a row past the cap.
+    sizes = [min(max(dim + k - q, 0), policy.max_dim) for dim, k, q in zip(dims, added, subtracted)]
+    tiny = sys.float_info.min
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+        start_rows, raw_rows = start.reshape(len(specs), -1), raw.reshape(len(specs), -1)
+        lengths, norms = [0] * len(specs), [0.0] * len(specs)
+        for row, (index, spec, dim, size) in enumerate(zip(live, specs, dims, sizes)):
+            nrm = norms[row] = _norm(raw_rows[row, :size])
+            try:
+                if nrm * nrm < tiny and dim >= policy.max_dim and _norm(start_rows[row, :dim]) ** 2 < tiny:
+                    raise TruncationOverflowError(
+                        f"{spec.family} composition is cut away where max_dim={policy.max_dim} caps its basis at {spec}"
+                    )
+                checked_norm(nrm)
+            except FockLabError as exc:
+                results[index] = exc
+            else:
+                lengths[row] = size
+        for index, length, result in zip(live, lengths, _finished(specs, policy, raw_rows, lengths, norms)):
+            if length:
+                results[index] = result
     return results
 
 
@@ -784,30 +811,6 @@ def _ladder_power(block: np.ndarray, count: int | np.ndarray, step, width: int) 
     return out
 
 
-def _composed_row(
-    spec: StateSpec, policy: TruncationPolicy, dim: int, start: np.ndarray, raw: np.ndarray, p: np.ndarray
-) -> StateVector | FockLabError:
-    """``build_by_composition`` of one spec from its ``_composed`` rows, cut to its basis, or the FockLabError it raises.
-
-    ``p`` is |raw|^2. Where ``dim`` is max_dim and the composed squared norm
-    is 0 or subnormal because the starting vector already is on that basis,
-    max_dim cut the state away: TruncationOverflowError. Runs under the
-    errstate of ``_composed_group``, so an overflowing norm is inf.
-    """
-    try:
-        nrm = float(np.linalg.norm(raw))
-        tiny = sys.float_info.min
-        if nrm * nrm < tiny and dim >= policy.max_dim and float(np.linalg.norm(start)) ** 2 < tiny:
-            raise TruncationOverflowError(
-                f"{spec.family} composition is cut away where max_dim={policy.max_dim} caps its basis at {spec}"
-            )
-        checked_norm(nrm)
-        trimmed, tail = _trim(raw, policy, p)
-        return state_from_amplitudes(trimmed, tail_mass=tail)
-    except FockLabError as exc:
-        return exc
-
-
 def normalization_constant(spec: StateSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
     """Numeric normalization constant: 1 / norm of the family's bare coefficient series.
 
@@ -828,28 +831,24 @@ def normalization_constants(specs: list[StateSpec], policy: TruncationPolicy = D
     Each family's bare series come from one kernel pass, as in
     ``build_states``, so every constant is bitwise the one-spec value.
     """
-    return _by_family(specs, _adaptive_group, policy, _normalization_row)
+    return _by_family(specs, _adaptive_bare, policy, _normalization_rows)
 
 
-def _normalization_row(
-    spec: StateSpec,
-    policy: TruncationPolicy,
-    dim: int | None = None,
-    series: tuple | None = None,
-    raw: np.ndarray | None = None,
-    p: np.ndarray | None = None,
-) -> float | FockLabError:
-    """``normalization_constant`` of one spec, from its ``_first_bases`` entry (``p`` unused) or from scratch."""
-    try:
-        grown, nrm, edge = _adaptive_bare(spec, policy, dim, series, raw)
-        support = _support(spec)
-        if edge > policy.tail_tolerance * 1e-4 and (support is None or support > len(grown)):
-            raise TruncationOverflowError(
-                f"{spec.family} bare series is cut at max_dim={policy.max_dim} with edge occupation {edge:.2e}"
+def _normalization_rows(specs, policy: TruncationPolicy, raw, lengths: list[int], norms: list, edges: list) -> list:
+    """``normalization_constant`` of each row of an ``_adaptive_bare`` pass (``raw`` unused); None for a row of length 0."""
+    results: list = []
+    for spec, length, nrm, edge in zip(specs, lengths, norms, edges):
+        if not length:
+            results.append(None)
+        elif edge > policy.tail_tolerance * 1e-4 and (_support(spec) or math.inf) > length:
+            results.append(
+                TruncationOverflowError(
+                    f"{spec.family} bare series is cut at max_dim={policy.max_dim} with edge occupation {edge:.2e}"
+                )
             )
-        return 1.0 / nrm
-    except FockLabError as exc:
-        return exc
+        else:
+            results.append(1.0 / nrm)
+    return results
 
 
 def _dfs_norm_sq(lam: float, n: int, k: int, q: int) -> float:

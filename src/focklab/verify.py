@@ -3,12 +3,14 @@
 Each check draws its parameter points from a seeded generator, so a report
 is fully reproducible from its seed, and different seeds probe different
 points with the same pass/fail semantics. A check that builds states draws
-all its points first and then builds them in one ``build_states`` batch (one
-kernel pass per family); the state-oracle check composes its points in one
-``compositions`` batch the same way. Builds and compositions draw no random
-numbers, so the points and the report are those of building each spec as
-it is drawn, and a failed build or composition raises when the check's
-loop reaches that spec.
+all its points first and then builds them in one ``build_states`` batch: one
+kernel pass per family, whose rows are trimmed and normalized as one block.
+The state-oracle check composes its points in one ``compositions`` batch the
+same way, and the moment check sums its series in one ``moment_sums`` call,
+one vectorised pass per (t, j). Builds, compositions and sums draw no random
+numbers, so the points and the report are those of computing each point as
+it is drawn, and a failed build, composition or sum raises when the check's
+loop reaches that point.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from .core import TruncationPolicy, state_from_amplitudes
 from .exceptions import FockLabError
 from .interferometry import ENTROPY_SERIES_GROUPS, _entropy_sum, linear_entropy
-from .moments import _moment_sum, moment_oracle
+from .moments import moment_oracle, moment_sums
 from .states import (
     FAMILIES,
     FAMILY_INFO,
@@ -118,9 +120,10 @@ def check_state_oracle_equivalence(rng: np.random.Generator, points_per_family: 
 def check_moment_series(rng: np.random.Generator, n_points: int = 200) -> CheckResult:
     """moment_series vs moment_oracle on a randomized (family, params, t, j) grid.
 
-    Each series sums its spec's entry of one ``ladders`` call. The pass
-    metric is relative error for |moment| >= 1 and absolute error (at a
-    hundredfold tighter bar, 1e-10) below unit scale.
+    The series come from one ``moment_sums`` call, which sums the points of
+    each (t, j) in one pass. The pass metric is relative error for
+    |moment| >= 1 and absolute error (at a hundredfold tighter bar, 1e-10)
+    below unit scale.
     """
     families = list(FAMILIES)
     points = []
@@ -131,9 +134,10 @@ def check_moment_series(rng: np.random.Generator, n_points: int = 200) -> CheckR
     specs = [spec for spec, _, _ in points]
     worst_metric = 0.0
     worst_abs = 0.0
-    for (_, t, j), state, ladder in zip(points, _reached(build_states(specs, _ORACLE_POLICY)), ladders(specs)):
+    series = _reached(moment_sums(points))
+    for (_, t, j), state in zip(points, _reached(build_states(specs, _ORACLE_POLICY))):
         reference = moment_oracle(state, t, j)
-        value = _moment_sum(ladder, t, j)  # moment_series of the point's spec
+        value = next(series)  # moment_series of the point
         abs_err = abs(value - reference)
         worst_abs = max(worst_abs, abs_err)
         metric = abs_err / abs(reference) if abs(reference) >= 1.0 else abs_err * 100.0

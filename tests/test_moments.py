@@ -5,13 +5,15 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from focklab.core import TruncationPolicy, lower_amplitudes, make_fock, state_from_amplitudes
-from focklab.exceptions import InvalidParameterError, TruncationUnsafeError
-from focklab.moments import MAX_TOTAL_ORDER, moment_oracle, moment_series
+from focklab.exceptions import FockLabError, InvalidParameterError, TruncationUnsafeError
+from focklab.moments import MAX_TOTAL_ORDER, moment_oracle, moment_series, moment_sums
 from focklab.states import FAMILIES, StateSpec, build_state
 
-from test_states import random_spec
+from test_states import _POINT, random_spec
 
 POLICY = TruncationPolicy(max_dim=512, tail_tolerance=1e-16)
 
@@ -266,3 +268,48 @@ def test_memoised_moments_are_consistent_across_threads(rng):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert len(finished) == len(orders) and mismatches == []
+
+
+# Points whose sum raises, each for its own reason.
+_REFUSED = [
+    (StateSpec("PSDFS", alpha=0, n=1, subtracted=3), 1, 1),  # an empty ladder (q > n at alpha = 0)
+    (StateSpec("Coherent", alpha=2100.0), 1, 1),  # a ladder past the log-factorial cap
+    (StateSpec("Coherent", alpha=1.0), -1, 2),  # a negative power
+    (StateSpec("Coherent", alpha=1.0), 9, 8),  # an order over the cap
+    (StateSpec("Coherent", alpha=1.0), 1.0, 1),  # a power that is not an integer
+    (StateSpec("PSDFS", alpha=0, n=1, subtracted=3), 0, -1),  # the power is refused before the empty ladder
+]
+
+
+@st.composite
+def _moment_points(draw):
+    """One or two points of every family, each with its own t and j in 0..8, and refused points among them, shuffled."""
+    orders = st.tuples(st.integers(0, 8), st.integers(0, 8))
+    points = [
+        (StateSpec(family, alpha=mag * cmath.exp(1j * phase), p=p, chi=chi, **counts), *draw(orders))
+        for family in FAMILIES
+        for mag, phase, p, chi, counts in draw(st.lists(_POINT, min_size=1, max_size=2))
+    ]
+    points += draw(st.lists(st.sampled_from(_REFUSED), max_size=4))
+    return draw(st.permutations(points))
+
+
+def _sum_outcome(value):
+    """A moment as comparable data: the bits of both parts, or the error's class and message."""
+    if isinstance(value, FockLabError):
+        return type(value), str(value)
+    return value.real.hex(), value.imag.hex()
+
+
+def _series_alone(spec, t, j):
+    try:
+        return moment_series(spec, t, j)
+    except FockLabError as exc:
+        return exc
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(points=_moment_points())
+def test_batched_moment_sums_are_each_point_alone(points):
+    batch = moment_sums(points)
+    assert [_sum_outcome(value) for value in batch] == [_sum_outcome(_series_alone(*point)) for point in points]

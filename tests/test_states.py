@@ -357,6 +357,45 @@ def test_batch_finishes_doubling_pinned_and_overflowing_rows_of_one_family():
     assert isinstance(batch[2], ConvergenceError)
 
 
+def test_one_batch_runs_every_finishing_branch():
+    # At tail 1e-300 under max_dim 4096: |alpha| = 1 (VFKS, PSDFS) and PSDFS
+    # (38, n = 170) outgrow their first bases and double; |alpha|^2 = 3500 is
+    # pinned at max_dim with an extrapolated tail; VFKS at |alpha|^2 = 750
+    # overflows its bare norm, and the composition's 170 steps at |alpha| = 38
+    # overflow; PSDFS from n = 1 with q = 3 at alpha = 0 is empty; Binomial
+    # M = 3 keeps its whole support, and M = 360 at p = 0.05 is trimmed on its
+    # first basis. The specs run as one batch, shuffled, and each as a batch
+    # of one, through both builders.
+    policy = TruncationPolicy(4096, 1e-300)
+    doubling = StateSpec("VFKS", alpha=1.0, chi=0.1)
+    overflowing = StateSpec("VFKS", alpha=math.sqrt(750.0), chi=0.1)
+    trimmed_double = StateSpec("PSDFS", alpha=1.0, n=2, subtracted=1)
+    pinned = StateSpec("PSDFS", alpha=math.sqrt(3500.0))
+    composition_overflows = StateSpec("PSDFS", alpha=38.0, n=170)
+    empty = StateSpec("PSDFS", alpha=0, n=1, subtracted=3)
+    whole = StateSpec("Binomial", p=0.4, M=3)
+    trimmed = StateSpec("Binomial", p=0.05, M=360)
+    specs = [trimmed_double, trimmed, doubling, empty, pinned, whole, overflowing, composition_overflows]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        built = dict(zip(specs, _assert_batch_is_per_spec(specs, policy)))
+        composed = dict(zip(specs, _assert_batch_is_per_spec(specs, policy, compositions, build_by_composition)))
+        for spec in specs:
+            assert _outcome(_assert_batch_is_per_spec([spec], policy)[0]) == _outcome(built[spec])
+            alone = _assert_batch_is_per_spec([spec], policy, compositions, build_by_composition)[0]
+            assert _outcome(alone) == _outcome(composed[spec])
+    for spec in (doubling, trimmed_double, composition_overflows):
+        assert built[spec].dim > _initial_dim(spec, policy)
+    for result in (built[pinned], composed[pinned]):
+        assert result.dim == policy.max_dim and result.tail_mass > 0.0
+    assert isinstance(built[overflowing], ConvergenceError) and isinstance(composed[composition_overflows], ConvergenceError)
+    assert isinstance(built[empty], AnnihilatedStateError) and isinstance(composed[empty], AnnihilatedStateError)
+    for result in (built[whole], composed[whole]):
+        assert result.dim == whole.M + 1 and result.tail_mass == 0.0
+    for result in (built[trimmed], composed[trimmed]):
+        assert result.dim < trimmed.M + 1 and 0.0 < result.tail_mass <= policy.tail_tolerance
+
+
 def test_tail_mass_is_a_float_on_every_path():
     # |alpha|^2 = 700 is pinned at max_dim, where the tail is extrapolated
     # from the last probabilities; |alpha| = 1 is not.
@@ -504,6 +543,26 @@ def test_batched_compositions_keep_their_errors_in_draw_order():
         batch = _assert_batch_is_per_spec(specs, TruncationPolicy(4096), compositions, build_by_composition)
     assert {i for i, r in enumerate(batch) if isinstance(r, FockLabError)} == set(errors)
     assert all(type(batch[index]) is error for index, (_, error) in errors.items())
+
+
+def test_dfs_composition_refuses_n_past_170_before_forming_n_factorial(monkeypatch):
+    # n! leaves the float range from n = 171; the refusal must not form n!
+    # first, which took seconds at n = 10^6.
+    factorial = math.factorial
+
+    def bounded(n):
+        assert n <= 170, f"{n}! formed"
+        return factorial(n)
+
+    monkeypatch.setattr(math, "factorial", bounded)
+    for n in (171, 10**6):
+        message = f"{n}! leaves the float range: DFS cannot be composed at n = {n}"
+        with pytest.raises(ConvergenceError) as caught:
+            build_by_composition(StateSpec("DFS", alpha=0.5, n=n))
+        assert str(caught.value) == message
+        refused, live = compositions([StateSpec("DFS", alpha=0.5, n=n), StateSpec("DFS", alpha=0.5, n=2)])
+        assert type(refused) is ConvergenceError and str(refused) == message and isinstance(live, StateVector)
+    assert states._sqrt_factorial(170) == math.sqrt(factorial(170))
 
 
 @pytest.mark.parametrize("n", [512, 513, 2**22])
