@@ -14,14 +14,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .core import DEFAULT_POLICY, StateVector, log_factorials
-from .exceptions import ConvergenceError, FockLabError, InvalidParameterError, StationaryPointError
+from .exceptions import ConvergenceError, FockLabError, StationaryPointError
 from .states import StateSpec, ladders
-
-# Family groups with a closed-form linear-entropy series.
-ENTROPY_SERIES_GROUPS = ("ecs", "kerr", "binomial")
 
 # Longest s = n + r < 2 cut - 1 the closed-form entropy sums on its O(cut^2)
 # grids (|alpha| ~ 38, M = 2047); a longer series is refused, not allocated.
@@ -87,6 +84,9 @@ def beam_splitter_split(s: StateVector) -> np.ndarray:
 # entropies (every shipped sweep) keep their last bit; 32 moves them by 3e-16.
 _GRAM_BAND = 64
 
+# Past this dim the complex split alone passes 1 GiB; ``linear_entropy`` refuses it unallocated.
+_SPLIT_MAX_DIM = 8192
+
 
 def linear_entropy(s: StateVector) -> float:
     """Entanglement potential: 1 - Tr(rho_A^2) after splitting s against vacuum.
@@ -97,9 +97,12 @@ def linear_entropy(s: StateVector) -> float:
     dim - a columns. rho_A is Hermitian, so each band is multiplied only
     against the rows above it and itself: the block above the band counts
     twice and the diagonal block once, about dim^3/6 complex multiply-adds.
+    A state past ``_SPLIT_MAX_DIM`` raises ConvergenceError.
     """
-    split = beam_splitter_split(s)
     d = s.dim
+    if d > _SPLIT_MAX_DIM:
+        raise ConvergenceError(f"a split of dim {d} exceeds the {_SPLIT_MAX_DIM}-state limit of the partial trace")
+    split = beam_splitter_split(s)
     purity = 0.0
     for a in range(0, d, _GRAM_BAND):
         live = split[: a + _GRAM_BAND, : d - a]
@@ -110,42 +113,44 @@ def linear_entropy(s: StateVector) -> float:
 
 
 def linear_entropy_closed_form(spec: StateSpec) -> float:
-    """Closed-form entanglement potential for the nine ECS/BS/KS states.
+    """Closed-form entanglement potential of any family.
 
-    With w_n = c_n / sqrt(n!) = N h_n / n! from
-    ``states.ladder_log_amplitudes``, the purity of either output mode is
+    With w_n = c_n / sqrt(n!) from ``states.ladder_log_amplitudes``, the
+    purity of either output mode of any pure state is
     Tr rho_A^2 = sum_s s!/2^s |A_s|^2 with A_s = sum_{n+r=s} w_n w_r, the
     self-convolution of w. Each A_s is summed against its own largest term,
     so no row's scale over- or underflows another's. Agrees with
-    ``linear_entropy(build_state(spec))`` within 1e-8; any other family
-    raises InvalidParameterError, and a convolution of more than
-    ``_ENTROPY_MAX_TERMS`` terms or an overflowing normalization raises
-    ConvergenceError.
+    ``linear_entropy(build_state(spec))`` within 1e-8; raises what the
+    ladder raises, and ConvergenceError for a convolution of more than
+    ``_ENTROPY_MAX_TERMS`` terms.
     """
-    if spec.info.group not in ENTROPY_SERIES_GROUPS:
-        raise InvalidParameterError(f"no closed-form entanglement-potential series for {spec.family!r}")
     return _entropy_sum(ladders([spec])[0])
 
 
 def _entropy_sum(ladder: tuple[np.ndarray, np.ndarray] | FockLabError) -> float:
-    """``linear_entropy_closed_form`` over one ``states.ladders`` entry of an entropy-series family; an error entry is raised."""
+    """``linear_entropy_closed_form`` over one ``states.ladders`` entry; an error entry is raised.
+
+    Each factor (log w, the phase), padded by d - 1 terms a side (-inf, 0),
+    is read as the strided view whose row s holds term s - n at column n: a
+    reversed sliding window without ``sliding_window_view``'s call overhead.
+    """
     if isinstance(ladder, FockLabError):
         raise ladder
     log_c, phase = ladder
     d = len(log_c)
-    s = np.arange(2 * d - 1)
-    if len(s) > _ENTROPY_MAX_TERMS:
-        raise ConvergenceError(f"entropy series of {len(s)} terms exceeds the {_ENTROPY_MAX_TERMS}-term limit")
-    log_fact = log_factorials(len(s))
+    terms = 2 * d - 1
+    if terms > _ENTROPY_MAX_TERMS:
+        raise ConvergenceError(f"entropy series of {terms} terms exceeds the {_ENTROPY_MAX_TERMS}-term limit")
+    log_fact = log_factorials(terms)
     log_w = log_c - 0.5 * log_fact[:d]
-    n = np.arange(d)
-    r = s[:, None] - n
-    ok = (r >= 0) & (r < d)
-    r = np.where(ok, r, 0)
-    log_t = np.where(ok, log_w[n] + log_w[r], -np.inf)
+    pad = np.full(d - 1, -np.inf)
+    log_r = np.concatenate((pad, log_w, pad))[d - 1 :]
+    log_t = log_w + as_strided(log_r, (terms, d), (log_r.itemsize, -log_r.itemsize))
+    phase_r = np.concatenate((np.zeros(d - 1), phase, np.zeros(d - 1)))[d - 1 :]
+    phase_t = phase * as_strided(phase_r, (terms, d), (phase_r.itemsize, -phase_r.itemsize))
     shift = np.max(log_t, axis=1)  # -inf on a row with no term, whose weight e^{2 shift} is 0
-    a = np.sum(np.exp(log_t - np.where(np.isfinite(shift), shift, 0.0)[:, None]) * (phase[n] * phase[r]), axis=1)
-    purity = np.sum(np.exp(2.0 * shift + log_fact - s * math.log(2.0)) * (a.real**2 + a.imag**2))
+    a = np.sum(np.exp(log_t - np.where(np.isfinite(shift), shift, 0.0)[:, None]) * phase_t, axis=1)
+    purity = np.sum(np.exp(2.0 * shift + log_fact - np.arange(terms) * math.log(2.0)) * (a.real**2 + a.imag**2))
     return 1.0 - float(purity)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import StateVector
-from .exceptions import InvalidParameterError, PhaseUndefinedError
+from .exceptions import PhaseUndefinedError
 from .moments import moment_oracle
 from .states import StateSpec, ladder_log_amplitudes
 
@@ -82,15 +82,12 @@ def phase_distribution(s: StateVector, n_points: int = DEFAULT_GRID_POINTS) -> P
 
 
 def phase_distribution_closed_form(spec: StateSpec, thetas: np.ndarray) -> np.ndarray:
-    """P(theta) = |sum_m c_m e^{-i m theta}|^2 / 2pi of a displaced-Fock spec from its closed-form amplitudes.
+    """P(theta) = |sum_m c_m e^{-i m theta}|^2 / 2pi of any spec from its closed-form amplitudes.
 
-    Kept as a verification target for ``phase_distribution``; supports the
-    Coherent/DFS/PADFS/PSDFS/PASDFS specs. The c_m come from
-    ``states.ladder_log_amplitudes``, and the sum is taken with its own
-    exponential kernel, not the FFT it checks.
+    Kept as a verification target for ``phase_distribution``. The c_m come
+    from ``states.ladder_log_amplitudes``, whose errors it raises, and the
+    sum is taken with its own exponential kernel, not the FFT it checks.
     """
-    if spec.info.group != "dfs":
-        raise InvalidParameterError(f"no closed-form phase-distribution series for {spec.family!r}")
     log_c, phase = ladder_log_amplitudes(spec)
     with np.errstate(under="ignore"):
         c = np.exp(log_c) * phase

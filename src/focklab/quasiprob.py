@@ -12,7 +12,6 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .core import StateVector, log_factorials
-from .exceptions import InvalidParameterError
 from .phase import PhaseProfile, angular_dft, simpson_weights, theta_grid
 from .states import StateSpec, ladder_log_amplitudes
 
@@ -132,15 +131,13 @@ def angular_q(s: StateVector, n_angles: int = 720, n_radial: int = 160) -> Phase
 
 
 def q_function_closed_form(spec: StateSpec, beta: complex) -> float:
-    """Q(beta) = |sum_m c_m conj(beta)^m e^{-|beta|^2/2} / sqrt(m!)|^2 / pi of a displaced-Fock spec.
+    """Q(beta) = |sum_m c_m conj(beta)^m e^{-|beta|^2/2} / sqrt(m!)|^2 / pi of any spec.
 
     The c_m are the closed-form amplitudes of ``states.ladder_log_amplitudes``,
     read from the spec parameters alone, and the coherent-state weights are
     assembled here in log space, not by ``_overlap_weights``; used to
-    cross-check ``q_function`` on the displaced-Fock family.
+    cross-check ``q_function`` on every family.
     """
-    if spec.info.group != "dfs":
-        raise InvalidParameterError(f"no closed-form Q-function series for {spec.family!r}")
     log_c, phase = ladder_log_amplitudes(spec)
     beta = complex(beta)
     bmag = abs(beta)

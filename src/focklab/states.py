@@ -552,16 +552,17 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
-def _finished(specs, policy: TruncationPolicy, raw: np.ndarray, lengths: list[int], norms: list, edges=None) -> list:
+def _finished(specs, policy: TruncationPolicy, raw: np.ndarray, lengths: list[int], norms: list, edges=None, bases=None) -> list:
     """Each row of a block trimmed and normalized into its StateVector, or the FockLabError that raises.
 
     ``raw`` holds a row per spec; a row of length n > 0 has a ``_norm`` over
     its n entries that passed ``checked_norm``, a row of length 0 gets None
     (``specs`` and ``edges`` are not read). Each row drops its trailing tail
-    while the discarded mass stays within tail_tolerance; pinned against
-    max_dim with significant edge occupation, its uncaptured mass is
-    estimated by geometric extrapolation of its trailing probabilities, so
-    downstream moment guards can refuse the state. p = |raw|^2, the suffix-mass scan, the keep index
+    while the discarded mass stays within tail_tolerance; kept whole on a
+    basis (``bases``, else its length) that reached max_dim and with
+    significant edge occupation, its uncaptured mass is estimated by
+    geometric extrapolation of its trailing probabilities, so downstream
+    moment guards can refuse the state. p = |raw|^2, the suffix-mass scan, the keep index
     and the division by the norm are block ops on p zero-masked past each
     row's length (adding exact zeros is exact, so each row's suffix keeps its
     bits), and a row of length 0 is masked whole, so a row that failed its
@@ -594,7 +595,7 @@ def _finished(specs, policy: TruncationPolicy, raw: np.ndarray, lengths: list[in
             continue
         k = width - cut
         tail = suffix.item(row, cut - 1) if cut else 0.0  # the suffix mass just past the kept entries
-        if k == policy.max_dim and tail <= tol:
+        if k == n and max(n, bases[row] if bases else n) >= policy.max_dim:
             edge = p[row, k - 1] / total
             if edge > tol:
                 ratio = p[row, k - 1] / p[row, k - 2] if k >= 2 and p[row, k - 2] > 0 else 1.0
@@ -731,7 +732,7 @@ def _composed_group(group: list[StateSpec], policy: TruncationPolicy) -> list:
                 results[index] = exc
             else:
                 lengths[row] = size
-        for index, length, result in zip(live, lengths, _finished(specs, policy, raw_rows, lengths, norms)):
+        for index, length, result in zip(live, lengths, _finished(specs, policy, raw_rows, lengths, norms, bases=dims)):
             if length:
                 results[index] = result
     return results

@@ -12,7 +12,6 @@ import numpy as np
 
 from focklab.core import TruncationPolicy, make_fock, state_from_amplitudes
 from focklab.interferometry import (
-    ENTROPY_SERIES_GROUPS,
     linear_entropy,
     linear_entropy_closed_form,
     phase_estimation_uncertainty,
@@ -22,7 +21,6 @@ from focklab.phase import phase_dispersion, phase_distribution
 from focklab.quasiprob import phase_space_grid, q_function
 from focklab.states import (
     FAMILIES,
-    FAMILY_INFO,
     StateSpec,
     build_by_composition,
     build_state,
@@ -76,7 +74,7 @@ def point_value_states():
 def entropy_grid():
     rng = np.random.default_rng([SEED, 4])
     grid = []
-    for family in (f for f in FAMILIES if FAMILY_INFO[f].group in ENTROPY_SERIES_GROUPS):
+    for family in FAMILIES:
         for _ in range(5):
             spec = _random_spec(rng, family)
             grid.append((spec, build_state(spec, TIGHT)))

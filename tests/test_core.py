@@ -421,3 +421,17 @@ def test_only_core_builds_log_factorials():
         if path.name != "core.py" and pattern.search(path.read_text())
     ]
     assert offenders == []
+
+
+def test_only_states_reads_the_family_taxonomy():
+    # A family's series group and hole step are dispatched on in states alone;
+    # every other module sums over what states serves for all families.
+    package = Path(focklab.__file__).parent
+    readers = {
+        f"{path.stem}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "states.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in ("group", "hole")
+    }
+    assert readers == set()

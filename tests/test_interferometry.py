@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,10 +7,9 @@ import pytest
 from focklab import interferometry
 from focklab.core import DEFAULT_POLICY, TruncationPolicy, make_fock, state_from_amplitudes
 from focklab.core import log_factorials
-from focklab.exceptions import AnnihilatedStateError, ConvergenceError, InvalidParameterError, StationaryPointError
+from focklab.exceptions import AnnihilatedStateError, ConvergenceError, StationaryPointError
 from focklab.interferometry import (
     _GRAM_BAND,
-    ENTROPY_SERIES_GROUPS,
     beam_splitter_split,
     linear_entropy,
     linear_entropy_closed_form,
@@ -27,7 +27,9 @@ from test_states import random_spec
 
 POLICY = TruncationPolicy(max_dim=512, tail_tolerance=1e-16)
 
-LE_FAMILIES = tuple(f for f in FAMILIES if FAMILY_INFO[f].group in ENTROPY_SERIES_GROUPS)
+# The families of the literal triple-sum references below; every other family
+# is a displaced Fock state, whose split has its own exact value.
+TRIPLE_SUM_FAMILIES = tuple(f for f in FAMILIES if FAMILY_INFO[f].group in ("ecs", "kerr", "binomial"))
 
 
 def test_split_single_photon():
@@ -199,7 +201,7 @@ def test_split_keeps_exact_zeros(spec):
     assert np.all(beam_splitter_split(s)[dead] == 0)
 
 
-@pytest.mark.parametrize("family", LE_FAMILIES)
+@pytest.mark.parametrize("family", FAMILIES)
 def test_closed_form_entropy_matches_partial_trace(family, rng):
     for _ in range(5):
         spec = random_spec(rng, family)
@@ -308,7 +310,7 @@ def _small_specs(family):
     return [StateSpec(family, alpha=a) for a in (0.0, *alphas)]
 
 
-@pytest.mark.parametrize("family", LE_FAMILIES)
+@pytest.mark.parametrize("family", TRIPLE_SUM_FAMILIES)
 def test_grouped_entropy_matches_literal_triple_sum(family):
     for spec in _small_specs(family):
         if spec.info.hole == "filtered" and spec.param("alpha") == spec.param("p") == 0:
@@ -321,21 +323,24 @@ def test_grouped_entropy_matches_literal_triple_sum(family):
         assert abs(linear_entropy_closed_form(spec) - expected) <= 1e-12
 
 
-@pytest.mark.parametrize("family", LE_FAMILIES)
+@pytest.mark.parametrize("family", FAMILIES)
 def test_closed_form_entropy_at_large_parameters(family):
     policy = TruncationPolicy(max_dim=1024, tail_tolerance=1e-16)
     if FAMILY_INFO[family].group == "binomial":
         specs = [StateSpec(family, p=p, M=M) for p, M in ((0.37, 128), (0.81, 360))]
     else:
         chi = 0.29 if FAMILY_INFO[family].group == "kerr" else 0.0
-        specs = [StateSpec(family, alpha=mag * np.exp(0.6j), chi=chi) for mag in (8.0, 15.0, 20.0)]
+        specs = [
+            StateSpec(family, alpha=mag * np.exp(0.6j), n=2, added=1, subtracted=1, chi=chi)
+            for mag in (8.0, 15.0, 20.0)
+        ]
     for spec in specs:
         closed = linear_entropy_closed_form(spec)
         assert abs(closed - linear_entropy(build_state(spec, policy))) <= 1e-8
 
 
 @pytest.mark.parametrize(
-    "family", [f for f in LE_FAMILIES if FAMILY_INFO[f].group != "binomial"]
+    "family", [f for f in TRIPLE_SUM_FAMILIES if FAMILY_INFO[f].group != "binomial"]
 )
 def test_closed_form_entropy_refuses_beyond_float_range(family):
     # The hole variants' normalization overflows past |alpha|^2 ~ 710; at
@@ -356,6 +361,18 @@ def _two_copy_entropy_reference(c):
         log_w = 0.5 * (log_fact[total] - log_fact[n] - log_fact[total - n] - total * math.log(2.0))
         purity += abs(np.sum(c[n] * c[total - n] * np.exp(log_w))) ** 2
     return 1.0 - purity
+
+
+def test_linear_entropy_refuses_a_split_past_8192_states_before_allocating():
+    s = state_from_amplitudes(np.ones(8193))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConvergenceError):
+            linear_entropy(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the split alone would take 1 GiB
 
 
 def test_linear_entropy_past_4096_states():
@@ -380,13 +397,22 @@ def test_closed_form_entropy_ordering_at_alpha_one():
     assert vfecs > paecs > ecs
 
 
-def test_closed_form_entropy_unsupported_family():
-    with pytest.raises(InvalidParameterError):
-        linear_entropy_closed_form(StateSpec("Coherent", alpha=1.0))
+def test_closed_form_entropy_of_split_displaced_fock_states():
+    # The splitter maps D(alpha)|n> x |0> to D(alpha/sqrt2) x D(alpha/sqrt2)
+    # acting on the split |n>, whose Schmidt weights are C(n, j)/2^n: the
+    # purity is C(2n, n)/4^n at any alpha, and a coherent state stays a product.
+    for n in range(5):
+        expected = 1.0 - math.comb(2 * n, n) / 4.0**n
+        specs = [StateSpec("Fock", n=n)]
+        specs += [StateSpec("DFS", alpha=a, n=n) for a in (0.0, 0.3, 1.7j, 3.0 * np.exp(2.2j), -6.0)]
+        for spec in specs:
+            assert abs(linear_entropy_closed_form(spec) - expected) <= 1e-14, spec
+    for a in (0.0, 0.3, 1.7j, 3.0 * np.exp(2.2j), -6.0):
+        assert abs(linear_entropy_closed_form(StateSpec("Coherent", alpha=a))) <= 1e-14
 
 
 def test_coherent_entropy_zero_iff_on_family_grid(rng):
-    for family in LE_FAMILIES:
+    for family in TRIPLE_SUM_FAMILIES:
         spec = random_spec(rng, family)
         value = linear_entropy(build_state(spec, POLICY))
         assert value > 1e-10  # every engineered family entangles

@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 
 from focklab.core import TruncationPolicy
 from focklab.exceptions import AnnihilatedStateError, ConvergenceError, FockLabError, TruncationOverflowError
-from focklab.interferometry import ENTROPY_SERIES_GROUPS, linear_entropy, linear_entropy_closed_form
+from focklab.interferometry import linear_entropy, linear_entropy_closed_form
 from focklab.moments import moment_oracle, moment_series
 from focklab.states import (
+    FAMILIES,
     FAMILY_INFO,
     StateSpec,
     build_by_composition,
@@ -31,7 +32,6 @@ from focklab.states import (
 
 POLICY = TruncationPolicy(max_dim=512, tail_tolerance=1e-16)
 ORACLE_POLICY = TruncationPolicy(max_dim=512, tail_tolerance=1e-32)
-SERIES_FAMILIES = [name for name, info in FAMILY_INFO.items() if info.group in ENTROPY_SERIES_GROUPS]
 HOLE_LADDER_FAMILIES = [
     name for name, info in FAMILY_INFO.items() if info.group in ("ecs", "kerr") and info.hole
 ]
@@ -244,7 +244,7 @@ def _or_none(evaluate):
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(
-    family=st.sampled_from(SERIES_FAMILIES),
+    family=st.sampled_from(FAMILIES),
     log_mag=st.floats(min_value=-12.0, max_value=math.log10(30.0)),
     phase=st.floats(min_value=0.0, max_value=2.0 * math.pi),
     chi=st.floats(min_value=-math.pi, max_value=math.pi),

@@ -76,6 +76,16 @@ def test_phase_distribution_rotates_with_displacement_phase():
         StateSpec("PADFS", alpha=3.0 * cmath.exp(1.1j), n=25, added=1),
         StateSpec("DFS", alpha=8.0 * cmath.exp(-0.4j), n=40),
         StateSpec("PASDFS", alpha=3.0 * cmath.exp(2.5j), n=40, added=2, subtracted=3),
+        StateSpec("Fock", n=3),
+        StateSpec("ECS", alpha=1.5 * cmath.exp(0.4j)),
+        StateSpec("VFECS", alpha=6.0 * cmath.exp(-2.0j)),
+        StateSpec("PAECS", alpha=1.2j),
+        StateSpec("Binomial", p=0.4, M=7),
+        StateSpec("VFBS", p=0.7, M=40),
+        StateSpec("PABS", p=0.3, M=9),
+        StateSpec("Kerr", alpha=1.4, chi=0.2),
+        StateSpec("VFKS", alpha=1.1 * cmath.exp(1.2j), chi=0.27),
+        StateSpec("PAKS", alpha=5.0 * cmath.exp(0.7j), chi=-1.3),
     ],
 )
 def test_phase_distribution_closed_form(spec):

@@ -84,10 +84,20 @@ def test_q_total_mass(spec):
         StateSpec("PASDFS", alpha=0.7 + 0.2j, n=1, added=2, subtracted=1),
         StateSpec("DFS", alpha=3.0 * cmath.exp(0.5j), n=25),
         StateSpec("PSDFS", alpha=2.0 - 1.0j, n=40, subtracted=2),
+        StateSpec("Fock", n=3),
+        StateSpec("ECS", alpha=1.5 * cmath.exp(0.4j)),
+        StateSpec("VFECS", alpha=6.0 * cmath.exp(-2.0j)),
+        StateSpec("PAECS", alpha=1.2j),
+        StateSpec("Binomial", p=0.4, M=7),
+        StateSpec("VFBS", p=0.7, M=40),
+        StateSpec("PABS", p=0.3, M=9),
+        StateSpec("Kerr", alpha=1.4, chi=0.2),
+        StateSpec("VFKS", alpha=1.1 * cmath.exp(1.2j), chi=0.27),
+        StateSpec("PAKS", alpha=5.0 * cmath.exp(0.7j), chi=-1.3),
     ],
 )
 def test_q_closed_form_matches_direct(spec):
-    s = build_state(spec, POLICY)
+    s = build_state(spec, TruncationPolicy(max_dim=512, tail_tolerance=1e-20))
     for beta in (0.0, 0.4 - 0.3j, 1.0, -1.2j, 2.0 + 1.0j):
         assert q_function_closed_form(spec, beta) == pytest.approx(
             float(q_function(s, beta)), abs=1e-8

@@ -16,6 +16,7 @@ from focklab.exceptions import (
     FockLabError,
     InvalidParameterError,
     TruncationOverflowError,
+    TruncationUnsafeError,
 )
 from focklab.moments import moment_oracle, moment_series
 from focklab.states import (
@@ -406,6 +407,20 @@ def test_tail_mass_is_a_float_on_every_path():
     batch = build_states([StateSpec("VFKS", alpha=1.0, chi=0.1), pinned], policy)
     for state in (alone, *batch, *compositions([pinned, StateSpec("Kerr", alpha=1.0)], policy)):
         assert type(state.tail_mass) is float
+
+
+@pytest.mark.parametrize("subtracted", (1, 2))
+def test_a_composition_cut_by_max_dim_reports_its_tail(subtracted):
+    # A composed photon-subtracted row keeps one entry fewer per subtracted
+    # photon than the max_dim basis it was composed on; it is still pinned.
+    policy = TruncationPolicy(1024, 1e-14)
+    spec = StateSpec("PSDFS", alpha=30.0, subtracted=subtracted)
+    built, composed = build_state(spec, policy), build_by_composition(spec, policy)
+    assert composed.dim == policy.max_dim - subtracted
+    assert built.tail_mass / 2.0 <= composed.tail_mass <= 2.0 * built.tail_mass
+    for state in (built, composed):
+        with pytest.raises(TruncationUnsafeError):
+            moment_oracle(state, 1, 1)
 
 
 def _batch_normalization_is_per_spec(specs, policy):
