@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .core import DEFAULT_POLICY, StateVector, log_factorials
 from .exceptions import ConvergenceError, FockLabError, StationaryPointError
@@ -30,7 +30,8 @@ def _hankel(head: np.ndarray) -> np.ndarray:
     d = len(head)
     padded = np.zeros(2 * d - 1, dtype=head.dtype)
     padded[:d] = head
-    return sliding_window_view(padded, d)
+    step = padded.itemsize
+    return as_strided(padded, (d, d), (step, step), writeable=False)
 
 
 _split_weight_table = np.empty((0, 0))  # grown by ``_split_weights``
@@ -64,6 +65,10 @@ def _split_weights(d: int) -> np.ndarray:
     return table[:d, :d]
 
 
+# Past this dim the complex split alone passes 1 GiB; it is refused unallocated.
+_SPLIT_MAX_DIM = 8192
+
+
 def beam_splitter_split(s: StateVector) -> np.ndarray:
     """Exact 50:50 split of |s> against vacuum, as the (dim, dim) two-mode amplitude matrix.
 
@@ -71,45 +76,74 @@ def beam_splitter_split(s: StateVector) -> np.ndarray:
     |j> x |m>, zero where j + m >= dim. The amplitude depends on j + m
     only and is read as a Hankel view of the zero-padded vector; the
     weights sqrt(C(j+m, j)/2^{j+m}) <= 1 do not depend on the state and
-    are read from one cached table (``_split_weights``).
+    are read from one cached table (``_split_weights``). A state past
+    ``_SPLIT_MAX_DIM`` raises ConvergenceError before anything is allocated.
     """
-    return _hankel(s.amplitudes) * _split_weights(s.dim)
+    d = s.dim
+    if d > _SPLIT_MAX_DIM:
+        raise ConvergenceError(f"a split of dim {d} exceeds the {_SPLIT_MAX_DIM}-state limit of the partial trace")
+    return _hankel(s.amplitudes) * _split_weights(d)
 
 
-# Row-band height of the triangular Gram product in ``linear_entropy``. Median
-# ms per call for bands 32/64/96/128 (one BLAS thread, 2-core x86-64 host):
-# dim 37 0.071/0.063/0.062/0.062, dim 131 0.32/0.38/0.42/0.99, dim 351
-# 2.5/2.9/3.2/3.7. 32 is ~15% faster past dim 64, but at 64 a dim <= 64 is
-# one band, the same single product M M^H as a full Gram, so the small-dim
-# entropies (every shipped sweep) keep their last bit; 32 moves them by 3e-16.
-_GRAM_BAND = 64
+# A split of at most _ONE_PRODUCT_MAX rows is one product M M^H, the same BLAS
+# call at every such dim, so the small-dim entropies (every shipped entropy
+# cell has dim <= 37) keep their last bit. Past it the triangular Gram runs in
+# _GRAM_BAND-row bands. Each band computes its whole diagonal block, so the
+# bands do about band * d^2/2 multiply-adds beyond the d^3/6 ideal: 1.3x the
+# ideal at dim 351 with 32-row bands, 1.6x with 64. Median ms per call, split
+# included, 32- vs 64-row bands (one BLAS thread, 2-core x86-64 host, two
+# interleaved runs): dim 129 0.22/0.22 and 0.20/0.25, dim 208 0.68/0.81 and
+# 0.68/0.81, dim 339 1.57/1.79 and 1.60/1.83. 16- and 24-row bands read 0-7%
+# below 32, and not at every dim.
+_ONE_PRODUCT_MAX = 64
+_GRAM_BAND = 32
 
-# Past this dim the complex split alone passes 1 GiB; ``linear_entropy`` refuses it unallocated.
-_SPLIT_MAX_DIM = 8192
+
+def _split_purity(split: np.ndarray) -> float:
+    """||M M^H||_F^2 of a square M whose row j vanishes past column len(M) - 1 - j.
+
+    A band of rows starting at a needs only the first len(M) - a columns.
+    M M^H is Hermitian, so each band is multiplied only against the rows
+    above it and itself: the block above the band counts twice and the
+    diagonal block once, about len(M)^3/6 complex multiply-adds.
+    """
+    d = len(split)
+    band = d if d <= _ONE_PRODUCT_MAX else _GRAM_BAND
+    purity = 0.0
+    for a in range(0, d, band):
+        live = split[: a + band, : d - a]
+        gram = live @ live[a:].conj().T
+        above, block = gram[:a], gram[a:]
+        purity += float(np.vdot(block, block).real)
+        if a:  # the first band has no rows above it
+            purity += 2.0 * float(np.vdot(above, above).real)
+    return purity
 
 
 def linear_entropy(s: StateVector) -> float:
     """Entanglement potential: 1 - Tr(rho_A^2) after splitting s against vacuum.
 
     rho_A = M M^H is the partial trace of the split M over the second mode,
-    and Tr(rho_A^2) = ||rho_A||_F^2. Row j of M vanishes past column
-    dim - 1 - j, so a band of rows starting at a needs only the first
-    dim - a columns. rho_A is Hermitian, so each band is multiplied only
-    against the rows above it and itself: the block above the band counts
-    twice and the diagonal block once, about dim^3/6 complex multiply-adds.
-    A state past ``_SPLIT_MAX_DIM`` raises ConvergenceError.
+    and Tr(rho_A^2) = ||rho_A||_F^2 (``_split_purity``). Past dim
+    ``_ONE_PRODUCT_MAX``, a state of one parity p (c_n = 0 unless n = p mod 2,
+    as for the even and odd cat states) has M[j, m] = 0 unless j + m = p
+    mod 2, so rho_A is block-diagonal between even and odd j; each block of
+    M is a split of about half the dim, and the two together cost a quarter
+    of the whole. A state past ``_SPLIT_MAX_DIM`` raises ConvergenceError.
     """
     d = s.dim
-    if d > _SPLIT_MAX_DIM:
-        raise ConvergenceError(f"a split of dim {d} exceeds the {_SPLIT_MAX_DIM}-state limit of the partial trace")
     split = beam_splitter_split(s)
+    c = s.amplitudes
+    if d <= _ONE_PRODUCT_MAX or (c[::2].any() and c[1::2].any()):
+        return max(1.0 - _split_purity(split), 0.0)  # clip the roundoff of exactly-product outputs
+    p = 1 if c[1::2].any() else 0
     purity = 0.0
-    for a in range(0, d, _GRAM_BAND):
-        live = split[: a + _GRAM_BAND, : d - a]
-        gram = live @ live[a:].conj().T
-        above, block = gram[:a], gram[a:]
-        purity += 2.0 * float(np.vdot(above, above).real) + float(np.vdot(block, block).real)
-    return max(1.0 - purity, 0.0)  # clip the roundoff of exactly-product outputs
+    for r in (0, 1):  # rows of parity r meet columns of parity q
+        q = (p - r) % 2
+        e = (d - r - q + 1) // 2  # rows and columns past e are zero
+        # One contiguous copy, not a strided operand in every band product.
+        purity += _split_purity(np.ascontiguousarray(split[r::2, q::2][:e, :e]))
+    return max(1.0 - purity, 0.0)
 
 
 def linear_entropy_closed_form(spec: StateSpec) -> float:

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from focklab import interferometry
 from focklab.core import DEFAULT_POLICY, TruncationPolicy, make_fock, state_from_amplitudes
@@ -10,6 +11,7 @@ from focklab.core import log_factorials
 from focklab.exceptions import AnnihilatedStateError, ConvergenceError, StationaryPointError
 from focklab.interferometry import (
     _GRAM_BAND,
+    _ONE_PRODUCT_MAX,
     beam_splitter_split,
     linear_entropy,
     linear_entropy_closed_form,
@@ -137,12 +139,38 @@ def test_entropy_matches_reference_at_smallest_dims():
     assert linear_entropy(make_fock(1, 2)) == pytest.approx(0.5, abs=1e-15)
 
 
-@pytest.mark.parametrize("bands", [1, 2, 5])
+# Two bands end at the one-product limit (63, 64, 65); three and five are
+# band edges past it (95, 96, 97 and 159, 160, 161).
+@pytest.mark.parametrize("bands", [1, 2, 3, 5])
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_entropy_matches_reference_at_band_edges(bands, offset, rng):
+    assert _ONE_PRODUCT_MAX == 2 * _GRAM_BAND
     dim = bands * _GRAM_BAND + offset
     s = state_from_amplitudes(rng.normal(size=dim) + 1j * rng.normal(size=dim))
     _assert_matches_reference(s)
+
+
+def test_entropy_up_to_the_one_product_limit_is_one_gram_product(rng):
+    # The property that keeps every shipped entropy cell byte-identical.
+    for dim in range(1, _ONE_PRODUCT_MAX + 1):
+        c = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        even = c.copy()
+        even[1::2] = 0  # a one-parity state, as a cat state is
+        for s in (state_from_amplitudes(c), state_from_amplitudes(even)):
+            split = beam_splitter_split(s)
+            g = split @ split.conj().T
+            assert linear_entropy(s) == max(1.0 - float(np.vdot(g, g).real), 0.0), dim
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@pytest.mark.parametrize("dim", [65, 66, 96, 97, 161])
+def test_entropy_of_a_one_parity_state_past_the_one_product_limit(parity, dim, rng):
+    c = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    c[1 - parity :: 2] = 0
+    s = state_from_amplitudes(c)
+    _assert_matches_reference(s)
+    whole = interferometry._split_purity(beam_splitter_split(s))
+    assert abs(linear_entropy(s) - max(1.0 - whole, 0.0)) <= 1e-14
 
 
 def _empty_weight_table(monkeypatch):
@@ -152,6 +180,37 @@ def _empty_weight_table(monkeypatch):
 
 def _random_state(rng, dim):
     return state_from_amplitudes(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+
+
+def _sliding_hankel(head):
+    """The Hankel view as ``sliding_window_view`` builds it, the reference for ``_hankel``."""
+    d = len(head)
+    padded = np.zeros(2 * d - 1, dtype=head.dtype)
+    padded[:d] = head
+    return sliding_window_view(padded, d)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 30, 351])
+def test_hankel_view_is_a_read_only_sliding_window(dim, rng):
+    for head in (rng.normal(size=dim), rng.normal(size=dim) + 1j * rng.normal(size=dim)):
+        view = interferometry._hankel(head)
+        expected = _sliding_hankel(head)
+        assert view.shape == expected.shape
+        assert view.tobytes() == expected.tobytes()
+        assert not view.flags.writeable
+        with pytest.raises(ValueError):
+            view[0, 0] = 1.0
+
+
+def test_split_weight_table_matches_the_sliding_window_construction(monkeypatch):
+    d = 351
+    _empty_weight_table(monkeypatch)
+    log_fact = log_factorials(d)
+    log_w = _sliding_hankel(log_fact) - log_fact[:, None]
+    log_w -= log_fact
+    log_w *= 0.5
+    log_w -= _sliding_hankel(0.5 * np.arange(d) * math.log(2.0))
+    assert interferometry._split_weights(d).tobytes() == np.exp(log_w).tobytes()
 
 
 @pytest.mark.parametrize("dims", [(351, 37), (37, 351)])
@@ -373,6 +432,18 @@ def test_linear_entropy_refuses_a_split_past_8192_states_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20  # the split alone would take 1 GiB
+
+
+def test_split_refuses_past_its_cap_before_allocating(monkeypatch, rng):
+    _empty_weight_table(monkeypatch)
+    monkeypatch.setattr(interferometry, "_SPLIT_MAX_DIM", 8)
+    beam_splitter_split(_random_state(rng, 8))
+    kept = interferometry._split_weight_table
+    s = _random_state(rng, 9)
+    for call in (beam_splitter_split, linear_entropy):
+        with pytest.raises(ConvergenceError):
+            call(s)
+    assert interferometry._split_weight_table is kept  # no weights were computed for dim 9
 
 
 def test_linear_entropy_past_4096_states():
