@@ -3,8 +3,9 @@
 The beam splitter is realized by its exact combinatorial action on Fock
 amplitudes (no matrix exponentiation), so the split is unitary on the
 truncated space by construction. Entanglement potential is the linear
-entropy of one output mode; its closed form, a self-convolution of the
-amplitude ladder, sits alongside the numeric partial trace that validates it.
+entropy of one output mode; its closed form, a two-copy sum of the amplitude
+ladder against the split's own weights, sits alongside the numeric partial
+trace that validates it.
 Mach-Zehnder phase estimation with the input |s> x |0> needs only the
 photon statistics of |s> (Yurke, McCall & Klauder, PRA 33, 4033 (1986)).
 """
@@ -20,8 +21,9 @@ from .core import DEFAULT_POLICY, StateVector, log_factorials
 from .exceptions import ConvergenceError, FockLabError, StationaryPointError
 from .states import StateSpec, ladders
 
-# Longest s = n + r < 2 cut - 1 the closed-form entropy sums on its O(cut^2)
-# grids (|alpha| ~ 38, M = 2047); a longer series is refused, not allocated.
+# Longest s = n + r < 2 cut - 1 the closed-form entropy sums over (|alpha| ~ 38,
+# M = 2047). Its cut x (2 cut - 1) weight and term grids take 48 cut^2 bytes,
+# about 200 MB at the limit; a longer series is refused, not allocated.
 _ENTROPY_MAX_TERMS = 4096
 
 
@@ -152,21 +154,49 @@ def linear_entropy_closed_form(spec: StateSpec) -> float:
     With w_n = c_n / sqrt(n!) from ``states.ladder_log_amplitudes``, the
     purity of either output mode of any pure state is
     Tr rho_A^2 = sum_s s!/2^s |A_s|^2 with A_s = sum_{n+r=s} w_n w_r, the
-    self-convolution of w. Each A_s is summed against its own largest term,
-    so no row's scale over- or underflows another's. Agrees with
+    self-convolution of w. It is summed as sum_s |B_s|^2 over the bounded
+    amplitudes c_n (``_entropy_sum``). Agrees with
     ``linear_entropy(build_state(spec))`` within 1e-8; raises what the
-    ladder raises, and ConvergenceError for a convolution of more than
+    ladder raises, and ConvergenceError for a series of more than
     ``_ENTROPY_MAX_TERMS`` terms.
     """
     return _entropy_sum(ladders([spec])[0])
 
 
+def _two_copy_weights(d: int) -> np.ndarray:
+    """The (d, 2d - 1) grid V[n, s] = W[n, s - n] = sqrt(C(s, n)/2^s) wherever n <= s < n + d.
+
+    Up to DEFAULT_POLICY.max_dim terms it is a sheared read-only view of the cached
+    ``_split_weights(2d - 1)`` table W, row n read from column -n on; a
+    cell with s < n reads the tail of row n - 1, finite and at most 1.
+    Past the cache it is formed alone, each cell by the table's own
+    arithmetic (so the two agree bitwise), and 0 where s < n: 2d^2 cells
+    rather than the 4d^2 of an uncached table. Cells outside
+    n <= s < n + d meet only zero partner terms in ``_entropy_sum``.
+    """
+    terms = 2 * d - 1
+    if terms <= DEFAULT_POLICY.max_dim:
+        table = _split_weights(terms)
+        row, col = table.strides
+        return as_strided(table, (d, terms), (row - col, col), writeable=False)
+    log_fact = log_factorials(terms)
+    back = np.concatenate((np.full(d - 1, np.inf), log_fact))[d - 1 :]
+    log_v = log_fact - log_fact[:d, None]
+    log_v -= as_strided(back, (d, terms), (-back.itemsize, back.itemsize))  # log (s - n)!, inf where s < n
+    log_v *= 0.5
+    log_v -= 0.5 * np.arange(terms) * math.log(2.0)
+    return np.exp(log_v, out=log_v)
+
+
 def _entropy_sum(ladder: tuple[np.ndarray, np.ndarray] | FockLabError) -> float:
     """``linear_entropy_closed_form`` over one ``states.ladders`` entry; an error entry is raised.
 
-    Each factor (log w, the phase), padded by d - 1 terms a side (-inf, 0),
-    is read as the strided view whose row s holds term s - n at column n: a
-    reversed sliding window without ``sliding_window_view``'s call overhead.
+    Tr rho_A^2 = sum_s |B_s|^2 with B_s = sum_{n+r=s} c_n c_r sqrt(C(s, n)/2^s)
+    = sqrt(s!/2^s) A_s. Every |c_n| <= 1 and every weight is at most 1, so
+    the ladder is exponentiated once (d exps) and no term can overflow.
+    The partner c_{s-n}, padded by d - 1 zeros a side, is read as the
+    strided view whose row n holds term s - n at column s, and
+    B = c @ (partner * V) over the weights V of ``_two_copy_weights``.
     """
     if isinstance(ladder, FockLabError):
         raise ladder
@@ -175,17 +205,12 @@ def _entropy_sum(ladder: tuple[np.ndarray, np.ndarray] | FockLabError) -> float:
     terms = 2 * d - 1
     if terms > _ENTROPY_MAX_TERMS:
         raise ConvergenceError(f"entropy series of {terms} terms exceeds the {_ENTROPY_MAX_TERMS}-term limit")
-    log_fact = log_factorials(terms)
-    log_w = log_c - 0.5 * log_fact[:d]
-    pad = np.full(d - 1, -np.inf)
-    log_r = np.concatenate((pad, log_w, pad))[d - 1 :]
-    log_t = log_w + as_strided(log_r, (terms, d), (log_r.itemsize, -log_r.itemsize))
-    phase_r = np.concatenate((np.zeros(d - 1), phase, np.zeros(d - 1)))[d - 1 :]
-    phase_t = phase * as_strided(phase_r, (terms, d), (phase_r.itemsize, -phase_r.itemsize))
-    shift = np.max(log_t, axis=1)  # -inf on a row with no term, whose weight e^{2 shift} is 0
-    a = np.sum(np.exp(log_t - np.where(np.isfinite(shift), shift, 0.0)[:, None]) * phase_t, axis=1)
-    purity = np.sum(np.exp(2.0 * shift + log_fact - np.arange(terms) * math.log(2.0)) * (a.real**2 + a.imag**2))
-    return 1.0 - float(purity)
+    c = np.exp(log_c) * phase
+    pad = np.zeros(d - 1, dtype=c.dtype)
+    forward = np.concatenate((pad, c, pad))[d - 1 :]
+    partner = as_strided(forward, (d, terms), (-forward.itemsize, forward.itemsize))
+    b = c @ (partner * _two_copy_weights(d))
+    return 1.0 - float(np.vdot(b, b).real)
 
 
 def phase_estimation_uncertainty(s: StateVector, phi: float) -> float:

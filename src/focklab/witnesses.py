@@ -135,9 +135,10 @@ def quadrature_central_moment(s: StateVector, l: int, method: str = "normal-orde
             d = min(s.dim, len(vec))
             raw.append(float(np.real(np.vdot(s.amplitudes[:d], vec[:d]))))
         mean_x = raw[1]
-        return sum(
-            math.comb(l, q) * raw[q] * (-mean_x) ** (l - q) for q in range(l + 1)
-        )
+        total = 0.0
+        for q in range(l + 1):  # left to right: builtin sum() of floats is compensated from Python 3.12
+            total += math.comb(l, q) * raw[q] * (-mean_x) ** (l - q)
+        return total
     if method != "normal-ordered":
         raise ValueError(f"unknown method {method!r}")
 
@@ -214,9 +215,12 @@ def vogel_det(s: StateVector) -> WitnessReport:
 def agarwal_tara_a3(s: StateVector) -> WitnessReport:
     """Agarwal-Tara A3 from the Hankel matrices of factorial and number moments."""
     m = [1.0] + [moment_oracle(s, i, i).real for i in range(1, 5)]
-    mu = [1.0] + [
-        sum(stirling2(j, k) * m[k] for k in range(1, j + 1)) for j in range(1, 5)
-    ]
+    mu = [1.0]
+    for j in range(1, 5):
+        total = 0.0
+        for k in range(1, j + 1):  # left to right: builtin sum() of floats is compensated from Python 3.12
+            total += stirling2(j, k) * m[k]
+        mu.append(total)
     hankel = lambda v: np.array(
         [[v[0], v[1], v[2]], [v[1], v[2], v[3]], [v[2], v[3], v[4]]]
     )

@@ -3,12 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from focklab import interferometry
 from focklab.core import DEFAULT_POLICY, TruncationPolicy, make_fock, state_from_amplitudes
 from focklab.core import log_factorials
-from focklab.exceptions import AnnihilatedStateError, ConvergenceError, StationaryPointError
+from focklab.exceptions import AnnihilatedStateError, ConvergenceError, FockLabError, StationaryPointError
 from focklab.interferometry import (
     _GRAM_BAND,
     _ONE_PRODUCT_MAX,
@@ -22,6 +22,7 @@ from focklab.states import (
     FAMILY_INFO,
     StateSpec,
     build_state,
+    ladders,
     normalization_constant_closed_form,
 )
 
@@ -420,6 +421,134 @@ def _two_copy_entropy_reference(c):
         log_w = 0.5 * (log_fact[total] - log_fact[n] - log_fact[total - n] - total * math.log(2.0))
         purity += abs(np.sum(c[n] * c[total - n] * np.exp(log_w))) ** 2
     return 1.0 - purity
+
+
+def _log_domain_entropy_sum(ladder):
+    """The closed-form sum as once shipped, each A_s summed in the log domain against its own largest term."""
+    if isinstance(ladder, FockLabError):
+        raise ladder
+    log_c, phase = ladder
+    d = len(log_c)
+    terms = 2 * d - 1
+    if terms > interferometry._ENTROPY_MAX_TERMS:
+        raise ConvergenceError(f"entropy series of {terms} terms exceeds the {interferometry._ENTROPY_MAX_TERMS}-term limit")
+    log_fact = log_factorials(terms)
+    log_w = log_c - 0.5 * log_fact[:d]
+    pad = np.full(d - 1, -np.inf)
+    log_r = np.concatenate((pad, log_w, pad))[d - 1 :]
+    log_t = log_w + as_strided(log_r, (terms, d), (log_r.itemsize, -log_r.itemsize))
+    phase_r = np.concatenate((np.zeros(d - 1), phase, np.zeros(d - 1)))[d - 1 :]
+    phase_t = phase * as_strided(phase_r, (terms, d), (phase_r.itemsize, -phase_r.itemsize))
+    shift = np.max(log_t, axis=1)  # -inf on a row with no term, whose weight e^{2 shift} is 0
+    a = np.sum(np.exp(log_t - np.where(np.isfinite(shift), shift, 0.0)[:, None]) * phase_t, axis=1)
+    purity = np.sum(np.exp(2.0 * shift + log_fact - np.arange(terms) * math.log(2.0)) * (a.real**2 + a.imag**2))
+    return 1.0 - float(purity)
+
+
+def _specs_at(family, mags):
+    """Specs of ``family`` at each |alpha| in ``mags`` (n = 2, one photon added and one subtracted, chi 0.29)."""
+    chi = 0.29 if FAMILY_INFO[family].group == "kerr" else 0.0
+    return [StateSpec(family, alpha=mag * np.exp(0.6j), n=2, added=1, subtracted=1, chi=chi) for mag in mags]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_entropy_sum_matches_the_log_domain_sum(family):
+    if FAMILY_INFO[family].group == "binomial":
+        specs = [StateSpec(family, p=0.37, M=M) for M in (0, 1, 12, 128, 360)]
+    else:
+        specs = _specs_at(family, (0.3, 1.0, 3.0, 8.0, 15.0, 20.0, 26.0))
+    compared = 0
+    for spec, ladder in zip(specs, ladders(specs)):
+        if isinstance(ladder, FockLabError):  # the filtered vacuum (M = 0): both sums raise it
+            with pytest.raises(type(ladder)):
+                interferometry._entropy_sum(ladder)
+            continue
+        reference = _log_domain_entropy_sum(ladder)
+        # 2e-13, not 1e-13: at ECS |alpha| = 26 the log-domain sum is itself
+        # 1.9e-13 from a 40-digit sum over the same ladder, and this one 8.3e-14.
+        assert abs(interferometry._entropy_sum(ladder) - reference) <= 2e-13, spec
+        compared += 1
+    assert compared >= len(specs) - 1
+
+
+def _fsum_entropy_sum(ladder):
+    """1 - sum_s |B_s|^2 from correctly rounded weights sqrt(C(s, n)/2^s) and ``math.fsum``.
+
+    Pairs n <= r whose |c_n c_r| < e^-40 are left out; every other term is
+    summed exactly, so the result is good to a few ulp of the purity.
+    """
+    log_c, phase = ladder
+    live = [n for n in range(len(log_c)) if log_c[n] > -40.0]
+    c = {n: complex(phase[n]) * math.exp(log_c[n]) for n in live}
+    parts: dict[int, tuple[list, list]] = {}
+    for i, n in enumerate(live):
+        for r in live[i:]:
+            if log_c[n] + log_c[r] < -40.0:
+                continue
+            s = n + r
+            term = c[n] * c[r] * (math.sqrt(math.comb(s, n) / (1 << s)) * (1.0 if n == r else 2.0))
+            re, im = parts.setdefault(s, ([], []))
+            re.append(term.real)
+            im.append(term.imag)
+    return 1.0 - math.fsum(math.fsum(re) ** 2 + math.fsum(im) ** 2 for re, im in parts.values())
+
+
+def test_entropy_sum_matches_an_exactly_summed_reference_on_a_long_ladder():
+    # ECS |alpha| = 15: 459 terms, past the cached weights; the log-domain sum is 7.7e-14 off here.
+    (ladder,) = ladders(_specs_at("ECS", (15.0,)))
+    assert abs(interferometry._entropy_sum(ladder) - _fsum_entropy_sum(ladder)) <= 2e-14
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_entropy_sum_matches_the_two_copy_reference_on_small_ladders(family):
+    if FAMILY_INFO[family].group == "binomial":
+        specs = [StateSpec(family, p=p, M=M) for p, M in ((0.37, 1), (0.8, 5), (0.37, 12))]
+    else:
+        specs = _specs_at(family, (0.3, 1.0, 3.0))
+    for spec, (log_c, phase) in zip(specs, ladders(specs)):
+        reference = _two_copy_entropy_reference(np.exp(log_c) * phase)
+        assert abs(interferometry._entropy_sum((log_c, phase)) - reference) <= 1e-13, spec
+
+
+def _exact_split_weight(s, n):
+    """sqrt(C(s, n)/2^s), the ratio correctly rounded from Python ints, then one rounded sqrt."""
+    return math.sqrt(math.comb(s, n) / (1 << s))
+
+
+@pytest.mark.parametrize("d", [1, 2, 37, 256, 300])
+def test_two_copy_weights_are_the_exact_split_weights(d):
+    # d = 256 reads the cached table (511 terms); d = 300 (599 terms) forms its grid alone.
+    weights = interferometry._two_copy_weights(d)
+    assert weights.shape == (d, 2 * d - 1)
+    assert np.all(np.isfinite(weights)) and np.all((weights >= 0.0) & (weights <= 1.0))
+    log_fact = log_factorials(2 * d - 1)
+    for s in range(2 * d - 1):
+        n = np.arange(max(0, s - d + 1), min(s, d - 1) + 1)
+        got = weights[n, s]
+        exact = np.array([_exact_split_weight(s, k) for k in n])
+        # A weight is exp of a log-weight whose largest term is log s!, so it
+        # carries that term's rounding: 4 ulp of log s! relative to the weight.
+        assert np.all(np.abs(got / exact - 1.0) <= 4.0 * math.ulp(max(log_fact[s], 1.0))), s
+    if 2 * d - 1 > DEFAULT_POLICY.max_dim:
+        table = interferometry._split_weights(2 * d - 1)  # an uncached square table
+        for k in range(d):
+            assert weights[k, k : k + d].tobytes() == table[k, :d].tobytes()  # the table's own bits
+            assert not weights[k, :k].any()  # s < n reads exact zeros
+
+
+def test_closed_form_entropy_of_a_long_ladder_stays_below_the_log_domain_peak():
+    spec = StateSpec("Kerr", alpha=36.0, chi=0.29)
+    (ladder,) = ladders([spec])
+    assert len(ladder[0]) == 1824
+    tracemalloc.start()
+    try:
+        value = linear_entropy_closed_form(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The weight and term grids take 48 d^2 bytes (160 MB); the log-domain sum peaked at 304.8 MiB.
+    assert peak < 200 * 2**20
+    assert abs(value - _log_domain_entropy_sum(ladder)) <= 1e-13
 
 
 def test_linear_entropy_refuses_a_split_past_8192_states_before_allocating():

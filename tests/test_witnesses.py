@@ -198,6 +198,28 @@ def test_central_moment_table_is_the_triple_loop_bitwise(l, rng):
         assert got.tobytes() == want.tobytes(), (s.dim, l, got, want)
 
 
+def _left_to_right(terms):
+    """Plain float addition in order; builtin sum() of floats is compensated from Python 3.12."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("l", [1, 2, 4, 6, 9])
+def test_binomial_central_moment_adds_left_to_right_bitwise(l, rng):
+    raw_amps = rng.normal(size=24) + 1j * rng.normal(size=24)
+    for s in (state_from_amplitudes(raw_amps), build_state(StateSpec("PAKS", alpha=1.3, chi=0.4), POLICY)):
+        vec, raw = np.asarray(s.amplitudes), [1.0]
+        for _ in range(l):
+            vec = witnesses._apply_quadrature(vec)
+            d = min(s.dim, len(vec))
+            raw.append(float(np.real(np.vdot(s.amplitudes[:d], vec[:d]))))
+        want = _left_to_right(math.comb(l, q) * raw[q] * (-raw[1]) ** (l - q) for q in range(l + 1))
+        got = quadrature_central_moment(s, l, "binomial")
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (l, got, want)
+
+
 def test_central_moment_past_the_order_cap_fails_at_the_same_term():
     with pytest.raises(InvalidParameterError, match="order 17 exceeds"):
         quadrature_central_moment(make_fock(2, 6), 20, "normal-ordered")
@@ -288,6 +310,23 @@ def test_a3_floor(rng):
         raw = rng.normal(size=16) + 1j * rng.normal(size=16)
         s = state_from_amplitudes(raw)
         assert agarwal_tara_a3(s).value >= -1.0 - 1e-9
+
+
+def test_a3_sums_the_number_moments_left_to_right_bitwise(rng):
+    states = [
+        state_from_amplitudes(rng.normal(size=16) + 1j * rng.normal(size=16)),
+        build_state(StateSpec("PAECS", alpha=0.6), POLICY),
+        build_state(StateSpec("PASDFS", alpha=1.7 + 0.4j, n=2, added=1, subtracted=1), POLICY),
+        build_state(StateSpec("VFKS", alpha=2.2, chi=0.3), POLICY),
+    ]
+    for s in states:
+        m = [1.0] + [moment_oracle(s, i, i).real for i in range(1, 5)]
+        mu = [1.0] + [_left_to_right(stirling2(j, k) * m[k] for k in range(1, j + 1)) for j in range(1, 5)]
+        hankel = lambda v: np.array([[v[0], v[1], v[2]], [v[1], v[2], v[3]], [v[2], v[3], v[4]]])
+        det_m, det_mu = float(np.linalg.det(hankel(m))), float(np.linalg.det(hankel(mu)))
+        want = det_m / (det_mu - det_m)
+        got = agarwal_tara_a3(s).value
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (s.dim, got, want)
 
 
 def _a3_exact(s):
