@@ -33,8 +33,14 @@ def _hankel(head: np.ndarray) -> np.ndarray:
     padded = np.zeros(2 * d - 1, dtype=head.dtype)
     padded[:d] = head
     step = padded.itemsize
-    return as_strided(padded, (d, d), (step, step), writeable=False)
+    # The ndarray constructor, not as_strided: under half the cost at small d.
+    view = np.ndarray((d, d), padded.dtype, padded, strides=(step, step))
+    view.flags.writeable = False
+    return view
 
+
+# Past this dim the complex split alone passes 1 GiB; it is refused unallocated.
+_SPLIT_MAX_DIM = 8192
 
 _split_weight_table = np.empty((0, 0))  # grown by ``_split_weights``
 
@@ -45,30 +51,31 @@ def _split_weights(d: int) -> np.ndarray:
     The log-weight log (j+m)! - log j! - log m! - (j+m) log 2 is read
     through Hankel views and exponentiated once per cell, so no cell
     overflows at any d; cells with j + m >= d hold values in (0, 1] that
-    only ever multiply zero amplitudes. A cell's value does not depend on
-    the d it was computed at, so one table grows to the largest d asked
-    for and a smaller d reads its corner. The table is kept only while
-    d <= DEFAULT_POLICY.max_dim (at most 2 MiB); a larger d gets weights
-    computed for that call alone.
+    only ever multiply zero amplitudes. A cell with j + m < d has the same
+    value in a table of any size at least d, so one table serves every d
+    up to its size from its corner. A larger d at least doubles the table,
+    up to DEFAULT_POLICY.max_dim (at most 2 MiB), so a process rebuilds it
+    only a few times; a d past that gets weights computed for that call
+    alone, and a d past ``_SPLIT_MAX_DIM`` raises ConvergenceError before
+    anything is allocated.
     """
     global _split_weight_table
+    if d > _SPLIT_MAX_DIM:
+        raise ConvergenceError(f"a split of dim {d} exceeds the {_SPLIT_MAX_DIM}-state limit of the partial trace")
     table = _split_weight_table
     if d > len(table):
-        log_fact = log_factorials(d)
+        size = max(d, min(2 * len(table), DEFAULT_POLICY.max_dim))
+        log_fact = log_factorials(size)
         log_w = _hankel(log_fact) - log_fact[:, None]
         log_w -= log_fact
         log_w *= 0.5
-        log_w -= _hankel(0.5 * np.arange(d) * math.log(2.0))
+        log_w -= _hankel(0.5 * np.arange(size) * math.log(2.0))
         table = np.exp(log_w, out=log_w)
         table.setflags(write=False)
         if d > DEFAULT_POLICY.max_dim:
             return table
         _split_weight_table = table
     return table[:d, :d]
-
-
-# Past this dim the complex split alone passes 1 GiB; it is refused unallocated.
-_SPLIT_MAX_DIM = 8192
 
 
 def beam_splitter_split(s: StateVector) -> np.ndarray:
@@ -81,39 +88,45 @@ def beam_splitter_split(s: StateVector) -> np.ndarray:
     are read from one cached table (``_split_weights``). A state past
     ``_SPLIT_MAX_DIM`` raises ConvergenceError before anything is allocated.
     """
-    d = s.dim
-    if d > _SPLIT_MAX_DIM:
-        raise ConvergenceError(f"a split of dim {d} exceeds the {_SPLIT_MAX_DIM}-state limit of the partial trace")
-    return _hankel(s.amplitudes) * _split_weights(d)
+    weights = _split_weights(s.dim)
+    return _hankel(s.amplitudes) * weights
 
 
 # A split of at most _ONE_PRODUCT_MAX rows is one product M M^H, the same BLAS
 # call at every such dim, so the small-dim entropies (every shipped entropy
 # cell has dim <= 37) keep their last bit. Past it the triangular Gram runs in
-# _GRAM_BAND-row bands. Each band computes its whole diagonal block, so the
-# bands do about band * d^2/2 multiply-adds beyond the d^3/6 ideal: 1.3x the
-# ideal at dim 351 with 32-row bands, 1.6x with 64. Median ms per call, split
-# included, 32- vs 64-row bands (one BLAS thread, 2-core x86-64 host, two
-# interleaved runs): dim 129 0.22/0.22 and 0.20/0.25, dim 208 0.68/0.81 and
-# 0.68/0.81, dim 339 1.57/1.79 and 1.60/1.83. 16- and 24-row bands read 0-7%
-# below 32, and not at every dim.
+# _GRAM_BAND-row bands over the split's mass window (``linear_entropy``). Each
+# band computes its whole diagonal block, so the bands do about band * e^2/2
+# multiply-adds beyond the e^3/6 ideal of an e-row window: 1.3x the ideal at
+# e = 351 with 32-row bands, 1.6x with 64. 16- and 24-row bands read 0-7%
+# below 32, and not at every dim. Median ms per call, split included, whole
+# split vs mass window (one BLAS thread, 2-core x86-64 host, 15 interleaved
+# runs): Kerr at |alpha| = 8, 11, 15 (dim 129, 207, 339) 0.27/0.24, 0.67/0.51
+# and 2.23/1.17; one-parity ECS at |alpha| = 5 (dim 69) 0.052/0.059, where
+# the marginal costs more than the window [0, 58) saves.
 _ONE_PRODUCT_MAX = 64
 _GRAM_BAND = 32
 
+# Past _ONE_PRODUCT_MAX the Gram leaves out the split's rows and columns beyond
+# the mass window: on each side they carry a mode-A marginal mass of at most
+# this (``_mass_window``), which moves the purity by less than 1e-19.
+_WINDOW_MASS = 1e-20
 
-def _split_purity(split: np.ndarray) -> float:
-    """||M M^H||_F^2 of a square M whose row j vanishes past column len(M) - 1 - j.
 
-    A band of rows starting at a needs only the first len(M) - a columns.
+def _split_purity(split: np.ndarray, reach: int) -> float:
+    """||M M^H||_F^2 of an M whose row a vanishes from column reach - a on.
+
+    A band of rows starting at a needs only the first reach - a columns.
     M M^H is Hermitian, so each band is multiplied only against the rows
     above it and itself: the block above the band counts twice and the
     diagonal block once, about len(M)^3/6 complex multiply-adds.
     """
-    d = len(split)
-    band = d if d <= _ONE_PRODUCT_MAX else _GRAM_BAND
+    rows = len(split)
+    # A parity block of a one-row window has no rows: its purity is 0.
+    band = max(rows, 1) if rows <= _ONE_PRODUCT_MAX else _GRAM_BAND
     purity = 0.0
-    for a in range(0, d, band):
-        live = split[: a + band, : d - a]
+    for a in range(0, rows, band):
+        live = split[: a + band, : reach - a]
         gram = live @ live[a:].conj().T
         above, block = gram[:a], gram[a:]
         purity += float(np.vdot(block, block).real)
@@ -122,29 +135,72 @@ def _split_purity(split: np.ndarray) -> float:
     return purity
 
 
+def _mass_window(probabilities: np.ndarray, weights: np.ndarray) -> tuple[int, int]:
+    """[lo, hi): the mode-A photon numbers outside which each side holds at most ``_WINDOW_MASS``.
+
+    The mode-A marginal p_A(j) = sum_m |M[j, m]|^2 = sum_m p_{j+m} W[j, m]^2
+    is summed in one pass over the Hankel view of p = |c|^2. lo is the
+    largest index with sum_{j<lo} p_A <= _WINDOW_MASS and hi the smallest
+    with sum_{j>=hi} p_A <= _WINDOW_MASS. |M| is symmetric in (j, m), so
+    the mode-B marginal is the same and the window bounds the columns too.
+    """
+    marginal = np.einsum("ij,ij,ij->i", _hankel(probabilities), weights, weights)
+    lo = np.cumsum(marginal).searchsorted(_WINDOW_MASS, "right")
+    tail = np.cumsum(marginal[::-1]).searchsorted(_WINDOW_MASS, "right")
+    return int(lo), len(marginal) - int(tail)
+
+
+def _split_block(c: np.ndarray, weights: np.ndarray, j0: int, m0: int, step: int, stop: int) -> tuple[np.ndarray, int]:
+    """Rows j0, j0 + step, ... and columns m0, m0 + step, ... below stop of the split, and its reach.
+
+    Cell [a, b] is M[j0 + step a, m0 + step b], whose amplitude
+    c_{j0+m0+step(a+b)} is read as the Hankel view of c[j0 + m0 :: step]
+    and whose weight as W[j0 :: step, m0 :: step][a, b]; it vanishes once
+    a + b reaches len(c[j0 + m0 :: step]), the reach, so rows and columns
+    past the reach are left out.
+    """
+    head = c[j0 + m0 :: step]
+    reach = len(head)
+    w = weights[j0:stop:step, m0:stop:step][:reach, :reach]
+    return _hankel(head)[: w.shape[0], : w.shape[1]] * w, reach
+
+
 def linear_entropy(s: StateVector) -> float:
     """Entanglement potential: 1 - Tr(rho_A^2) after splitting s against vacuum.
 
     rho_A = M M^H is the partial trace of the split M over the second mode,
-    and Tr(rho_A^2) = ||rho_A||_F^2 (``_split_purity``). Past dim
-    ``_ONE_PRODUCT_MAX``, a state of one parity p (c_n = 0 unless n = p mod 2,
-    as for the even and odd cat states) has M[j, m] = 0 unless j + m = p
-    mod 2, so rho_A is block-diagonal between even and odd j; each block of
-    M is a split of about half the dim, and the two together cost a quarter
-    of the whole. A state past ``_SPLIT_MAX_DIM`` raises ConvergenceError.
+    and Tr(rho_A^2) = ||rho_A||_F^2 (``_split_purity``). Up to dim
+    ``_ONE_PRODUCT_MAX`` that is one product over the whole split. Past it
+    the split is formed, and its Gram taken, only over the mass window
+    [lo, hi) of ``_mass_window``, rows and columns alike. In exact
+    arithmetic this can only lower the purity P, and by less than 1e-19:
+    dropping columns of mass delta_c lowers it by at most
+    2 delta_c + delta_c^2, and dropping rows of mass delta_r by at most
+    2 delta_r, since |rho_jk|^2 <= rho_jj rho_kk. Each side of the window
+    drops at most ``_WINDOW_MASS`` = 1e-20, so delta_r, delta_c <= 2e-20
+    and 0 <= Delta P <= 8e-20 < 1e-19, about three orders below half an
+    ulp of P near 1.
+
+    A state of one parity p (c_n = 0 unless n = p mod 2, as for the even
+    and odd cat states) has M[j, m] = 0 unless j + m = p mod 2, so rho_A
+    is block-diagonal between even and odd j; past ``_ONE_PRODUCT_MAX``
+    each block is taken from the same window, and the two together cost a
+    quarter of the whole. A state past ``_SPLIT_MAX_DIM`` raises
+    ConvergenceError.
     """
     d = s.dim
-    split = beam_splitter_split(s)
+    if d <= _ONE_PRODUCT_MAX:
+        # Clip the roundoff of exactly-product outputs.
+        return max(1.0 - _split_purity(beam_splitter_split(s), d), 0.0)
+    weights = _split_weights(d)
+    lo, hi = _mass_window(s.probabilities(), weights)
     c = s.amplitudes
-    if d <= _ONE_PRODUCT_MAX or (c[::2].any() and c[1::2].any()):
-        return max(1.0 - _split_purity(split), 0.0)  # clip the roundoff of exactly-product outputs
-    p = 1 if c[1::2].any() else 0
-    purity = 0.0
-    for r in (0, 1):  # rows of parity r meet columns of parity q
-        q = (p - r) % 2
-        e = (d - r - q + 1) // 2  # rows and columns past e are zero
-        # One contiguous copy, not a strided operand in every band product.
-        purity += _split_purity(np.ascontiguousarray(split[r::2, q::2][:e, :e]))
+    odd = int(c[1::2].any())
+    if odd and c[::2].any():
+        blocks = [(lo, lo, 1)]
+    else:  # rows of parity r meet columns of parity (odd - r) mod 2
+        blocks = [(lo + (r - lo) % 2, lo + (odd - r - lo) % 2, 2) for r in (0, 1)]
+    purity = sum(_split_purity(*_split_block(c, weights, j0, m0, step, hi)) for j0, m0, step in blocks)
     return max(1.0 - purity, 0.0)
 
 

@@ -113,6 +113,13 @@ def _svd_entropy_reference(s):
     return max(1.0 - float(np.sum(sv**4)), 0.0)
 
 
+def _dense_entropy_reference(s):
+    """1 - ||M M^H||_F^2 as one product over the whole split."""
+    split = beam_splitter_split(s)
+    gram = split @ split.conj().T
+    return max(1.0 - float(np.vdot(gram, gram).real), 0.0)
+
+
 def _assert_matches_reference(s):
     loop = _loop_split(s)
     assert np.max(np.abs(beam_splitter_split(s) - loop)) <= 1e-13 * np.max(np.abs(loop))
@@ -170,8 +177,51 @@ def test_entropy_of_a_one_parity_state_past_the_one_product_limit(parity, dim, r
     c[1 - parity :: 2] = 0
     s = state_from_amplitudes(c)
     _assert_matches_reference(s)
-    whole = interferometry._split_purity(beam_splitter_split(s))
-    assert abs(linear_entropy(s) - max(1.0 - whole, 0.0)) <= 1e-14
+    assert abs(linear_entropy(s) - _dense_entropy_reference(s)) <= 1e-14
+
+
+def _long_double_entropy(s):
+    """1 - ||M M^H||_F^2 over the whole split, the Gram summed in long double.
+
+    A float64 product over the whole split is itself off by up to 3.5e-15
+    at dim 512 when the purity is near 1, more than the window moves it.
+    """
+    split = beam_splitter_split(s).astype(np.clongdouble)
+    gram = split @ split.conj().T
+    return max(float(1.0 - np.sum(gram.real**2 + gram.imag**2)), 0.0)
+
+
+def _window_cases():
+    rng = np.random.default_rng(2005)
+    for family in ("Coherent", "Kerr", "PADFS", "ECS"):  # ECS has one parity
+        for mag in (8.0, 15.0, 20.0):
+            spec = StateSpec(family, alpha=mag * np.exp(0.7j), added=1, chi=0.29)
+            yield pytest.param(build_state(spec, POLICY), id=f"{family}-{mag:g}")
+    for dim in (65, 97, 161, 300):
+        yield pytest.param(_random_state(rng, dim), id=f"random-{dim}")
+    # Nearly no mass below n = 68, so the window starts past 0 (lo = 6).
+    yield pytest.param(build_state(StateSpec("DFS", alpha=0.5, n=100), POLICY), id="DFS-n100")
+
+
+@pytest.mark.parametrize("s", _window_cases())
+def test_entropy_over_the_mass_window_matches_the_whole_split(s):
+    assert _ONE_PRODUCT_MAX < s.dim <= POLICY.max_dim
+    tau = interferometry._WINDOW_MASS
+    lo, hi = interferometry._mass_window(s.probabilities(), interferometry._split_weights(s.dim))
+    mass = np.abs(beam_splitter_split(s)) ** 2
+    for dropped in (mass[:lo], mass[hi:], mass[:, :lo], mass[:, hi:]):
+        assert dropped.sum() <= tau
+    assert mass[: lo + 1].sum() > tau and mass[hi - 1 :].sum() > tau  # the tightest such window
+    assert abs(linear_entropy(s) - _long_double_entropy(s)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_entropy_of_a_fock_state_padded_past_the_one_product_limit(n):
+    # The vacuum's window is the one row j = 0, so its odd parity block is empty.
+    c = np.zeros(100)
+    c[n] = 1.0
+    expected = 1.0 - math.comb(2 * n, n) / 4.0**n
+    assert linear_entropy(state_from_amplitudes(c)) == pytest.approx(expected, abs=1e-15)
 
 
 def _empty_weight_table(monkeypatch):
@@ -203,15 +253,34 @@ def test_hankel_view_is_a_read_only_sliding_window(dim, rng):
             view[0, 0] = 1.0
 
 
-def test_split_weight_table_matches_the_sliding_window_construction(monkeypatch):
-    d = 351
-    _empty_weight_table(monkeypatch)
+def _sliding_split_weights(d):
+    """The split weights of a table built at exactly d, by the sliding-window construction."""
     log_fact = log_factorials(d)
     log_w = _sliding_hankel(log_fact) - log_fact[:, None]
     log_w -= log_fact
     log_w *= 0.5
     log_w -= _sliding_hankel(0.5 * np.arange(d) * math.log(2.0))
-    assert interferometry._split_weights(d).tobytes() == np.exp(log_w).tobytes()
+    return np.exp(log_w)
+
+
+def test_split_weight_table_matches_the_sliding_window_construction(monkeypatch):
+    d = 351
+    _empty_weight_table(monkeypatch)
+    assert interferometry._split_weights(d).tobytes() == _sliding_split_weights(d).tobytes()
+
+
+def test_split_weight_table_at_least_doubles_and_keeps_every_corner(monkeypatch):
+    # The dims the first verify suite at seed 42 asks for, in its order.
+    _empty_weight_table(monkeypatch)
+    tables = []
+    for d in (2, 97, 127, 135, 245, 269, 271):
+        live = np.add.outer(np.arange(d), np.arange(d)) < d  # other cells meet only zero amplitudes
+        assert interferometry._split_weights(d)[live].tobytes() == _sliding_split_weights(d)[live].tobytes(), d
+        if not tables or interferometry._split_weight_table is not tables[-1]:
+            tables.append(interferometry._split_weight_table)
+    assert [len(table) for table in tables] == [2, 97, 194, 388]  # built 4 times, not 7
+    interferometry._split_weights(400)
+    assert len(interferometry._split_weight_table) == DEFAULT_POLICY.max_dim  # doubling stops at the cap
 
 
 @pytest.mark.parametrize("dims", [(351, 37), (37, 351)])
@@ -536,6 +605,17 @@ def test_two_copy_weights_are_the_exact_split_weights(d):
             assert not weights[k, :k].any()  # s < n reads exact zeros
 
 
+@pytest.mark.parametrize("d", [2, 37, 200])
+def test_two_copy_weights_read_a_grown_table_bitwise(d, monkeypatch):
+    _empty_weight_table(monkeypatch)
+    exact = interferometry._two_copy_weights(d).copy()  # sheared over a table of exactly 2d - 1 rows
+    interferometry._split_weights(DEFAULT_POLICY.max_dim)
+    grown = interferometry._two_copy_weights(d)
+    assert len(interferometry._split_weight_table) > 2 * d - 1
+    for n in range(d):
+        assert grown[n, n : n + d].tobytes() == exact[n, n : n + d].tobytes(), n
+
+
 def test_closed_form_entropy_of_a_long_ladder_stays_below_the_log_domain_peak():
     spec = StateSpec("Kerr", alpha=36.0, chi=0.29)
     (ladder,) = ladders([spec])
@@ -580,7 +660,16 @@ def test_linear_entropy_past_4096_states():
     s = state_from_amplitudes(np.ones(4097))
     reference = _two_copy_entropy_reference(s.amplitudes)
     assert reference == pytest.approx(0.92809654148029, abs=1e-13)
-    assert abs(linear_entropy(s) - reference) <= 1e-10
+    tracemalloc.start()
+    try:
+        value = linear_entropy(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(value - reference) <= 1e-10
+    # The weights (128 MiB) and the split over the mass window [0, 2323)
+    # (82 MiB) peaked at 213.6 MiB; the whole split peaked at 384.5 MiB.
+    assert peak < 240 * 2**20
 
 
 def test_closed_form_entropy_point_values():
