@@ -15,9 +15,15 @@ loop reaches that point.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import pickle
+import signal
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import BinaryIO, NoReturn
 
 import numpy as np
 
@@ -29,7 +35,6 @@ from .states import (
     FAMILIES,
     FAMILY_INFO,
     StateSpec,
-    build_state,
     build_states,
     compositions,
     ladders,
@@ -158,22 +163,22 @@ def check_entropy_closed_forms(rng: np.random.Generator, points_per_family: int 
 
 def check_witness_coherent_boundary(rng: np.random.Generator) -> CheckResult:
     """Every witness sits on its classical boundary for coherent states."""
+    specs = [
+        StateSpec("Coherent", alpha=mag * np.exp(1j * phase))
+        for mag in (0.3, 1.0, 2.0, 4.0)
+        for phase in (0.0, math.pi / 4.0)
+    ]
     worst = 0.0
-    count = 0
-    for mag in (0.3, 1.0, 2.0, 4.0):
-        for phase in (0.0, math.pi / 4.0):
-            spec = StateSpec("Coherent", alpha=mag * np.exp(1j * phase))
-            state = build_state(spec, TruncationPolicy(max_dim=512, tail_tolerance=1e-18))
-            values = [witnesses.mandel_q(state).value]
-            values += [witnesses.antibunching_d(state, l).value for l in (2, 3, 4)]
-            values += [witnesses.hosps(state, l).value for l in (2, 3, 4)]
-            values += [witnesses.hong_mandel_squeezing(state, l).value for l in (2, 4, 6)]
-            values += [witnesses.klyshko_b(state, m).value for m in range(6)]
-            values.append(witnesses.vogel_det(state).value)
-            values.append(witnesses.agarwal_tara_a3(state).value)
-            worst = max(worst, max(abs(v) for v in values))
-            count += 1
-    return _result("witness classical boundary on coherent grid", worst, worst, 1e-8, count)
+    for state in _reached(build_states(specs, TruncationPolicy(max_dim=512, tail_tolerance=1e-18))):
+        values = [witnesses.mandel_q(state).value]
+        values += [witnesses.antibunching_d(state, l).value for l in (2, 3, 4)]
+        values += [witnesses.hosps(state, l).value for l in (2, 3, 4)]
+        values += [witnesses.hong_mandel_squeezing(state, l).value for l in (2, 4, 6)]
+        values += [witnesses.klyshko_b(state, m).value for m in range(6)]
+        values.append(witnesses.vogel_det(state).value)
+        values.append(witnesses.agarwal_tara_a3(state).value)
+        worst = max(worst, max(abs(v) for v in values))
+    return _result("witness classical boundary on coherent grid", worst, worst, 1e-8, len(specs))
 
 
 def check_hosps_central_moments(rng: np.random.Generator, n_states: int = 25) -> CheckResult:
@@ -279,10 +284,103 @@ ALL_CHECKS = (
 )
 
 
+def _share(seed: int, checks: tuple, indices: range) -> dict[int, CheckResult]:
+    """The results of the checks at ``indices``, run in order until one raises.
+
+    A check that raises has no result, nor have the ones after it; the caller
+    runs them again in order, so the exception comes from where the serial
+    loop raises it.
+    """
+    results = {}
+    try:
+        for index in indices:
+            results[index] = checks[index](np.random.default_rng([seed, index]))
+    except Exception:
+        pass
+    return results
+
+
+def _child(seed: int, checks: tuple, indices: range, write_end: int) -> NoReturn:
+    """Run a share in a forked child, pickle its results into the pipe, and leave.
+
+    ``os._exit`` in the ``finally`` means the child never returns into its
+    caller's frames, runs no ``atexit`` handler and flushes no inherited
+    stdio buffer, whatever a check raises.
+    """
+    try:
+        data = pickle.dumps(_share(seed, checks, indices))
+        with open(write_end, "wb") as pipe:
+            pipe.write(data)
+    finally:
+        os._exit(0)
+
+
+def _processes(count: int) -> int:
+    """How many processes share ``count`` checks: one unless ``os.fork`` is safe here.
+
+    Forking needs ``os.sched_getaffinity`` (Linux) and a process with one
+    Python thread, since a fork copies only the calling thread.
+    """
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() != 1:
+        return 1
+    return min(count, len(os.sched_getaffinity(0)))
+
+
+def _forked(seed: int, checks: tuple, processes: int) -> dict[int, CheckResult]:
+    """The results of check i, run in process i mod ``processes``; this process is process 0.
+
+    An index whose child died, could not be forked or whose check raised has
+    no result. If this process is interrupted, every child it has not yet
+    reaped is killed and reaped before the exception leaves.
+    """
+    children: list[tuple[int, BinaryIO]] = []  # (pid, read end of its pipe)
+    try:
+        for k in range(1, processes):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no room for another process: its share runs in this one
+                os.close(read_end)
+                os.close(write_end)
+                break
+            if pid == 0:
+                _child(seed, checks, range(k, len(checks), processes), write_end)
+            children.append((pid, open(read_end, "rb")))
+            os.close(write_end)
+        results = _share(seed, checks, range(0, len(checks), processes))
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            os.waitpid(pid, 0)
+            children.pop(0)
+            try:
+                results.update(pickle.loads(data))
+            except (EOFError, pickle.UnpicklingError):  # the child died before it wrote all of its results
+                pass
+        return results
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            with contextlib.suppress(ProcessLookupError):  # reaped just before the interrupt
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 def run_verification(seed: int = 42) -> VerificationReport:
-    """Run every registered check with points drawn from the seeded generator."""
-    results = []
-    for check in ALL_CHECKS:
-        rng = np.random.default_rng([seed, len(results)])
-        results.append(check(rng))
-    return VerificationReport(seed, tuple(results))
+    """Run every registered check with points drawn from the seeded generator.
+
+    Check i draws from ``default_rng([seed, i])``. Where ``os.fork`` is safe
+    (``_processes``), check i runs in process i mod P, P the smaller of the
+    number of checks and of usable CPUs, with this process as process 0; the
+    checks are independent, so the report is the serial loop's. Any index
+    left without a result is then run here, in order, so an exception and
+    its traceback are also those of the serial loop.
+    """
+    checks = ALL_CHECKS  # read per call: tests and the benchmark's tracer replace it
+    processes = _processes(len(checks))
+    results = _forked(seed, checks, processes) if processes > 1 else {}
+    report = []
+    for index, check in enumerate(checks):
+        report.append(results[index] if index in results else check(np.random.default_rng([seed, index])))
+    return VerificationReport(seed, tuple(report))

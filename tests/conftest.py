@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -13,3 +15,12 @@ def tight_policy():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture(autouse=True)
+def no_unreaped_children():
+    """After every test, this process has no child left to reap (``run_verification`` forks)."""
+    yield
+    if hasattr(os, "fork"):
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)

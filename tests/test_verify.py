@@ -1,9 +1,14 @@
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from focklab import witnesses
+from focklab import verify, witnesses
+from focklab.core import TruncationPolicy
+from focklab.exceptions import ConvergenceError, FockLabError, InvalidParameterError
 from focklab.interferometry import linear_entropy, linear_entropy_closed_form
 from focklab.moments import moment_oracle, moment_series
 from focklab.states import (
@@ -29,6 +34,7 @@ from focklab.verify import (
     check_moment_series,
     check_normalization_constants,
     check_state_oracle_equivalence,
+    check_witness_coherent_boundary,
     run_verification,
 )
 
@@ -123,6 +129,24 @@ def _entropy_closed_forms_alone(rng, points_per_family=5):
     return _result("linear entropy closed form vs partial trace", worst, worst, 1e-8, count)
 
 
+def _witness_coherent_boundary_alone(rng):
+    worst, count = 0.0, 0
+    for mag in (0.3, 1.0, 2.0, 4.0):
+        for phase in (0.0, math.pi / 4.0):
+            spec = StateSpec("Coherent", alpha=mag * np.exp(1j * phase))
+            state = build_state(spec, TruncationPolicy(max_dim=512, tail_tolerance=1e-18))
+            values = [witnesses.mandel_q(state).value]
+            values += [witnesses.antibunching_d(state, l).value for l in (2, 3, 4)]
+            values += [witnesses.hosps(state, l).value for l in (2, 3, 4)]
+            values += [witnesses.hong_mandel_squeezing(state, l).value for l in (2, 4, 6)]
+            values += [witnesses.klyshko_b(state, m).value for m in range(6)]
+            values.append(witnesses.vogel_det(state).value)
+            values.append(witnesses.agarwal_tara_a3(state).value)
+            worst = max(worst, max(abs(v) for v in values))
+            count += 1
+    return _result("witness classical boundary on coherent grid", worst, worst, 1e-8, count)
+
+
 def _normalization_constants_alone(rng, points_per_family=6):
     worst, count = 0.0, 0
     for family in FAMILIES:
@@ -165,6 +189,7 @@ def _limiting_cases_alone(rng, n_points=24):
         (check_state_oracle_equivalence, _oracle_equivalence_alone),
         (check_moment_series, _moment_series_alone),
         (check_entropy_closed_forms, _entropy_closed_forms_alone),
+        (check_witness_coherent_boundary, _witness_coherent_boundary_alone),
         (check_normalization_constants, _normalization_constants_alone),
         (check_limiting_cases, _limiting_cases_alone),
     ],
@@ -179,3 +204,115 @@ def test_batched_check_matches_building_each_spec_alone(check, alone, seed):
     reference = alone(np.random.default_rng([seed, index]))
     assert batched == reference
     assert batched.points > 0
+
+
+# --- checks forked over the usable CPUs -----------------------------------------------
+
+
+def _serial(seed):
+    """run_verification with a second Python thread alive, which keeps it in one process."""
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        return run_verification(seed)
+    finally:
+        release.set()
+        waiter.join()
+
+
+def _forking(monkeypatch, cpus):
+    """Make run_verification see ``cpus`` usable CPUs; return the list its forks are counted in."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    forks = []
+    real_fork = os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+@pytest.mark.parametrize("cpus", [2, 8])
+@pytest.mark.parametrize("seed", [42, 2011, 7])
+def test_forked_report_equals_serial_report(monkeypatch, seed, cpus):
+    serial = _serial(seed)
+    forks = _forking(monkeypatch, cpus)
+    forked = run_verification(seed)
+    assert len(forks) == min(cpus, len(ALL_CHECKS)) - 1
+    assert forked == serial
+    assert [repr(check) for check in forked.checks] == [repr(check) for check in serial.checks]
+
+
+def _cheap(index):
+    def check(rng):
+        return _result(f"cheap {index}", float(rng.random()), 0.0, 1.0, 1)
+
+    return check
+
+
+def _raising(index, error):
+    def check(rng):
+        raise error(f"check {index} raised")
+
+    return check
+
+
+@pytest.mark.parametrize(
+    "raising, expected",
+    [
+        ({3: ConvergenceError}, (ConvergenceError, "check 3 raised")),  # in the child only
+        ({3: ConvergenceError, 4: InvalidParameterError}, (ConvergenceError, "check 3 raised")),
+        ({2: InvalidParameterError, 5: ConvergenceError}, (InvalidParameterError, "check 2 raised")),
+        ({1: ConvergenceError, 7: InvalidParameterError}, (ConvergenceError, "check 1 raised")),
+    ],
+)
+def test_forked_check_raises_as_the_serial_loop(monkeypatch, raising, expected):
+    # With two processes the parent runs the even indices and the child the odd ones.
+    checks = tuple(_raising(i, raising[i]) if i in raising else _cheap(i) for i in range(8))
+    monkeypatch.setattr(verify, "ALL_CHECKS", checks)
+    with pytest.raises(FockLabError) as serial:
+        _serial(5)
+    forks = _forking(monkeypatch, 2)
+    with pytest.raises(FockLabError) as forked:
+        run_verification(5)
+    assert len(forks) == 1
+    assert (type(serial.value), str(serial.value)) == expected
+    assert (type(forked.value), str(forked.value)) == expected
+
+
+def test_child_that_dies_leaves_the_serial_report(monkeypatch):
+    parent = os.getpid()
+
+    def dies_in_child(check):
+        def wrapped(rng):
+            if os.getpid() != parent:
+                os._exit(3)
+            return check(rng)
+
+        return wrapped
+
+    serial = _serial(42)
+    monkeypatch.setattr(verify, "ALL_CHECKS", tuple(dies_in_child(check) for check in ALL_CHECKS))
+    forks = _forking(monkeypatch, 2)
+    assert run_verification(42) == serial
+    assert len(forks) == 1
+
+
+def test_interrupted_parent_kills_and_reaps_its_children(monkeypatch):
+    def interrupted(rng):
+        raise KeyboardInterrupt
+
+    def stuck(rng):
+        threading.Event().wait(60.0)
+
+    checks = (interrupted, stuck) + tuple(_cheap(i) for i in range(2, 8))
+    monkeypatch.setattr(verify, "ALL_CHECKS", checks)
+    forks = _forking(monkeypatch, 2)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_verification(5)
+    assert len(forks) == 1
+    assert time.monotonic() - start < 30.0  # the stuck child was killed, not waited for
