@@ -341,8 +341,8 @@ def _bare_log_amplitudes(specs: list[StateSpec], dim: int) -> tuple[np.ndarray, 
     sqrt(M!/(M-i)! p^i (1-p)^(M-i)) (binomial, zero past M). Filtration sets
     b_0 = 0 and photon addition maps b_i -> sqrt(i) b_{i-1}. log|b_i| is -inf
     where b_i = 0, except off the kernel's diagonal at alpha = 0: there it is
-    about -1e18 |i - n|, finite so ``_grows_at_cut`` stays an argmax, and exp
-    gives 0.0. In log form no term over- or underflows. The per-spec scalars
+    about -1e18 |i - n|, and exp gives 0.0. In log form no term over- or
+    underflows. The per-spec scalars
     (log |alpha|, its phase, log p, chi) are Python floats, as in a one-spec
     call, and counts the specs share stay ints (``_shared``), so each row is
     bitwise that spec's series alone.
@@ -412,35 +412,126 @@ def bare_coefficients(spec: StateSpec, dim: int) -> np.ndarray:
 
 
 def _support(spec: StateSpec) -> int | None:
-    """Length of the whole Fock expansion of a Fock or binomial family; None for the others."""
+    """Length of a finite Fock expansion (Fock, binomial, or any family at |alpha|^2 = 0); else None."""
     info = spec.info
     if info.group == "fock":
         return spec.n + 1
-    if info.group == "binomial":
-        return spec.M + (2 if info.hole == "added" else 1)
+    if info.group == "binomial" or abs(spec.param("alpha")) ** 2 == 0.0:  # M (0 at p = 0), or n + k at alpha = 0
+        top = (spec.M if spec.p else 0) if info.group == "binomial" else spec.param("n") + spec.param("added")
+        return top + 1 + (info.hole == "added")
     return None
 
 
-def _initial_dim(spec: StateSpec, policy: TruncationPolicy) -> int:
-    support = _support(spec)
-    if support is not None:
-        return min(support, policy.max_dim)
-    n, added = spec.param("n"), spec.param("added")
-    mean = spec.alpha_mag**2 + n + added + 1.0
-    guess = int(mean + 14.0 * math.sqrt(mean) + 32) + added + n
-    return min(max(guess, 24), policy.max_dim)
+# A build sizes its kernel pass at this fraction of tail_tolerance, so the
+# suffix trim, not the pass, decides every kept length.
+_PASS_HEADROOM = 1e-4
+# The relative tail every closed-form ladder leaves out.
+_LADDER_TAIL = 1e-34
+
+
+def _cut(spec: StateSpec, tail: float, cap: int | None = None, norm: float | None = None) -> tuple[int, float]:
+    """(D, bound): the shortest basis D <= cap past which the bare series holds at most ``bound`` <= ``tail`` of its squared norm.
+
+    The one place a Fock expansion is sized: a finite support (``_support``)
+    is D, with bound 0. Any other series has a majorant t_i >= |b_i|^2 whose
+    step ratio r_i = t_{i+s} / t_i (s = 2 for the ECS group, zero on every
+    other term, else 1) never grows past the mode, so the mass past D is at
+    most t_D / (1 - r_D) over the total 1/N^2 (``norm`` is N if the caller has
+    it). With x = |alpha|^2: Kerr x^i / i! (times e^{-x} for plain Kerr),
+    r_i = x / (i + 1); ECS 4 x^i / i! on even i, r_i = x^2 / ((i + 1)(i + 2));
+    DFS: D(alpha)|n> = (a† - alpha*)^n |alpha> / sqrt(n!) bounds
+    |<m|D(alpha)|n>|^2 by the coherent term times a polynomial,
+    e^{-x} x^(m-n) (x + m)^(2n) / (m! n!), and a^q a†^k multiplies it by
+    (i+q)!^2 / (i! m!), m = i + q - k; a binomial past cap, judged there
+    alone: C(M, i) <= M^i / i! gives (1-p)^M y^i / i!, y = M p / (1 - p).
+    Photon addition maps t_i to i t_{i-1}, k + 1 in the DFS form, which at
+    n = k = q = 0 is the coherent form and so serves every family; filtration
+    drops t_0. D is found by bisection of the live terms from two below the
+    mean, each probe the log bound's Newton step where that stays inside the
+    bracket: a few log-factorials a probe, no scan. Where no D <= cap (core's
+    log-factorial cap by default) passes, D is cap, its bound inf if r >= 1.
+    """
+    cap = MAX_LOG_FACTORIALS if cap is None else cap
+    info, support = spec.info, _support(spec)
+    # Past cap a finite support is refused, but for a binomial of M >= 1 and 0 < p < 1, whose tail has a majorant.
+    if support is not None and (support <= cap or not (spec.param("M") and 0.0 < spec.p < 1.0)):
+        return (support, 0.0) if support <= cap else (cap, math.inf)
+    n, k, q = spec.param("n"), spec.param("added") + (info.hole == "added"), spec.param("subtracted")
+    log_total = 0.0  # log 1/N^2: plain Kerr, Coherent and the plain binomial series are normalized as written
+    if k or q or info.hole or info.group == "ecs":
+        try:
+            log_total = -2.0 * math.log(norm or normalization_constant_closed_form(spec))
+        except FockLabError:
+            if abs(spec.param("alpha")) < 1.0:  # 1/N^2 underflows: its first live terms show the build why
+                return min(n + k + 3, cap), 0.0
+            log_total = math.log(sys.float_info.max)  # 1/N^2 overflows: the largest float is below it
+    if info.group == "binomial":
+        lam, log_q = 0.0, math.log1p(-spec.p)
+        log_t0, log_y, mean, lo_length = spec.M * log_q, math.log(spec.M * spec.p) - log_q, spec.M * spec.p, cap
+    else:
+        lam = abs(spec.alpha) ** 2
+        log_t0 = -lam if info.group == "dfs" or info.name == "Kerr" else math.log(4.0) * (info.group == "ecs")
+        log_y, mean = 2.0 * math.log(abs(spec.alpha)), lam + n + k
+        lo_length = max(1, k - q, int(mean) - 2)  # at tail <= 1e-4 no bound passes below
+    if lo_length > cap:
+        return cap, math.inf
+    log_t0 += (q - k - n) * log_y - log_total
+
+    def log_term(i):
+        """log t_i N^2."""
+        m = i + q - k
+        log_t = log_t0 + i * log_y - table.item(i) + 2.0 * (table.item(i + q) - table.item(m)) - table.item(n)
+        return log_t + 2 * n * math.log(lam + m) if n else log_t
+
+    def log_ratio(i):
+        """log t_{i+1} / t_i, in closed form: a difference of two log terms near 1e7 would lose its digits."""
+        m = i + q - k
+        log_r = log_y - math.log(i + 1) + 2.0 * math.log((i + q + 1) / (m + 1))
+        return log_r + 2 * n * math.log1p(1.0 / (lam + m)) if n else log_r
+
+    step = 1 + (info.group == "ecs")
+    first, last = lo_length + (k - lo_length) % step, cap + (k - cap) % step  # PAECS lives on odd terms
+    log_tail = math.log(tail)
+    # The first probe: where a Poisson tail of this mean reaches `tail` (Bernstein, then one Stirling step).
+    x = mean - log_tail / 3 + math.sqrt(log_tail * log_tail / 9 - 2 * mean * log_tail)
+    log_x = math.log(mean) - math.log(x)  # mean / x underflows where |alpha|^2 is subnormal
+    x -= (x * log_x + x - mean - 0.5 * math.log(2 * math.pi * x) - log_tail) / (log_x - 0.5 / x)
+    i = min(max(first + step * math.ceil((x - first) / step), first), last)
+    table = log_factorials(min(2 * (i + q + n) + 4, MAX_LOG_FACTORIALS))
+    lo, hi = first, last + step  # live terms below lo fail; hi is the first known to pass
+    while lo < hi:
+        try:
+            log_r = log_ratio(i) + (log_ratio(i + 1) if step == 2 else 0.0)
+            log_b = log_term(i) - math.log(-math.expm1(log_r)) if log_r < 0.0 else math.inf
+        except IndexError:  # past the log-factorials fetched so far: fetch twice as far, or fail past core's cap
+            if len(table) < MAX_LOG_FACTORIALS:
+                table = log_factorials(min(2 * (i + q + n) + 4, MAX_LOG_FACTORIALS))
+                continue
+            log_b = math.inf
+        if log_b <= log_tail:
+            hi, log_hi = i, log_b
+            i -= step * max(1, int((log_tail - log_b) / -log_r))
+        else:
+            lo = i + step
+            i += step * (math.ceil((log_b - log_tail) / -log_r) if log_b < math.inf else max(i // step, 4))
+        if not lo <= i < hi:
+            i = lo + step * ((hi - lo) // (2 * step))
+    if hi > last:  # nothing passes: the last probe was at last
+        return cap, math.exp(log_b) if log_b < 0.0 else math.inf
+    return max(hi - step + 1, lo_length), math.exp(log_hi)
 
 
 def build_state(spec: StateSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> StateVector:
     """Normalized state vector of ``spec`` from its closed-form coefficients.
 
-    ``build_states`` with one spec. The basis size is chosen adaptively so
-    the discarded tail mass stays within ``policy.tail_tolerance``, capped
-    at ``policy.max_dim``. Raises AnnihilatedStateError when subtraction
-    kills the state (e.g. PSDFS with v >= 1 from the vacuum),
-    TruncationOverflowError when max_dim cuts the series before its peak,
-    and ConvergenceError when the squared norm overflows (the undamped ECS
-    series and Kerr hole variants past |alpha|^2 ~ 710) or goes subnormal.
+    ``build_states`` with one spec. The basis, sized once by ``_cut`` and
+    capped at max_dim, drops at most ``policy.tail_tolerance`` of the mass;
+    ``tail_mass`` bounds what it leaves out. Raises AnnihilatedStateError
+    when subtraction kills the state (e.g. PSDFS with v >= 1 from the
+    vacuum), TruncationOverflowError when max_dim cuts the series where no
+    tail bound below 1 holds, and ConvergenceError when the squared norm
+    overflows (undamped ECS and Kerr hole variants past |alpha|^2 ~ 710) or
+    goes subnormal.
     """
     (state,) = build_states([spec], policy)
     if isinstance(state, FockLabError):
@@ -453,19 +544,13 @@ def build_states(
 ) -> list[StateVector | FockLabError]:
     """For each spec in order, its ``build_state`` vector or the FockLabError that call raises.
 
-    Specs of one family share one pass of the series kernel at the widest of
-    their initial bases, whatever their n, added, subtracted, M, alpha, p or
-    chi, and the specs whose series outgrow their basis share one more pass
-    at their doubled bases (``_adaptive_bare``). The rows that pass their
-    guards on a pass are trimmed and normalized as one block (``_finished``),
-    where only the reductions whose bits depend on a row's own length run
-    row by row, so every state is bitwise the one ``build_state`` gives. A
-    DFS-group pass runs the Laguerre recurrence to the group's largest
-    min(n, dim) for every row, so one large n makes its whole family pay for
-    it. Memory grows with the batch: callers with many specs pass them a
-    chunk at a time.
+    Specs of one family share one kernel pass at their widest ``_cut``
+    length (``_sized_bare``) and one trim (``_finished``), so every state is
+    bitwise its ``build_state``. A DFS-group pass runs the Laguerre
+    recurrence to the group's largest min(n, dim) for every row. Memory
+    grows with the batch: callers with many specs pass a chunk at a time.
     """
-    return _by_family(specs, _adaptive_bare, policy, _finished)
+    return _by_family(specs, _sized_bare, policy, _finished)
 
 
 def _by_family(specs: list[StateSpec], run_group, *args) -> list:
@@ -485,65 +570,48 @@ def _by_family(specs: list[StateSpec], run_group, *args) -> list:
     return results
 
 
-def _adaptive_bare(group: list[StateSpec], policy: TruncationPolicy, finish) -> list:
-    """``finish`` of each spec's bare series on its adaptive basis, or the FockLabError that series raises; one family.
+def _sized_bare(group: list[StateSpec], policy: TruncationPolicy, finish) -> list:
+    """``finish`` of each spec's bare series on its ``_cut`` basis, or the FockLabError that series raises; one family.
 
-    Each basis starts at ``_initial_dim`` and doubles until the last
-    coefficient holds at most tail_tolerance * 1e-4 of the squared norm, or
-    reaches max_dim; a Fock or binomial family is built whole at once (up to
-    max_dim). The specs on their first bases, then those that double, share
-    one ``_bare_log_amplitudes`` pass at their widest basis, exponentiated
-    as one block; a pass that runs out of log-factorials leaves each spec to
-    take its own. Each row is judged on its own length: ConvergenceError
-    where its squared norm overflows, TruncationOverflowError where max_dim
-    cuts the series while it still grows, then what ``checked_norm`` raises.
-    ``finish(specs, policy, raw, lengths, norms, edges)`` maps a pass to a
-    result per row from its length (0 for a row that failed or doubles,
-    whose result is not read), ``_norm`` and edge occupation. One errstate
-    covers it all: an overflowing row reads inf or NaN, which the guards refuse.
+    The bases, ``_cut`` at tail_tolerance * ``_PASS_HEADROOM`` and capped at
+    max_dim, share one ``_bare_log_amplitudes`` pass (each spec takes its own
+    where it runs out of log-factorials). Each row is judged on its length:
+    ConvergenceError where its squared norm overflows, then ``_check_cut``
+    and ``checked_norm``, under one errstate. ``finish(specs, policy, raw,
+    lengths, norms, bounds)`` maps the pass to a result per row.
     """
-    results: list = [None] * len(group)
-    rows, specs, sizes = range(len(group)), group, [_initial_dim(spec, policy) for spec in group]
-    edge_bound = policy.tail_tolerance * 1e-4
+    cuts = [_cut(spec, policy.tail_tolerance * _PASS_HEADROOM, policy.max_dim) for spec in group]
+    count = len(group)
+    results: list = [None] * count
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-        while rows:
+        try:
+            log_b, phase = _bare_log_amplitudes(group, max(size for size, _ in cuts))
+        except FockLabError as exc:  # the log-factorials run out: each spec takes its own pass
+            return [exc] if count == 1 else [_sized_bare([spec], policy, finish)[0] for spec in group]
+        raw_rows = (np.exp(log_b) * phase).reshape(count, -1)
+        lengths, norms, bounds = [0] * count, [0.0] * count, [bound for _, bound in cuts]
+        for row, (spec, (size, bound)) in enumerate(zip(group, cuts)):
+            nrm = norms[row] = _norm(raw_rows[row, :size])
             try:
-                log_b, phase = _bare_log_amplitudes(specs, max(sizes))
-            except FockLabError as exc:  # the log-factorials run out: each spec takes its own passes
-                for index, spec in zip(rows, specs):
-                    results[index] = exc if len(rows) == 1 else _adaptive_bare([spec], policy, finish)[0]
-                break
-            count = len(rows)
-            raw_rows = (np.exp(log_b) * phase).reshape(count, -1)
-            lengths, norms, edges = [0] * count, [0.0] * count, [0.0] * count
-            doubled = []  # (index, spec, size) of each spec whose series outgrows its basis
-            for row in range(count):
-                spec, size = specs[row], sizes[row]
-                nrm = norms[row] = _norm(raw_rows[row, :size])
-                try:
-                    # The bare series of the undamped families reaches e^{|alpha|^2/2}; refuse
-                    # before its squared norm (or an amplitude) leaves the float range.
-                    if not math.isfinite(nrm * nrm):
-                        raise ConvergenceError(f"{spec.family} bare series norm leaves the float range at {spec}")
-                    if size >= policy.max_dim and (_support(spec) or math.inf) > size and _grows_at_cut(spec, size):
-                        raise TruncationOverflowError(
-                            f"{spec.family} bare series still grows where max_dim={policy.max_dim} cuts it at {spec}"
-                        )
-                    checked_norm(nrm)
-                except FockLabError as exc:
-                    results[rows[row]] = exc
-                    continue
-                edge = edges[row] = abs(raw_rows[row, size - 1]) ** 2 / (nrm * nrm)
-                if size < policy.max_dim and not edge <= edge_bound and _support(spec) is None:
-                    doubled.append((rows[row], spec, min(size * 2, policy.max_dim)))
-                else:
-                    lengths[row] = size
-            finished = finish(specs, policy, raw_rows, lengths, norms, edges)
-            for row in range(count):
-                if lengths[row]:
-                    results[rows[row]] = finished[row]
-            rows, specs, sizes = zip(*doubled) if doubled else ((), (), ())
+                # The undamped bare series reach e^{|alpha|^2/2}: refuse before their squared norm overflows.
+                if not math.isfinite(nrm * nrm):
+                    raise ConvergenceError(f"{spec.family} bare series norm leaves the float range at {spec}")
+                _check_cut(spec, policy, bound)
+                checked_norm(nrm)
+            except FockLabError as exc:
+                results[row] = exc
+            else:
+                lengths[row] = size
+        for row, result in enumerate(finish(group, policy, raw_rows, lengths, norms, bounds)):
+            if lengths[row]:
+                results[row] = result
     return results
+
+
+def _check_cut(spec: StateSpec, policy: TruncationPolicy, bound: float) -> None:
+    """TruncationOverflowError where max_dim cuts a series whose tail bound, with the trim's tolerance, reaches 1."""
+    if not bound + policy.tail_tolerance < 1.0:
+        raise TruncationOverflowError(f"{spec.family} series still grows where max_dim={policy.max_dim} cuts it at {spec}")
 
 
 def _norm(x: np.ndarray) -> float:
@@ -552,27 +620,18 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
-def _finished(specs, policy: TruncationPolicy, raw: np.ndarray, lengths: list[int], norms: list, edges=None, bases=None) -> list:
+def _finished(specs, policy: TruncationPolicy, raw: np.ndarray, lengths: list[int], norms: list, bounds: list) -> list:
     """Each row of a block trimmed and normalized into its StateVector, or the FockLabError that raises.
 
-    ``raw`` holds a row per spec; a row of length n > 0 has a ``_norm`` over
-    its n entries that passed ``checked_norm``, a row of length 0 gets None
-    (``specs`` and ``edges`` are not read). Each row drops its trailing tail
-    while the discarded mass stays within tail_tolerance; kept whole on a
-    basis (``bases``, else its length) that reached max_dim and with
-    significant edge occupation, its uncaptured mass is estimated by
-    geometric extrapolation of its trailing probabilities, so downstream
-    moment guards can refuse the state. p = |raw|^2, the suffix-mass scan, the keep index
-    and the division by the norm are block ops on p zero-masked past each
-    row's length (adding exact zeros is exact, so each row's suffix keeps its
-    bits), and a row of length 0 is masked whole, so a row that failed its
-    guards never reaches them. Only the reductions whose bits depend on a
-    row's length, its total p[:n].sum() and the norm of its kept prefix, and
-    the reads of its tail and StateVector run row by row, under the caller's
-    errstate.
+    A row of length n > 0 has a checked ``_norm`` over its n entries and a
+    ``_cut`` bound on the mass past them; a row of length 0 gets None. Each
+    row drops its trailing tail while the dropped mass stays within
+    tail_tolerance; its ``tail_mass`` is that suffix plus its bound. Block
+    ops run on p = |raw|^2 zero-masked past each row's length (adding exact
+    zeros is exact, so each row keeps its bits); only a row's total, kept
+    norm and StateVector run row by row, under the caller's errstate.
     """
-    tol = policy.tail_tolerance
-    count, width = len(lengths), max(lengths)
+    tol, count, width = policy.tail_tolerance, len(lengths), max(lengths)
     results: list = [None] * count
     if not width:
         return results
@@ -588,44 +647,19 @@ def _finished(specs, policy: TruncationPolicy, raw: np.ndarray, lengths: list[in
     within = suffix <= tol
     within[:, -1] = False
     cuts = within.argmin(axis=1).tolist()  # the last kept index, counted from the back
-    tails = [0.0] * count
     scales = [1.0] * count
-    for row, (n, cut, total) in enumerate(zip(lengths, cuts, totals)):
-        if not n:
-            continue
-        k = width - cut
-        tail = suffix.item(row, cut - 1) if cut else 0.0  # the suffix mass just past the kept entries
-        if k == n and max(n, bases[row] if bases else n) >= policy.max_dim:
-            edge = p[row, k - 1] / total
-            if edge > tol:
-                ratio = p[row, k - 1] / p[row, k - 2] if k >= 2 and p[row, k - 2] > 0 else 1.0
-                tail = edge * ratio / (1.0 - ratio) if ratio < 1.0 else 0.5
-                tail = float(min(max(tail, edge), 0.99))
-        tails[row] = tail
-        try:
-            scales[row] = norms[row] if k == n else checked_norm(_norm(raw[row, :k]))
-        except FockLabError as exc:
-            results[row] = exc
+    for row, (n, cut) in enumerate(zip(lengths, cuts)):
+        if n:
+            try:
+                scales[row] = norms[row] if width - cut == n else checked_norm(_norm(raw[row, : width - cut]))
+            except FockLabError as exc:
+                results[row] = exc
     amplitudes = raw[:, : width - min(cuts)] / _per_spec(scales)
-    for row, (n, cut, tail) in enumerate(zip(lengths, cuts, tails)):
+    for row, (n, cut, bound) in enumerate(zip(lengths, cuts, bounds)):
         if n and results[row] is None:
+            tail = (suffix.item(row, cut - 1) if cut else 0.0) + bound  # the trimmed suffix, then the mass past the basis
             results[row] = StateVector(amplitudes[row, : width - cut], width - cut, tail)
     return results
-
-
-def _grows_at_cut(spec: StateSpec, dim: int) -> bool:
-    """Whether a basis of ``dim`` states cuts the family's series before its peak.
-
-    Only asked of a series that runs past ``dim`` terms. Judged on the bare
-    log magnitudes, which never underflow, over two terms past the cut (an
-    ECS series is live on every other term): the series grows at the cut
-    when it has not started by then or peaks past the cut.
-    """
-    log_b, _ = _bare_log_amplitudes([spec], dim + 2)
-    # The last maximum: where |alpha|^2 dwarfs dim the log series still grows
-    # by less than its ulp per term, and plateaus in float.
-    peak = len(log_b) - 1 - int(np.argmax(log_b[::-1]))
-    return peak >= dim or log_b[peak] == -np.inf
 
 
 def displacement_coefficients(alpha: complex, n: int, dim: int) -> np.ndarray:
@@ -679,14 +713,12 @@ def _sqrt_factorial(n: int) -> float:
 def _composed_group(group: list[StateSpec], policy: TruncationPolicy) -> list:
     """``compositions`` of specs of one family: one ``_composed`` block, finished as one block by ``_finished``.
 
-    A DFS-group spec whose n! leaves the float range gets its error before
-    any arithmetic and stays out of the block. A block that runs out of
-    log-factorials leaves each spec to compose alone. Each row is cut to its
-    basis (at most max_dim); where its dim is max_dim and its squared norm
-    is 0 or subnormal because its starting vector already is, max_dim cut
-    the state away (TruncationOverflowError), else ``checked_norm`` judges
-    it. Under one errstate an overflowing row reads inf or NaN, which
-    ``checked_norm`` refuses.
+    A DFS-group spec whose n! leaves the float range fails before any
+    arithmetic; a block that runs out of log-factorials composes each spec
+    alone. Each row is composed on its ``_cut`` basis plus k + q (at most
+    max_dim); a squared norm of 0 or subnormal at max_dim whose start already
+    is means max_dim cut the state away (TruncationOverflowError), else
+    ``checked_norm`` and ``_check_cut`` judge it, under one errstate.
     """
     info = group[0].info
     if info.group == "fock":
@@ -702,11 +734,10 @@ def _composed_group(group: list[StateSpec], policy: TruncationPolicy) -> list:
     specs = [group[index] for index in live]
     if not specs:
         return results
-    added = [spec.param("added") for spec in specs]
-    subtracted = [spec.param("subtracted") for spec in specs]
-    dims = [
-        min(_initial_dim(spec, policy) + k + q + 8, policy.max_dim) for spec, k, q in zip(specs, added, subtracted)
-    ]
+    tail = policy.tail_tolerance * _PASS_HEADROOM
+    cuts = [_cut(spec, tail, policy.max_dim) for spec in specs]
+    added, subtracted = [spec.param("added") for spec in specs], [spec.param("subtracted") for spec in specs]
+    dims = [min(size + k + q, policy.max_dim) for (size, _), k, q in zip(cuts, added, subtracted)]
     try:
         start, raw = _composed(specs, dims)
     except FockLabError as exc:
@@ -714,8 +745,9 @@ def _composed_group(group: list[StateSpec], policy: TruncationPolicy) -> list:
             return [result or _composed_group([spec], policy)[0] for spec, result in zip(group, results)]
         results[live[0]] = exc
         return results
-    # Photon addition may have grown a row past the cap.
+    # Photon addition may have grown a row past the cap; a row shorter than its cut takes the bound at its length.
     sizes = [min(max(dim + k - q, 0), policy.max_dim) for dim, k, q in zip(dims, added, subtracted)]
+    bounds = [bound if size >= cut else _cut(spec, tail, size)[1] for spec, (cut, bound), size in zip(specs, cuts, sizes)]
     tiny = sys.float_info.min
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         start_rows, raw_rows = start.reshape(len(specs), -1), raw.reshape(len(specs), -1)
@@ -728,11 +760,12 @@ def _composed_group(group: list[StateSpec], policy: TruncationPolicy) -> list:
                         f"{spec.family} composition is cut away where max_dim={policy.max_dim} caps its basis at {spec}"
                     )
                 checked_norm(nrm)
+                _check_cut(spec, policy, bounds[row])
             except FockLabError as exc:
                 results[index] = exc
             else:
                 lengths[row] = size
-        for index, length, result in zip(live, lengths, _finished(specs, policy, raw_rows, lengths, norms, bases=dims)):
+        for index, length, result in zip(live, lengths, _finished(specs, policy, raw_rows, lengths, norms, bounds)):
             if length:
                 results[index] = result
     return results
@@ -816,9 +849,9 @@ def normalization_constant(spec: StateSpec, policy: TruncationPolicy = DEFAULT_P
     """Numeric normalization constant: 1 / norm of the family's bare coefficient series.
 
     ``normalization_constants`` with one spec. The series is summed on
-    ``build_state``'s adaptive basis. Raises ConvergenceError where its
+    ``build_state``'s ``_cut`` basis. Raises ConvergenceError where its
     squared norm leaves the float range, and TruncationOverflowError where
-    max_dim cuts it short of a negligible edge.
+    max_dim cuts it before its tail bound falls to tail_tolerance * 1e-4.
     """
     (constant,) = normalization_constants([spec], policy)
     if isinstance(constant, FockLabError):
@@ -832,23 +865,17 @@ def normalization_constants(specs: list[StateSpec], policy: TruncationPolicy = D
     Each family's bare series come from one kernel pass, as in
     ``build_states``, so every constant is bitwise the one-spec value.
     """
-    return _by_family(specs, _adaptive_bare, policy, _normalization_rows)
+    return _by_family(specs, _sized_bare, policy, _normalization_rows)
 
 
-def _normalization_rows(specs, policy: TruncationPolicy, raw, lengths: list[int], norms: list, edges: list) -> list:
-    """``normalization_constant`` of each row of an ``_adaptive_bare`` pass (``raw`` unused); None for a row of length 0."""
+def _normalization_rows(specs, policy: TruncationPolicy, raw, lengths: list[int], norms: list, bounds: list) -> list:
+    """``normalization_constant`` of each row of a ``_sized_bare`` pass (``raw`` unused); None for a row of length 0."""
     results: list = []
-    for spec, length, nrm, edge in zip(specs, lengths, norms, edges):
-        if not length:
-            results.append(None)
-        elif edge > policy.tail_tolerance * 1e-4 and (_support(spec) or math.inf) > length:
-            results.append(
-                TruncationOverflowError(
-                    f"{spec.family} bare series is cut at max_dim={policy.max_dim} with edge occupation {edge:.2e}"
-                )
-            )
+    for spec, length, nrm, bound in zip(specs, lengths, norms, bounds):
+        if length and bound > policy.tail_tolerance * _PASS_HEADROOM:
+            results.append(TruncationOverflowError(f"{spec.family} bare series is cut at max_dim={policy.max_dim}, tail bound {bound:.2e}"))
         else:
-            results.append(1.0 / nrm)
+            results.append(1.0 / nrm if length else None)
     return results
 
 
@@ -861,6 +888,8 @@ def _dfs_norm_sq(lam: float, n: int, k: int, q: int) -> float:
     every Fock component is a sum of positive terms and nothing cancels at
     any |alpha|. k = q = 0 gives exactly 1.0.
     """
+    if not k and not q:
+        return 1.0
     components = [0.0] * (k + q + 1)  # the amplitude on |n + i - j> sits at i - j + q
     for i in range(k + 1):
         for j in range(min(q, n + i) + 1):
@@ -925,12 +954,9 @@ def ladder_log_amplitudes(spec: StateSpec) -> tuple[np.ndarray, np.ndarray]:
     with N from ``normalization_constant_closed_form``. The closed forms
     (moments, entropy, phase, Q) sum over this ladder without a state
     vector: ``build_by_composition`` checks its coefficients and each
-    operator oracle checks its sum. The ladder runs to M + 1 (binomial) or
-    |alpha|^2 + n + 14 sqrt((|alpha|^2 + 1)(2n + 1)) + 24 terms, one more per
-    added photon; log|c_i| is -inf where c_i = 0. Raises what N raises
-    (AnnihilatedStateError for an empty state, ConvergenceError out of the
-    float range), and ConvergenceError where the ladder needs more
-    log-factorials than ``core`` serves.
+    operator oracle checks its sum. The ladder runs to its ``_cut`` length
+    at ``_LADDER_TAIL``; log|c_i| is -inf where c_i = 0. Raises what N raises,
+    and ConvergenceError where it needs more log-factorials than core serves.
     """
     (ladder,) = ladders([spec])
     if isinstance(ladder, FockLabError):
@@ -941,70 +967,42 @@ def ladder_log_amplitudes(spec: StateSpec) -> tuple[np.ndarray, np.ndarray]:
 def ladders(specs: list[StateSpec]) -> list[tuple[np.ndarray, np.ndarray] | FockLabError]:
     """For each spec in order, its ``ladder_log_amplitudes`` pair or the FockLabError that call raises.
 
-    Each spec finds its N, its length and its log-factorial cap alone; the
-    specs of one family then share one ``_bare_log_amplitudes`` pass at
-    their longest ladder, and each row is cut to its own length, so every
-    ladder is bitwise its one-spec value. As in ``build_states``, one long
-    ladder makes its whole family pay for its length.
+    Each spec finds its N and length alone; the specs of one family share
+    one ``_bare_log_amplitudes`` pass at their longest ladder, each row cut
+    to its own length, so every ladder is bitwise its one-spec value. As in
+    ``build_states``, one long ladder makes its whole family pay for it.
     """
     return _by_family(specs, _ladder_group)
 
 
-def _ladder_size(spec: StateSpec) -> tuple[float, int]:
-    """(log N, the ladder's length) of ``spec``; raises what ``ladder_log_amplitudes`` raises."""
-    info = spec.info
-    constant = normalization_constant_closed_form(spec)
-    if info.group == "binomial":
-        cut = spec.M + 1
-    else:
-        lam, n = abs(spec.param("alpha")) ** 2, spec.param("n")
-        cut = int(lam + n + 14.0 * math.sqrt((lam + 1.0) * (2 * n + 1)) + 24) + spec.param("added")
-    needed = cut + spec.param("subtracted")  # the most log-factorials the ladder's kernels read
-    if needed > MAX_LOG_FACTORIALS:  # refuse before allocating cut-long arrays
-        raise ConvergenceError(f"{spec.family} ladder needs {needed} log-factorials, past the {MAX_LOG_FACTORIALS}-entry cap")
-    return math.log(constant), cut + (info.hole == "added")
-
-
 def _ladder_group(group: list[StateSpec]) -> list:
-    """``ladders`` of specs of one family."""
-    if len(group) == 1:  # nothing to share: the spec takes its own 1-D pass
-        return [_ladder(group[0])]
-    sizes: list = []
+    """``ladders`` of specs of one family: one pass at the longest, each row cut to its own length."""
+    ladders: list = []  # (log N, length) of each spec, then its ladder, or the FockLabError it raises
     for spec in group:
         try:
-            sizes.append(_ladder_size(spec))
+            constant = normalization_constant_closed_form(spec)
+            # Its kernels read its length plus q log-factorials, its bound one more; refuse before allocating it.
+            length, bound = _cut(spec, _LADDER_TAIL, MAX_LOG_FACTORIALS - spec.param("subtracted") - 1, constant)
+            if bound > _LADDER_TAIL:
+                raise ConvergenceError(f"{spec.family} ladder needs more than the {MAX_LOG_FACTORIALS} log-factorials core serves")
+            ladders.append((math.log(constant), length))
         except FockLabError as exc:
-            sizes.append(exc)
-    live = [index for index, size in enumerate(sizes) if not isinstance(size, FockLabError)]
-    rows: dict[int, tuple] = {}
-    if len(live) > 1:
+            ladders.append(exc)
+    live = [index for index, ladder in enumerate(ladders) if not isinstance(ladder, FockLabError)]
+    if len(live) == 1:  # its own pass, exactly its length
+        log_n, length = ladders[live[0]]
+        log_b, phase = _bare_log_amplitudes([group[live[0]]], length)
+        ladders[live[0]] = log_b + log_n, phase
+    elif live:
         try:
             with np.errstate(over="ignore", invalid="ignore"):  # a row run past its own length must not warn
-                block = _bare_log_amplitudes([group[index] for index in live], max(sizes[index][1] for index in live))
-            rows = dict(zip(live, zip(*block)))
-        except FockLabError:  # the group's widest pass runs out of log-factorials: each spec takes its own
-            pass
-    return [
-        size if isinstance(size, FockLabError) else _ladder(spec, size, rows.get(index))
-        for index, (spec, size) in enumerate(zip(group, sizes))
-    ]
-
-
-def _ladder(spec: StateSpec, size: tuple[float, int] | None = None, series: tuple | None = None):
-    """``ladder_log_amplitudes`` of one spec, or the FockLabError it raises.
-
-    ``size`` is the spec's ``_ladder_size`` and ``series`` its row of the
-    family's shared pass, when the caller has them.
-    """
-    try:
-        log_n, length = size or _ladder_size(spec)
-    except FockLabError as exc:
-        return exc
-    if series is None:  # its own pass, exactly its length
-        log_b, phase = _bare_log_amplitudes([spec], length)
-        return log_b + log_n, phase
-    log_b, phase = series
-    return log_b[:length] + log_n, phase[:length]
+                block = _bare_log_amplitudes([group[index] for index in live], max(ladders[index][1] for index in live))
+        except FockLabError:  # the widest pass runs out of log-factorials: each spec takes its own
+            return [ladder if isinstance(ladder, FockLabError) else _ladder_group([spec])[0] for spec, ladder in zip(group, ladders)]
+        for index, log_b, phase in zip(live, *block):
+            log_n, length = ladders[index]
+            ladders[index] = log_b[:length] + log_n, phase[:length]
+    return ladders
 
 
 def state_distance(a: StateVector, b: StateVector) -> float:

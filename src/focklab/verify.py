@@ -35,6 +35,8 @@ from .states import (
     FAMILIES,
     FAMILY_INFO,
     StateSpec,
+    _LADDER_TAIL,
+    _cut,
     build_states,
     compositions,
     ladders,
@@ -196,7 +198,7 @@ def check_hosps_central_moments(rng: np.random.Generator, n_states: int = 25) ->
         p = state.probabilities()
         n = np.arange(state.dim, dtype=np.float64)
         mean = float(np.dot(n, p))
-        cut = int(mean + 14.0 * math.sqrt(mean + 1.0) + 40)
+        cut, _ = _cut(StateSpec("Coherent", alpha=math.sqrt(mean)), _LADDER_TAIL)  # the Poisson pmf is |<k|sqrt(mean)>|^2
         k = np.arange(cut, dtype=np.float64)
         log_pmf = k * math.log(mean) - np.cumsum(np.concatenate(([0.0], np.log(k[1:])))) - mean
         poisson = np.exp(log_pmf)

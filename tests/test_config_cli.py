@@ -16,10 +16,10 @@ from focklab.config import (
     sweep_config_from_text,
 )
 from focklab import harness
-from focklab.exceptions import ConfigError
+from focklab.exceptions import ConfigError, FockLabError
 from focklab.harness import dump_state, parse_quantity, run_sweep
 from focklab.phase import barnett_pegg_fluctuations
-from focklab.states import build_state
+from focklab.states import FAMILIES, FAMILY_INFO, build_state
 
 
 def read_csv(path):
@@ -190,6 +190,31 @@ output = {out}
     assert rows[1][1:] == ["0.0", ""]
     for row in rows[2:]:
         assert row[1] == "" and row[2].startswith("InvalidParameterError: |alpha|")
+    # Every family that reads alpha, from the exact origin to past the float
+    # range of |alpha|^2, at a shallow and a deep tail, with every quantity:
+    # one row per point, each cell a value or empty, each error a named
+    # FockLabError. |alpha| = 1e154 sizes its basis at |alpha|^2 = 1e308, and
+    # 1e-161 at a subnormal |alpha|^2.
+    names = {cls.__name__ for cls in (FockLabError, *FockLabError.__subclasses__())}
+    for family in (name for name in FAMILIES if "alpha" in FAMILY_INFO[name].fields):
+        for tail in (1e-12, 1e-300):
+            for mag in (0.0, 1e-300, 1e-161, 1e154, 1e200):
+                text = f"""
+state.family = {family}
+sweep.param = alpha.mag
+sweep.start = {mag!r}
+sweep.stop = {mag!r}
+sweep.steps = 1
+truncation.tail_tolerance = {tail!r}
+quantities = {", ".join(harness.QUANTITY_NAMES)}
+output = {out}
+"""
+                run_sweep(sweep_config_from_text(text))
+                header, *rows = read_csv(out)
+                assert len(rows) == 1 and len(rows[0]) == len(header)
+                *cells, error = rows[0][1:]
+                assert all(cell == "" or float(cell) == float(cell) for cell in cells)
+                assert error == "" or error.split(":")[0] in names, (family, tail, mag, error)
 
 
 def test_undefined_witness_gives_empty_cell(tmp_path):

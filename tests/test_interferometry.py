@@ -619,14 +619,14 @@ def test_two_copy_weights_read_a_grown_table_bitwise(d, monkeypatch):
 def test_closed_form_entropy_of_a_long_ladder_stays_below_the_log_domain_peak():
     spec = StateSpec("Kerr", alpha=36.0, chi=0.29)
     (ladder,) = ladders([spec])
-    assert len(ladder[0]) == 1824
+    assert len(ladder[0]) == 1762
     tracemalloc.start()
     try:
         value = linear_entropy_closed_form(spec)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # The weight and term grids take 48 d^2 bytes (160 MB); the log-domain sum peaked at 304.8 MiB.
+    # The weight and term grids take 48 d^2 bytes (149 MB); the log-domain sum peaked at 304.8 MiB.
     assert peak < 200 * 2**20
     assert abs(value - _log_domain_entropy_sum(ladder)) <= 1e-13
 

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from focklab import core, states
@@ -37,7 +37,7 @@ from focklab.states import (
     normalization_constants,
     state_distance,
 )
-from focklab.states import _initial_dim
+from focklab.states import _cut
 from focklab.verify import _random_spec as random_spec
 
 POLICY = TruncationPolicy(max_dim=512, tail_tolerance=1e-14)
@@ -129,11 +129,13 @@ def test_psdfs_oversubtracted_fock_annihilates():
         (StateSpec("Coherent", alpha=30.0), 512, TruncationOverflowError),
         (StateSpec("Binomial", p=0.5, M=10**6), 512, TruncationOverflowError),
         (StateSpec("Fock", n=600), 512, TruncationOverflowError),
+        # One photon added to a binomial of M = 0 is |1>, past a max_dim of 1.
+        (StateSpec("PABS", p=0.3, M=0), 1, TruncationOverflowError),
         # Over-subtraction is empty whatever the basis, even one cut at max_dim.
         (StateSpec("PSDFS", alpha=0, n=1, subtracted=2), 512, AnnihilatedStateError),
         (StateSpec("PSDFS", alpha=0, n=1, subtracted=2), 8, AnnihilatedStateError),
     ],
-    ids=["coherent-30", "binomial-1e6", "fock-600", "psdfs-empty", "psdfs-empty-at-max-dim"],
+    ids=["coherent-30", "binomial-1e6", "fock-600", "pabs-m0-at-max-dim-1", "psdfs-empty", "psdfs-empty-at-max-dim"],
 )
 def test_error_class_of_a_series_cut_or_emptied(spec, max_dim, error):
     policy = TruncationPolicy(max_dim=max_dim)
@@ -288,12 +290,14 @@ def test_batch_builds_each_spec_as_it_builds_alone(specs, policy):
 
 
 def test_batch_matches_per_spec_builds_at_the_edges():
-    # At tail 1e-300 the coherent series at |alpha| = 1 and 3 outgrows its
-    # initial basis and doubles; its |alpha| = 0.2 neighbour does not.
+    # At tail 1e-300 the coherent series at |alpha| = 0.2, 1 and 3 are cut at
+    # three lengths, and the shared pass at the widest runs far past the
+    # narrowest row's own basis.
     deep = TruncationPolicy(512, 1e-300)
-    doubling = [StateSpec("Coherent", alpha=a) for a in (0.2, 1.0, 3.0j)]
-    batch = _assert_batch_is_per_spec(doubling, deep)
-    assert batch[2].dim > _initial_dim(doubling[2], deep)
+    coherent = [StateSpec("Coherent", alpha=a) for a in (0.2, 1.0, 3.0j)]
+    batch = _assert_batch_is_per_spec(coherent, deep)
+    sizes = [_cut(spec, deep.tail_tolerance * 1e-4, deep.max_dim)[0] for spec in coherent]
+    assert sizes[0] < sizes[1] < sizes[2] and batch[2].dim > sizes[0]
     # PSDFS from the vacuum at alpha = 0 is annihilated between two live points.
     psdfs = [StateSpec("PSDFS", alpha=a, n=0, subtracted=1) for a in (0.7, 0, 1.5j)]
     batch = _assert_batch_is_per_spec(psdfs, POLICY)
@@ -335,48 +339,50 @@ def test_batch_mixes_shapes_within_a_family():
     batch = _assert_batch_is_per_spec(binomial, TruncationPolicy(512, 1e-16))
     assert [r.dim for r in batch][:2] == [1, 2]
     # A NaN in the recurrence of a row past the float range must not stop the
-    # rescaling of its neighbour, which builds alone at |alpha| = 45, n = 600.
+    # rescaling of its neighbour, which builds alone at |alpha| = 45, n = 600
+    # (a quarter of its mass lies past 4096 states).
     far = [StateSpec("DFS", alpha=45.0, n=600), StateSpec("DFS", alpha=1e100, n=600)]
-    batch = _assert_batch_is_per_spec(far, TruncationPolicy(4096))
+    batch = _assert_batch_is_per_spec(far, TruncationPolicy(8192))
     assert [type(r) for r in batch] == [StateVector, ConvergenceError]
     # Mixed added and subtracted counts in one PASDFS group.
     pasdfs = [StateSpec("PASDFS", alpha=a, n=n, added=k, subtracted=q) for a, n, k, q in ((1.2, 0, 2, 0), (0.4j, 3, 0, 4), (2.0, 1, 1, 1))]
     _assert_batch_is_per_spec(pasdfs, POLICY)
 
 
-def test_batch_finishes_doubling_pinned_and_overflowing_rows_of_one_family():
-    # One VFKS block at tail 1e-300: |alpha| = 1 doubles from 53 to 212 states,
-    # |alpha|^2 = 700 starts and stays pinned at max_dim, and |alpha|^2 = 750
-    # overflows its squared norm on its first basis.
+def test_batch_finishes_trimmed_pinned_and_overflowing_rows_of_one_family():
+    # One VFKS block at tail 1e-300: |alpha| = 1 is trimmed inside its cut,
+    # |alpha|^2 = 700 is pinned at max_dim with the cut's bound there as its
+    # tail, and |alpha|^2 = 750 overflows its squared norm on the pass.
     policy = TruncationPolicy(1024, 1e-300)
     specs = [StateSpec("VFKS", alpha=a, chi=0.1) for a in (1.0, math.sqrt(700.0), math.sqrt(750.0))]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         batch = _assert_batch_is_per_spec(specs, policy)
-    assert batch[0].dim > _initial_dim(specs[0], policy)
+    assert batch[0].dim < _cut(specs[0], policy.tail_tolerance * 1e-4, policy.max_dim)[0]
     assert batch[1].dim == policy.max_dim and batch[1].tail_mass > 0.0
+    assert batch[1].tail_mass == _cut(specs[1], policy.tail_tolerance * 1e-4, policy.max_dim)[1]
     assert isinstance(batch[2], ConvergenceError)
 
 
 def test_one_batch_runs_every_finishing_branch():
     # At tail 1e-300 under max_dim 4096: |alpha| = 1 (VFKS, PSDFS) and PSDFS
-    # (38, n = 170) outgrow their first bases and double; |alpha|^2 = 3500 is
-    # pinned at max_dim with an extrapolated tail; VFKS at |alpha|^2 = 750
+    # (38, n = 170) are trimmed inside their long cuts; |alpha|^2 = 3500 is
+    # pinned at max_dim with its certified tail bound; VFKS at |alpha|^2 = 750
     # overflows its bare norm, and the composition's 170 steps at |alpha| = 38
     # overflow; PSDFS from n = 1 with q = 3 at alpha = 0 is empty; Binomial
     # M = 3 keeps its whole support, and M = 360 at p = 0.05 is trimmed on its
     # first basis. The specs run as one batch, shuffled, and each as a batch
     # of one, through both builders.
     policy = TruncationPolicy(4096, 1e-300)
-    doubling = StateSpec("VFKS", alpha=1.0, chi=0.1)
+    deep = StateSpec("VFKS", alpha=1.0, chi=0.1)
     overflowing = StateSpec("VFKS", alpha=math.sqrt(750.0), chi=0.1)
-    trimmed_double = StateSpec("PSDFS", alpha=1.0, n=2, subtracted=1)
+    trimmed_deep = StateSpec("PSDFS", alpha=1.0, n=2, subtracted=1)
     pinned = StateSpec("PSDFS", alpha=math.sqrt(3500.0))
     composition_overflows = StateSpec("PSDFS", alpha=38.0, n=170)
     empty = StateSpec("PSDFS", alpha=0, n=1, subtracted=3)
     whole = StateSpec("Binomial", p=0.4, M=3)
     trimmed = StateSpec("Binomial", p=0.05, M=360)
-    specs = [trimmed_double, trimmed, doubling, empty, pinned, whole, overflowing, composition_overflows]
+    specs = [trimmed_deep, trimmed, deep, empty, pinned, whole, overflowing, composition_overflows]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         built = dict(zip(specs, _assert_batch_is_per_spec(specs, policy)))
@@ -385,8 +391,11 @@ def test_one_batch_runs_every_finishing_branch():
             assert _outcome(_assert_batch_is_per_spec([spec], policy)[0]) == _outcome(built[spec])
             alone = _assert_batch_is_per_spec([spec], policy, compositions, build_by_composition)[0]
             assert _outcome(alone) == _outcome(composed[spec])
-    for spec in (doubling, trimmed_double, composition_overflows):
-        assert built[spec].dim > _initial_dim(spec, policy)
+    # PSDFS (38, n = 170) is cut at max_dim, short of its bound's reach, so its
+    # tail_mass carries the bound at max_dim though its trim keeps 3851 states.
+    for spec in (deep, trimmed_deep, composition_overflows):
+        size, bound = _cut(spec, policy.tail_tolerance * 1e-4, policy.max_dim)
+        assert built[spec].dim < size and 0.0 < bound <= built[spec].tail_mass
     for result in (built[pinned], composed[pinned]):
         assert result.dim == policy.max_dim and result.tail_mass > 0.0
     assert isinstance(built[overflowing], ConvergenceError) and isinstance(composed[composition_overflows], ConvergenceError)
@@ -398,8 +407,8 @@ def test_one_batch_runs_every_finishing_branch():
 
 
 def test_tail_mass_is_a_float_on_every_path():
-    # |alpha|^2 = 700 is pinned at max_dim, where the tail is extrapolated
-    # from the last probabilities; |alpha| = 1 is not.
+    # |alpha|^2 = 700 is pinned at max_dim, where its tail is the cut's bound
+    # there; |alpha| = 1 is not.
     policy = TruncationPolicy(1024, 1e-300)
     pinned = StateSpec("VFKS", alpha=math.sqrt(700.0), chi=0.1)
     alone = build_state(pinned, policy)
@@ -407,6 +416,27 @@ def test_tail_mass_is_a_float_on_every_path():
     batch = build_states([StateSpec("VFKS", alpha=1.0, chi=0.1), pinned], policy)
     for state in (alone, *batch, *compositions([pinned, StateSpec("Kerr", alpha=1.0)], policy)):
         assert type(state.tail_mass) is float
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    family=st.sampled_from(FAMILIES),
+    point=_POINT,
+    log_tail=st.floats(-300.0, -12.0),
+    max_dim=st.sampled_from([24, 512]),
+)
+# ECS is zero on every odd term, so a test of the last kept term alone once
+# kept 85 terms here and reported tail_mass 0.0, where the mass past them is 1.2e-52.
+@example(family="ECS", point=(3.0, 0.0, 0.0, 0.0, {"n": 0, "added": 0, "subtracted": 0, "M": 0}), log_tail=-300.0, max_dim=512)
+def test_tail_mass_bounds_the_mass_a_basis_four_times_larger_puts_past_dim(family, point, log_tail, max_dim):
+    mag, phase, p, chi, counts = point
+    spec = StateSpec(family, alpha=mag * cmath.exp(1j * phase), p=p, chi=chi, **counts)
+    try:
+        state = build_state(spec, TruncationPolicy(max_dim, 10.0**log_tail))
+    except FockLabError:
+        return
+    mass = np.abs(bare_coefficients(spec, 4 * state.dim)) ** 2
+    assert mass[state.dim :].sum() / mass.sum() <= state.tail_mass * (1.0 + 1e-9)
 
 
 @pytest.mark.parametrize("subtracted", (1, 2))
@@ -504,15 +534,15 @@ def test_batched_ladders_mix_every_family_and_their_errors():
 
 
 def test_ladders_of_one_family_past_the_widest_pass_each_take_their_own(monkeypatch):
-    # Under a cap of 80 log-factorials each ladder fits alone (67 and 39 + 30
+    # Under a cap of 80 log-factorials each ladder fits alone (58 and 22 + 30
     # entries), but the group's widest pass, the longest cut plus the largest
-    # q, would read 97: each spec then takes its own pass.
+    # q, would read 88: each spec then takes its own pass.
     monkeypatch.setattr(core, "MAX_LOG_FACTORIALS", 80)
     monkeypatch.setattr(states, "MAX_LOG_FACTORIALS", 80)
     monkeypatch.setattr(core, "_log_factorial_table", np.zeros(1))
     specs = [StateSpec("PSDFS", alpha=2.5, n=0), StateSpec("PSDFS", alpha=0.5, n=0, subtracted=30)]
     batch = _assert_ladders_are_per_spec(specs)
-    assert [len(log_c) for log_c, _ in batch] == [67, 39]
+    assert [len(log_c) for log_c, _ in batch] == [58, 22]
 
 
 # --- batched compositions -----------------------------------------------------
