@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import DEFAULT_POLICY, StateVector, TruncationPolicy
 from .exceptions import FockLabError, InvalidParameterError, TruncationUnsafeError
-from .states import StateSpec, ladders
+from .states import StateSpec, _alone, ladders
 
 # Power budget: truncation error grows with t + j, so cap the order.
 MAX_TOTAL_ORDER = 16
@@ -98,10 +98,7 @@ def moment_series(
     because ``perfbench/workloads.py`` passes it.
     """
     _check_powers(t, j)
-    (ladder,) = ladders([spec])
-    if isinstance(ladder, FockLabError):
-        raise ladder
-    return _moment_pass([ladder], t, j)[0]
+    return _moment_pass([_alone(ladders([spec]))], t, j)[0]
 
 
 def moment_sums(points: list[tuple[StateSpec, int, int]]) -> list[complex | FockLabError]:

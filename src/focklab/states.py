@@ -1,16 +1,13 @@
 """Engineered-state factory over the truncated Fock basis.
 
 Every family is built two independent ways: ``build_state`` evaluates the
-closed-form Fock coefficients directly, while ``build_by_composition``
-assembles the same state from operator primitives (displace, add photons,
-subtract photons, vacuum-filter), and ``compositions`` does so for a batch
-of specs, one block per family. Their elementwise agreement is the
-anti-drift oracle for every closed form in the package. The closed-form
-coefficients are written once, as log amplitudes in
-``_bare_log_amplitudes``: ``build_state`` exponentiates them (and
-``build_states`` does so for a batch of specs in one kernel pass), and
-``ladder_log_amplitudes`` normalizes them for the series that sum over them
-without a state vector (moments, entropy, phase, Q).
+closed-form Fock coefficients, written once as log amplitudes in
+``_bare_log_amplitudes`` (``build_states`` runs a batch in one kernel pass,
+and ``ladder_log_amplitudes`` normalizes them for the series that sum
+without a state vector: moments, entropy, phase, Q), while
+``build_by_composition`` (``compositions`` for a batch) applies the family's
+operator word to a start block in ``focklab.oracle``. Their elementwise
+agreement is the anti-drift oracle for every closed form in the package.
 
 Supported families: Fock, Coherent, DFS (displaced Fock), PADFS / PSDFS /
 PASDFS (photon-added / -subtracted / added-then-subtracted DFS), ECS (even
@@ -29,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import oracle
 from .core import (
     DEFAULT_POLICY,
     MAX_LOG_FACTORIALS,
@@ -36,9 +34,7 @@ from .core import (
     TruncationPolicy,
     checked_norm,
     log_factorials,
-    lower_amplitudes,
     make_fock,
-    raise_amplitudes,
 )
 from .exceptions import (
     AnnihilatedStateError,
@@ -55,39 +51,43 @@ _LOG_ZERO = -1.0e18
 
 @dataclass(frozen=True)
 class Family:
-    """One state family: its series group, hole-burning step and parameters.
+    """One state family: its series group, hole-burning step, parameters and operator word.
 
     ``group`` is the coefficient series the family is built on: "fock",
     "dfs" (displaced Fock, with photon addition/subtraction), "ecs" (even
     coherent), "kerr" or "binomial". ``hole`` is the step that burns the
     vacuum hole into the group's plain state: None, "filtered" (c_0 zeroed)
     or "added" (one photon added). ``fields`` names the StateSpec fields the
-    family reads; "alpha" covers both its magnitude and its phase.
+    family reads; "alpha" covers both its magnitude and its phase. ``word``
+    is the family's operators, applied in order by ``oracle.composed`` to its
+    start: |alpha>, or the plain binomial series for the binomial group
+    (``_start``). Fock, D(0)|n> = |n>, is composed exactly, without its word.
     """
 
     name: str
     group: str
     hole: str | None
     fields: tuple[str, ...]
+    word: tuple[str, ...]
 
 
-# The one place a family is defined; every dispatch reads group/hole/fields.
+# The one place a family is defined; every dispatch reads group/hole/fields/word.
 _TABLE = (
-    Family("Fock", "fock", None, ("n",)),
-    Family("Coherent", "dfs", None, ("alpha",)),
-    Family("DFS", "dfs", None, ("alpha", "n")),
-    Family("PADFS", "dfs", None, ("alpha", "n", "added")),
-    Family("PSDFS", "dfs", None, ("alpha", "n", "subtracted")),
-    Family("PASDFS", "dfs", None, ("alpha", "n", "added", "subtracted")),
-    Family("ECS", "ecs", None, ("alpha",)),
-    Family("VFECS", "ecs", "filtered", ("alpha",)),
-    Family("PAECS", "ecs", "added", ("alpha",)),
-    Family("Binomial", "binomial", None, ("p", "M")),
-    Family("VFBS", "binomial", "filtered", ("p", "M")),
-    Family("PABS", "binomial", "added", ("p", "M")),
-    Family("Kerr", "kerr", None, ("alpha", "chi")),
-    Family("VFKS", "kerr", "filtered", ("alpha", "chi")),
-    Family("PAKS", "kerr", "added", ("alpha", "chi")),
+    Family("Fock", "fock", None, ("n",), ("D_n",)),
+    Family("Coherent", "dfs", None, ("alpha",), ()),
+    Family("DFS", "dfs", None, ("alpha", "n"), ("D_n",)),
+    Family("PADFS", "dfs", None, ("alpha", "n", "added"), ("D_n", "a†^k")),
+    Family("PSDFS", "dfs", None, ("alpha", "n", "subtracted"), ("D_n", "a^q")),
+    Family("PASDFS", "dfs", None, ("alpha", "n", "added", "subtracted"), ("D_n", "a†^k", "a^q")),
+    Family("ECS", "ecs", None, ("alpha",), ("1+Π",)),
+    Family("VFECS", "ecs", "filtered", ("alpha",), ("1+Π", "F")),
+    Family("PAECS", "ecs", "added", ("alpha",), ("1+Π", "a†")),
+    Family("Binomial", "binomial", None, ("p", "M"), ()),
+    Family("VFBS", "binomial", "filtered", ("p", "M"), ("F",)),
+    Family("PABS", "binomial", "added", ("p", "M"), ("a†",)),
+    Family("Kerr", "kerr", None, ("alpha", "chi"), ("K",)),
+    Family("VFKS", "kerr", "filtered", ("alpha", "chi"), ("K", "F")),
+    Family("PAKS", "kerr", "added", ("alpha", "chi"), ("K", "a†")),
 )
 
 FAMILY_INFO = {family.name: family for family in _TABLE}
@@ -533,10 +533,7 @@ def build_state(spec: StateSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> S
     overflows (undamped ECS and Kerr hole variants past |alpha|^2 ~ 710) or
     goes subnormal.
     """
-    (state,) = build_states([spec], policy)
-    if isinstance(state, FockLabError):
-        raise state
-    return state
+    return _alone(build_states([spec], policy))
 
 
 def build_states(
@@ -553,19 +550,38 @@ def build_states(
     return _by_family(specs, _sized_bare, policy, _finished)
 
 
+def _alone(results: list):
+    """The one entry of a one-spec batch, raised if it is the FockLabError of that spec."""
+    (result,) = results
+    if isinstance(result, FockLabError):
+        raise result
+    return result
+
+
 def _by_family(specs: list[StateSpec], run_group, *args) -> list:
     """``run_group(group, *args)`` of each family's specs, its results put back in the specs' order.
 
     ``run_group`` maps a list of specs of one family to one result per spec.
+    Where a group's pass raises a FockLabError (its widest pass runs out of
+    log-factorials, say), that error is a lone spec's result, and a larger
+    group runs again spec by spec.
     """
     if len(specs) == 1:
-        return run_group(specs, *args)
+        try:
+            return run_group(specs, *args)
+        except FockLabError as exc:
+            return [exc]
     groups: dict[str, list[int]] = {}
     for index, spec in enumerate(specs):
         groups.setdefault(spec.family, []).append(index)
     results: list = [None] * len(specs)
     for indices in groups.values():
-        for index, result in zip(indices, run_group([specs[index] for index in indices], *args)):
+        group = [specs[index] for index in indices]
+        try:
+            group_results = run_group(group, *args)
+        except FockLabError:
+            group_results = [_by_family([spec], run_group, *args)[0] for spec in group]
+        for index, result in zip(indices, group_results):
             results[index] = result
     return results
 
@@ -574,20 +590,17 @@ def _sized_bare(group: list[StateSpec], policy: TruncationPolicy, finish) -> lis
     """``finish`` of each spec's bare series on its ``_cut`` basis, or the FockLabError that series raises; one family.
 
     The bases, ``_cut`` at tail_tolerance * ``_PASS_HEADROOM`` and capped at
-    max_dim, share one ``_bare_log_amplitudes`` pass (each spec takes its own
-    where it runs out of log-factorials). Each row is judged on its length:
-    ConvergenceError where its squared norm overflows, then ``_check_cut``
-    and ``checked_norm``, under one errstate. ``finish(specs, policy, raw,
-    lengths, norms, bounds)`` maps the pass to a result per row.
+    max_dim, share one ``_bare_log_amplitudes`` pass (``_by_family`` runs
+    each spec alone where it runs out of log-factorials). Each row is judged
+    on its length: ConvergenceError where its squared norm overflows, then
+    ``_check_cut`` and ``checked_norm``, under one errstate. ``finish(specs,
+    policy, raw, lengths, norms, bounds)`` maps the pass to a result per row.
     """
     cuts = [_cut(spec, policy.tail_tolerance * _PASS_HEADROOM, policy.max_dim) for spec in group]
     count = len(group)
     results: list = [None] * count
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-        try:
-            log_b, phase = _bare_log_amplitudes(group, max(size for size, _ in cuts))
-        except FockLabError as exc:  # the log-factorials run out: each spec takes its own pass
-            return [exc] if count == 1 else [_sized_bare([spec], policy, finish)[0] for spec in group]
+        log_b, phase = _bare_log_amplitudes(group, max(size for size, _ in cuts))
         raw_rows = (np.exp(log_b) * phase).reshape(count, -1)
         lengths, norms, bounds = [0] * count, [0.0] * count, [bound for _, bound in cuts]
         for row, (spec, (size, bound)) in enumerate(zip(group, cuts)):
@@ -682,10 +695,7 @@ def build_by_composition(spec: StateSpec, policy: TruncationPolicy = DEFAULT_POL
     state that its starting vector is empty, and AnnihilatedStateError for
     an empty state.
     """
-    (state,) = compositions([spec], policy)
-    if isinstance(state, FockLabError):
-        raise state
-    return state
+    return _alone(compositions([spec], policy))
 
 
 def compositions(
@@ -694,7 +704,8 @@ def compositions(
     """For each spec in order, its ``build_by_composition`` vector or the FockLabError that call raises.
 
     Specs of one family are composed as one block at the widest of their
-    bases (``_composed``); each row is then cut to its own basis and checked
+    bases: ``oracle.composed`` applies the family's operator word to the
+    block ``_start`` forms. Each row is then cut to its own basis and checked
     on its own, and the rows that pass are trimmed and normalized as one
     block (``_finished``), so every state is bitwise the one-spec one. A DFS
     group runs its (a† - alpha*) steps to the group's largest n for every
@@ -703,33 +714,22 @@ def compositions(
     return _by_family(specs, _composed_group, policy)
 
 
-def _sqrt_factorial(n: int) -> float:
-    """sqrt(n!) as a float; ConvergenceError where n! itself leaves the float range (from n = 171), before n! is formed."""
-    if n > 170:
-        raise ConvergenceError(f"{n}! leaves the float range: DFS cannot be composed at n = {n}")
-    return math.sqrt(math.factorial(n))
-
-
 def _composed_group(group: list[StateSpec], policy: TruncationPolicy) -> list:
-    """``compositions`` of specs of one family: one ``_composed`` block, finished as one block by ``_finished``.
+    """``compositions`` of specs of one family: one ``oracle.composed`` block, finished as one block by ``_finished``.
 
-    A DFS-group spec whose n! leaves the float range fails before any
-    arithmetic; a block that runs out of log-factorials composes each spec
-    alone. Each row is composed on its ``_cut`` basis plus k + q (at most
-    max_dim); a squared norm of 0 or subnormal at max_dim whose start already
-    is means max_dim cut the state away (TruncationOverflowError), else
+    A spec whose n! leaves the float range fails before any arithmetic.
+    Each row is composed on its ``_cut`` basis plus k + q (at most max_dim);
+    a squared norm of 0 or subnormal at max_dim whose start already is means
+    max_dim cut the state away (TruncationOverflowError), else
     ``checked_norm`` and ``_check_cut`` judge it, under one errstate.
     """
     info = group[0].info
-    if info.group == "fock":
+    if info.group == "fock":  # D(0)|n> = |n>, exactly
         return [make_fock(spec.n, spec.n + 1) for spec in group]
     results: list = [None] * len(group)
-    if info.group == "dfs":
-        for index, spec in enumerate(group):
-            try:
-                _sqrt_factorial(spec.param("n"))
-            except ConvergenceError as exc:
-                results[index] = exc
+    for index, n in enumerate(spec.param("n") for spec in group):
+        if n > 170:
+            results[index] = ConvergenceError(f"{n}! leaves the float range: DFS cannot be composed at n = {n}")
     live = [index for index, result in enumerate(results) if result is None]
     specs = [group[index] for index in live]
     if not specs:
@@ -738,24 +738,19 @@ def _composed_group(group: list[StateSpec], policy: TruncationPolicy) -> list:
     cuts = [_cut(spec, tail, policy.max_dim) for spec in specs]
     added, subtracted = [spec.param("added") for spec in specs], [spec.param("subtracted") for spec in specs]
     dims = [min(size + k + q, policy.max_dim) for (size, _), k, q in zip(cuts, added, subtracted)]
-    try:
-        start, raw = _composed(specs, dims)
-    except FockLabError as exc:
-        if len(specs) > 1:
-            return [result or _composed_group([spec], policy)[0] for spec, result in zip(group, results)]
-        results[live[0]] = exc
-        return results
     # Photon addition may have grown a row past the cap; a row shorter than its cut takes the bound at its length.
     sizes = [min(max(dim + k - q, 0), policy.max_dim) for dim, k, q in zip(dims, added, subtracted)]
     bounds = [bound if size >= cut else _cut(spec, tail, size)[1] for spec, (cut, bound), size in zip(specs, cuts, sizes)]
     tiny = sys.float_info.min
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-        start_rows, raw_rows = start.reshape(len(specs), -1), raw.reshape(len(specs), -1)
+        start = _start(specs, max(dims))
+        rows = {field: [spec.param(field) for spec in specs] for field in ("n", "added", "subtracted", "alpha", "chi")}
+        raw = oracle.composed(info.word, start, rows)
         lengths, norms = [0] * len(specs), [0.0] * len(specs)
         for row, (index, spec, dim, size) in enumerate(zip(live, specs, dims, sizes)):
-            nrm = norms[row] = _norm(raw_rows[row, :size])
+            nrm = norms[row] = _norm(raw[row, :size])
             try:
-                if nrm * nrm < tiny and dim >= policy.max_dim and _norm(start_rows[row, :dim]) ** 2 < tiny:
+                if nrm * nrm < tiny and dim >= policy.max_dim and _norm(start[row, :dim]) ** 2 < tiny:
                     raise TruncationOverflowError(
                         f"{spec.family} composition is cut away where max_dim={policy.max_dim} caps its basis at {spec}"
                     )
@@ -765,84 +760,23 @@ def _composed_group(group: list[StateSpec], policy: TruncationPolicy) -> list:
                 results[index] = exc
             else:
                 lengths[row] = size
-        for index, length, result in zip(live, lengths, _finished(specs, policy, raw_rows, lengths, norms, bounds)):
+        for index, length, result in zip(live, lengths, _finished(specs, policy, raw, lengths, norms, bounds)):
             if length:
                 results[index] = result
     return results
 
 
-def _composed(specs: list[StateSpec], dims: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """(start, raw) for specs of one family, a row per spec (``_per_spec``), on the widest of ``dims``.
+def _start(specs: list[StateSpec], width: int) -> np.ndarray:
+    """The block a composition of specs of one family starts from, a row per spec: the only closed forms the oracle reads.
 
-    start is the vector a composition starts from: the coherent state
-    |alpha> = D(alpha)|0> from the displaced-Fock kernel, or for the binomial
-    families the plain binomial series of ``_bare_log_amplitudes``. raw is
-    the state assembled from it by operator steps: the DFS group takes
-    D(alpha)|n> = (a† - alpha*)^n |alpha> / sqrt(n!) (the conjugation identity
-    D(alpha) a† D†(alpha) = a† - alpha*, so the only closed form read is the
-    coherent state) and then a^q a†^k; ECS takes |alpha> + |-alpha>, as
-    |-alpha> = (-1)^N |alpha>; Kerr takes e^{-i chi N(N-1)} |alpha>; then the
-    family's hole step zeroes c_0 or applies a†. n, k and q are each one int
-    or a per-spec column (``_shared``); with a column each row takes its own
-    count of steps. Every step is elementwise along the basis, so row i's
-    first dims[i] + k_i - q_i entries are bitwise its one-spec composition.
-    The steps run under one errstate: an overflow leaves inf or NaN for
-    ``checked_norm`` to refuse. This is the one composition kernel.
+    The coherent state |alpha> = D(alpha)|0> from the displaced-Fock kernel,
+    or for the binomial families the plain binomial series.
     """
-    info = specs[0].info
-    width = max(dims)
-    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-        if info.group == "binomial":
-            plain = next(family.name for family in _TABLE if family.group == info.group and family.hole is None)
-            log_s, phase = _bare_log_amplitudes([StateSpec(plain, p=s.p, M=s.M) for s in specs], width)
-        else:
-            log_s, phase = _displaced_fock([s.alpha for s in specs], 0, width)
-        start = np.exp(log_s) * phase
-        raw = start
-        if info.group == "dfs":
-            n = _shared(specs, "n")
-            conj = _per_spec([s.alpha.conjugate() for s in specs])
-            for step in range(_largest(n)):
-                stepped = raise_amplitudes(raw)[..., :width] - conj * raw
-                raw = np.where(step < n, stepped, raw) if isinstance(n, np.ndarray) else stepped
-            scale = _per_spec([_sqrt_factorial(s.param("n")) for s in specs])
-            if isinstance(n, np.ndarray):
-                raw = np.where(n > 0, raw / scale, raw)
-            elif n:
-                raw = raw / scale
-            k, q = _shared(specs, "added"), _shared(specs, "subtracted")
-            raw = _ladder_power(raw, k, raise_amplitudes, raw.shape[-1] + _largest(k))
-            raw = _ladder_power(raw, q, lower_amplitudes, raw.shape[-1])
-        elif info.group == "ecs":
-            raw = raw + (-1.0) ** np.arange(width) * raw
-        elif info.group == "kerr":
-            j = np.arange(width)
-            raw = raw * np.exp(_per_spec([-1j * s.chi for s in specs]) * j * (j - 1))
-        if info.hole == "filtered":
-            raw = raw.copy()
-            raw[..., 0] = 0.0
-        elif info.hole == "added":
-            raw = raise_amplitudes(raw)[..., :width]
-    return start, raw
-
-
-def _ladder_power(block: np.ndarray, count: int | np.ndarray, step, width: int) -> np.ndarray:
-    """``step(block, count)`` for ``step`` one of the core ladder operators and ``count`` a ``_shared`` operand.
-
-    With a per-spec column of counts, each row is stepped once per unit of its
-    own count, in a block of ``width`` columns: a raised row is cut back to
-    the width and a lowered one keeps its last entries, so only entries past
-    the row's own length differ from stepping it alone.
-    """
-    if not isinstance(count, np.ndarray):
-        return step(block, count)
-    out = np.zeros((len(block), width), dtype=np.complex128)
-    out[:, : block.shape[-1]] = block
-    for done in range(_largest(count)):
-        rows = count[:, 0] > done
-        stepped = step(out[rows])[:, :width]
-        out[rows, : stepped.shape[-1]] = stepped
-    return out
+    if specs[0].info.group == "binomial":
+        log_s, phase = _bare_log_amplitudes([StateSpec("Binomial", p=s.p, M=s.M) for s in specs], width)
+    else:
+        log_s, phase = _displaced_fock([s.alpha for s in specs], 0, width)
+    return (np.exp(log_s) * phase).reshape(len(specs), width)
 
 
 def normalization_constant(spec: StateSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
@@ -853,10 +787,7 @@ def normalization_constant(spec: StateSpec, policy: TruncationPolicy = DEFAULT_P
     squared norm leaves the float range, and TruncationOverflowError where
     max_dim cuts it before its tail bound falls to tail_tolerance * 1e-4.
     """
-    (constant,) = normalization_constants([spec], policy)
-    if isinstance(constant, FockLabError):
-        raise constant
-    return constant
+    return _alone(normalization_constants([spec], policy))
 
 
 def normalization_constants(specs: list[StateSpec], policy: TruncationPolicy = DEFAULT_POLICY) -> list[float | FockLabError]:
@@ -958,10 +889,7 @@ def ladder_log_amplitudes(spec: StateSpec) -> tuple[np.ndarray, np.ndarray]:
     at ``_LADDER_TAIL``; log|c_i| is -inf where c_i = 0. Raises what N raises,
     and ConvergenceError where it needs more log-factorials than core serves.
     """
-    (ladder,) = ladders([spec])
-    if isinstance(ladder, FockLabError):
-        raise ladder
-    return ladder
+    return _alone(ladders([spec]))
 
 
 def ladders(specs: list[StateSpec]) -> list[tuple[np.ndarray, np.ndarray] | FockLabError]:
@@ -994,11 +922,8 @@ def _ladder_group(group: list[StateSpec]) -> list:
         log_b, phase = _bare_log_amplitudes([group[live[0]]], length)
         ladders[live[0]] = log_b + log_n, phase
     elif live:
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):  # a row run past its own length must not warn
-                block = _bare_log_amplitudes([group[index] for index in live], max(ladders[index][1] for index in live))
-        except FockLabError:  # the widest pass runs out of log-factorials: each spec takes its own
-            return [ladder if isinstance(ladder, FockLabError) else _ladder_group([spec])[0] for spec, ladder in zip(group, ladders)]
+        with np.errstate(over="ignore", invalid="ignore"):  # a row run past its own length must not warn
+            block = _bare_log_amplitudes([group[index] for index in live], max(ladders[index][1] for index in live))
         for index, log_b, phase in zip(live, *block):
             log_n, length = ladders[index]
             ladders[index] = log_b[:length] + log_n, phase[:length]

@@ -114,9 +114,9 @@ def _result(name: str, abs_err: float, rel_err: float, tol: float, points: int, 
     return CheckResult(name, abs_err, rel_err, tol, err <= tol, points)
 
 
-def check_state_oracle_equivalence(rng: np.random.Generator, points_per_family: int = 20) -> CheckResult:
-    """build_state vs build_by_composition, elementwise, across all families; each side is one batch."""
-    specs = [_random_spec(rng, family) for family in FAMILIES for _ in range(points_per_family)]
+def check_state_oracle_equivalence(rng: np.random.Generator) -> CheckResult:
+    """build_state vs build_by_composition, elementwise, at 20 points of every family; each side is one batch."""
+    specs = [_random_spec(rng, family) for family in FAMILIES for _ in range(20)]
     worst = 0.0
     closed, composed = build_states(specs, _STATE_POLICY), compositions(specs, _STATE_POLICY)
     for state, oracle in zip(_reached(closed), _reached(composed)):
@@ -124,8 +124,8 @@ def check_state_oracle_equivalence(rng: np.random.Generator, points_per_family: 
     return _result("state-factory closed form vs operator composition", worst, worst, 1e-10, len(specs))
 
 
-def check_moment_series(rng: np.random.Generator, n_points: int = 200) -> CheckResult:
-    """moment_series vs moment_oracle on a randomized (family, params, t, j) grid.
+def check_moment_series(rng: np.random.Generator) -> CheckResult:
+    """moment_series vs moment_oracle on 200 points of a randomized (family, params, t, j) grid.
 
     The series come from one ``moment_sums`` call, which sums the points of
     each (t, j) in one pass. The pass metric is relative error for
@@ -134,7 +134,7 @@ def check_moment_series(rng: np.random.Generator, n_points: int = 200) -> CheckR
     """
     families = list(FAMILIES)
     points = []
-    for _ in range(n_points):
+    for _ in range(200):
         family = families[int(rng.integers(0, len(families)))]
         spec = _random_spec(rng, family)
         points.append((spec, int(rng.integers(0, 5)), int(rng.integers(0, 5))))
@@ -149,12 +149,12 @@ def check_moment_series(rng: np.random.Generator, n_points: int = 200) -> CheckR
         worst_abs = max(worst_abs, abs_err)
         metric = abs_err / abs(reference) if abs(reference) >= 1.0 else abs_err * 100.0
         worst_metric = max(worst_metric, metric)
-    return _result("moment series vs ladder oracle", worst_abs, worst_metric, 1e-8, n_points, rel=True)
+    return _result("moment series vs ladder oracle", worst_abs, worst_metric, 1e-8, len(points), rel=True)
 
 
-def check_entropy_closed_forms(rng: np.random.Generator, points_per_family: int = 5) -> CheckResult:
-    """Closed-form linear-entropy series vs the numeric partial trace, every family included."""
-    specs = [_random_spec(rng, family) for family in FAMILIES for _ in range(points_per_family)]
+def check_entropy_closed_forms(rng: np.random.Generator) -> CheckResult:
+    """Closed-form linear-entropy series vs the numeric partial trace, at 5 points of every family."""
+    specs = [_random_spec(rng, family) for family in FAMILIES for _ in range(5)]
     worst = 0.0
     for state, ladder in zip(_reached(build_states(specs, _ORACLE_POLICY)), ladders(specs)):
         numeric = linear_entropy(state)
@@ -183,8 +183,8 @@ def check_witness_coherent_boundary(rng: np.random.Generator) -> CheckResult:
     return _result("witness classical boundary on coherent grid", worst, worst, 1e-8, len(specs))
 
 
-def check_hosps_central_moments(rng: np.random.Generator, n_states: int = 25) -> CheckResult:
-    """The Stirling-weighted sub-Poissonian witness against central moments.
+def check_hosps_central_moments(rng: np.random.Generator) -> CheckResult:
+    """The Stirling-weighted sub-Poissonian witness against central moments, on 25 random states.
 
     For order l the witness equals (-1)^l [ <(N - <N>)^l> minus the same
     central moment of a Poisson distribution with the state's mean ], both
@@ -192,7 +192,7 @@ def check_hosps_central_moments(rng: np.random.Generator, n_states: int = 25) ->
     shared combinatorics.
     """
     worst = 0.0
-    for _ in range(n_states):
+    for _ in range(25):
         dim = int(rng.integers(6, 24))
         state = state_from_amplitudes(rng.normal(size=dim) + 1j * rng.normal(size=dim))
         p = state.probabilities()
@@ -208,13 +208,13 @@ def check_hosps_central_moments(rng: np.random.Generator, n_states: int = 25) ->
                 float(np.dot((n - mean) ** l, p)) - float(np.dot((k - mean) ** l, poisson))
             )
             worst = max(worst, abs(witness - reference) / max(1.0, abs(reference)))
-    return _result("sub-Poissonian witness vs central moments", worst, worst, 1e-8, n_states * 4)
+    return _result("sub-Poissonian witness vs central moments", worst, worst, 1e-8, 25 * 4)
 
 
-def check_hong_mandel_dual_path(rng: np.random.Generator, n_states: int = 30) -> CheckResult:
-    """The normal-ordered triple sum against the direct central-moment expansion."""
+def check_hong_mandel_dual_path(rng: np.random.Generator) -> CheckResult:
+    """The normal-ordered triple sum against the direct central-moment expansion, on 30 random states."""
     worst = 0.0
-    for _ in range(n_states):
+    for _ in range(30):
         dim = int(rng.integers(8, 28))
         raw = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         state = state_from_amplitudes(raw)
@@ -222,16 +222,16 @@ def check_hong_mandel_dual_path(rng: np.random.Generator, n_states: int = 30) ->
             a = witnesses.quadrature_central_moment(state, l, "normal-ordered")
             b = witnesses.quadrature_central_moment(state, l, "binomial")
             worst = max(worst, abs(a - b) / max(1.0, abs(b)))
-    return _result("Hong-Mandel dual evaluation paths", worst, worst, 1e-8, n_states * 3)
+    return _result("Hong-Mandel dual evaluation paths", worst, worst, 1e-8, 30 * 3)
 
 
-def check_normalization_constants(rng: np.random.Generator, points_per_family: int = 6) -> CheckResult:
-    """Numeric normalization of each bare series vs the analytic constants, every family included.
+def check_normalization_constants(rng: np.random.Generator) -> CheckResult:
+    """Numeric normalization of each bare series vs the analytic constants, at 6 points of every family.
 
     The numeric constants come from one ``normalization_constants`` batch; a
     failed one raises when the loop reaches its spec.
     """
-    specs = [_random_spec(rng, family) for family in FAMILIES for _ in range(points_per_family)]
+    specs = [_random_spec(rng, family) for family in FAMILIES for _ in range(6)]
     worst = 0.0
     for spec, numeric in zip(specs, normalization_constants(specs)):
         closed = normalization_constant_closed_form(spec)
@@ -241,8 +241,8 @@ def check_normalization_constants(rng: np.random.Generator, points_per_family: i
     return _result("analytic normalization constants", worst, worst, 1e-9, len(specs))
 
 
-def check_limiting_cases(rng: np.random.Generator, n_points: int = 24) -> CheckResult:
-    """The reduction lattice: each family collapses to its special cases."""
+def check_limiting_cases(rng: np.random.Generator) -> CheckResult:
+    """The reduction lattice: each family collapses to its special cases, at 8 fixed and 24 drawn points."""
     seeds = [
         StateSpec("PADFS", alpha=1.0, n=2),
         StateSpec("PSDFS", alpha=0.8 + 0.4j, n=1),
@@ -253,7 +253,7 @@ def check_limiting_cases(rng: np.random.Generator, n_points: int = 24) -> CheckR
         StateSpec("Kerr", alpha=1.1, chi=0.0),
         StateSpec("Binomial", p=1.0, M=3),
     ]
-    for _ in range(n_points):
+    for _ in range(24):
         family = ("PADFS", "PSDFS")[int(rng.integers(0, 2))]
         seeds.append(
             StateSpec(

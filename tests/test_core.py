@@ -294,7 +294,7 @@ def _referrers(tree, name):
 
 def test_only_the_operator_references_lower_a_vector_outside_core():
     # Moments read the rows each StateVector caches; outside core only the
-    # composition kernel and the quadrature operator X lower a vector.
+    # composition oracle and the quadrature operator X lower a vector.
     package = Path(focklab.__file__).parent
     referrers = {
         f"{path.stem}.{owner}"
@@ -302,7 +302,7 @@ def test_only_the_operator_references_lower_a_vector_outside_core():
         if path.name != "core.py"
         for owner in _referrers(ast.parse(path.read_text()), "lower_amplitudes")
     }
-    assert referrers == {"states._composed", "witnesses._apply_quadrature"}
+    assert referrers == {"oracle.composed", "witnesses._apply_quadrature"}
 
 
 def _package_referrers(name):
@@ -435,3 +435,53 @@ def test_only_states_reads_the_family_taxonomy():
         if isinstance(node, ast.Attribute) and node.attr in ("group", "hole")
     }
     assert readers == set()
+
+
+def test_the_oracle_imports_core_alone():
+    # The composition oracle must not read the closed forms it checks: past
+    # numpy and math, its only import is core's ladder operators.
+    tree = ast.parse((Path(focklab.__file__).parent / "oracle.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported <= {"__future__", "math", "numpy", ".core"}
+
+
+# The closed-form kernels the composition's start block still reads. This set
+# may only shrink: an operator route for the starts empties it.
+_START_KERNELS = {"_displaced_fock", "_bare_log_amplitudes"}
+
+
+def test_the_composition_start_reads_only_the_allowed_closed_forms():
+    tree = ast.parse((Path(focklab.__file__).parent / "states.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    called = {
+        node.func.id
+        for node in ast.walk(functions["_start"])
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in functions
+    }
+    assert called <= _START_KERNELS
+    # Past its start, the composition reaches no closed-form kernel.
+    steps = {
+        node.func.id
+        for node in ast.walk(functions["_composed_group"])
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert not steps & {"_displaced_fock", "_dfs_log_amplitudes", "_bare_log_amplitudes", "bare_coefficients"}
+
+
+def test_every_family_has_a_word_the_oracle_interprets():
+    from focklab import oracle
+    from focklab.states import FAMILY_INFO
+
+    rows = {"n": [2, 0], "added": [1, 0], "subtracted": [1, 2], "alpha": [0.5 + 0.5j, 1.0], "chi": [0.1, -0.2]}
+    start = np.ones((2, 8), dtype=np.complex128)
+    for name, info in FAMILY_INFO.items():
+        assert isinstance(info.word, tuple), name
+        raw = oracle.composed(info.word, start, rows)
+        assert raw.shape[0] == 2 and np.all(np.isfinite(raw)), name
+    with pytest.raises(ValueError, match="no operator step"):
+        oracle.composed(("D",), start, rows)

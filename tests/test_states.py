@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from focklab import core, states
+from focklab import core, oracle, states
 from focklab.core import StateVector, TruncationPolicy, apply_annihilate, apply_create
 from focklab.exceptions import (
     AnnihilatedStateError,
@@ -18,7 +18,7 @@ from focklab.exceptions import (
     TruncationOverflowError,
     TruncationUnsafeError,
 )
-from focklab.moments import moment_oracle, moment_series
+from focklab.moments import moment_oracle, moment_series, moment_sums
 from focklab.states import (
     FAMILIES,
     HOLE_AT_VACUUM,
@@ -533,6 +533,39 @@ def test_batched_ladders_mix_every_family_and_their_errors():
     _assert_ladders_are_per_spec([empty, StateSpec("PSDFS", alpha=0.4j, n=2, subtracted=1)])
 
 
+def test_every_batch_returns_a_failing_pass_as_its_specs_entries():
+    # The binomial series at M = 5e6 needs more log-factorials than core
+    # serves. Alone, or beside a live spec of its family and one of another,
+    # every batch function returns that error as the spec's entry, in order,
+    # and each other entry as its one-spec call gives it.
+    past_cap = StateSpec("Binomial", p=0.3, M=5_000_000)
+    message = "5000001 log-factorials requested"
+    for specs in ([past_cap], [StateSpec("Coherent", alpha=1.0), past_cap, StateSpec("Binomial", p=0.3, M=5)]):
+        where = specs.index(past_cap)
+        for batched, alone in (
+            (build_states, build_state),
+            (compositions, build_by_composition),
+            (normalization_constants, normalization_constant),
+        ):
+            batch = batched(specs, POLICY)
+            assert type(batch[where]) is ConvergenceError and message in str(batch[where])
+            for spec, entry in zip(specs, batch):
+                if spec is not past_cap:
+                    assert _value_outcome(entry) == _value_outcome(alone(spec, POLICY))
+        batch = _assert_ladders_are_per_spec(specs)
+        assert type(batch[where]) is ConvergenceError and message in str(batch[where])
+        sums = moment_sums([(spec, 1, 1) for spec in specs])
+        assert type(sums[where]) is ConvergenceError and message in str(sums[where])
+        assert [value for spec, value in zip(specs, sums) if spec is not past_cap] == [
+            moment_series(spec, 1, 1) for spec in specs if spec is not past_cap
+        ]
+
+
+def _value_outcome(result):
+    """A built state or a constant as comparable data."""
+    return result if isinstance(result, float) else _outcome(result)
+
+
 def test_ladders_of_one_family_past_the_widest_pass_each_take_their_own(monkeypatch):
     # Under a cap of 80 log-factorials each ladder fits alone (58 and 22 + 30
     # entries), but the group's widest pass, the longest cut plus the largest
@@ -607,7 +640,7 @@ def test_dfs_composition_refuses_n_past_170_before_forming_n_factorial(monkeypat
         assert str(caught.value) == message
         refused, live = compositions([StateSpec("DFS", alpha=0.5, n=n), StateSpec("DFS", alpha=0.5, n=2)])
         assert type(refused) is ConvergenceError and str(refused) == message and isinstance(live, StateVector)
-    assert states._sqrt_factorial(170) == math.sqrt(factorial(170))
+    assert oracle._sqrt_factorial(170) == math.sqrt(factorial(170))
 
 
 @pytest.mark.parametrize("n", [512, 513, 2**22])

@@ -70,7 +70,7 @@ def test_injected_sign_error_is_caught(monkeypatch):
         return -value if (n, k) == (3, 2) else value
 
     monkeypatch.setattr(witnesses, "stirling2", corrupted)
-    result = check_hosps_central_moments(np.random.default_rng(0), n_states=5)
+    result = check_hosps_central_moments(np.random.default_rng(0))
     assert not result.passed
 
 
@@ -87,7 +87,7 @@ def test_injected_quadrature_error_is_caught(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(witnesses, "double_factorial", corrupted)
             witnesses._central_moment_terms.cache_clear()
-            result = check_hong_mandel_dual_path(np.random.default_rng(0), n_states=5)
+            result = check_hong_mandel_dual_path(np.random.default_rng(0))
     finally:
         witnesses._central_moment_terms.cache_clear()
     assert not result.passed
