@@ -46,8 +46,9 @@ def moment_oracle(s: StateVector, t: int, j: int) -> complex:
     occupation past the edge adds at most about tail_mass * dim^((t+j)/2) to
     a moment of this order (a loose envelope for factorially decaying tails),
     and the call fails when that exceeds EDGE_TOLERANCE relative to the
-    moment's own scale. States built with the default 1e-12 tail pass for all
-    admissible orders; states pinned against max_dim do not.
+    moment's own scale. The envelope can refuse a sound moment: ECS at
+    |alpha| = 3, built with the default 1e-12 tail, is refused at order 16
+    with an estimate of 56.5.
 
     Each state keeps a memo of its answers, keyed by (t, j): the value and
     the guard's verdict, which depends only on the state, t, j and the

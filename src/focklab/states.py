@@ -449,7 +449,8 @@ def _cut(spec: StateSpec, tail: float, cap: int | None = None, norm: float | Non
     drops t_0. D is found by bisection of the live terms from two below the
     mean, each probe the log bound's Newton step where that stays inside the
     bracket: a few log-factorials a probe, no scan. Where no D <= cap (core's
-    log-factorial cap by default) passes, D is cap, its bound inf if r >= 1.
+    log-factorial cap by default) passes, it returns (cap, inf). Raises what
+    N raises where 1/N^2 overflows, as the bare series' squared norm then does.
     """
     cap = MAX_LOG_FACTORIALS if cap is None else cap
     info, support = spec.info, _support(spec)
@@ -462,9 +463,9 @@ def _cut(spec: StateSpec, tail: float, cap: int | None = None, norm: float | Non
         try:
             log_total = -2.0 * math.log(norm or normalization_constant_closed_form(spec))
         except FockLabError:
-            if abs(spec.param("alpha")) < 1.0:  # 1/N^2 underflows: its first live terms show the build why
-                return min(n + k + 3, cap), 0.0
-            log_total = math.log(sys.float_info.max)  # 1/N^2 overflows: the largest float is below it
+            if abs(spec.param("alpha")) >= 1.0:  # 1/N^2 overflows, and so does the bare series' squared norm
+                raise
+            return min(n + k + 3, cap), 0.0  # 1/N^2 underflows: its first live terms show the build why
     if info.group == "binomial":
         lam, log_q = 0.0, math.log1p(-spec.p)
         log_t0, log_y, mean, lo_length = spec.M * log_q, math.log(spec.M * spec.p) - log_q, spec.M * spec.p, cap
@@ -516,22 +517,22 @@ def _cut(spec: StateSpec, tail: float, cap: int | None = None, norm: float | Non
             i += step * (math.ceil((log_b - log_tail) / -log_r) if log_b < math.inf else max(i // step, 4))
         if not lo <= i < hi:
             i = lo + step * ((hi - lo) // (2 * step))
-    if hi > last:  # nothing passes: the last probe was at last
-        return cap, math.exp(log_b) if log_b < 0.0 else math.inf
+    if hi > last:  # nothing passes
+        return cap, math.inf
     return max(hi - step + 1, lo_length), math.exp(log_hi)
 
 
 def build_state(spec: StateSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> StateVector:
     """Normalized state vector of ``spec`` from its closed-form coefficients.
 
-    ``build_states`` with one spec. The basis, sized once by ``_cut`` and
-    capped at max_dim, drops at most ``policy.tail_tolerance`` of the mass;
-    ``tail_mass`` bounds what it leaves out. Raises AnnihilatedStateError
-    when subtraction kills the state (e.g. PSDFS with v >= 1 from the
-    vacuum), TruncationOverflowError when max_dim cuts the series where no
-    tail bound below 1 holds, and ConvergenceError when the squared norm
-    overflows (undamped ECS and Kerr hole variants past |alpha|^2 ~ 710) or
-    goes subnormal.
+    ``build_states`` with one spec. The basis, sized once by ``_cut``
+    (``_sized``), drops at most ``policy.tail_tolerance`` of the mass, and
+    ``tail_mass`` bounds what it leaves out: at most tail_tolerance * (1 +
+    1e-4). Raises TruncationOverflowError where that basis does not fit
+    max_dim, AnnihilatedStateError when subtraction kills the state (e.g.
+    PSDFS with v >= 1 from the vacuum), and ConvergenceError when the
+    squared norm overflows (undamped ECS and Kerr hole variants past
+    |alpha|^2 ~ 710) or goes subnormal.
     """
     return _alone(build_states([spec], policy))
 
@@ -542,12 +543,12 @@ def build_states(
     """For each spec in order, its ``build_state`` vector or the FockLabError that call raises.
 
     Specs of one family share one kernel pass at their widest ``_cut``
-    length (``_sized_bare``) and one trim (``_finished``), so every state is
+    length (``_bare_pass``) and one trim (``_finished``), so every state is
     bitwise its ``build_state``. A DFS-group pass runs the Laguerre
     recurrence to the group's largest min(n, dim) for every row. Memory
     grows with the batch: callers with many specs pass a chunk at a time.
     """
-    return _by_family(specs, _sized_bare, policy, _finished)
+    return _by_family(specs, _sized, policy, _bare_pass, _finished)
 
 
 def _alone(results: list):
@@ -586,31 +587,50 @@ def _by_family(specs: list[StateSpec], run_group, *args) -> list:
     return results
 
 
-def _sized_bare(group: list[StateSpec], policy: TruncationPolicy, finish) -> list:
+def _sized(group: list[StateSpec], policy: TruncationPolicy, run, *args) -> list:
+    """``run(specs, cuts, policy, *args)`` of the specs whose ``_cut`` fits max_dim, the others refused; one family.
+
+    The one truncation rule of builds, compositions and numeric constants,
+    applied before any kernel pass: each spec is cut at tail_tolerance *
+    ``_PASS_HEADROOM``, and one whose cut does not fit max_dim is refused
+    with TruncationOverflowError, never returned short of its mass. ``run``
+    maps the (size, bound) cuts of the rest to a result per spec.
+    """
+    results: list = []
+    for spec in group:
+        try:
+            size, bound = _cut(spec, policy.tail_tolerance * _PASS_HEADROOM, policy.max_dim)
+            if bound == math.inf:
+                raise TruncationOverflowError(f"{spec.family} needs more than max_dim={policy.max_dim} states at {spec}")
+            results.append((size, bound))
+        except FockLabError as exc:  # refused, or N leaves the float range
+            results.append(exc)
+    live = [index for index, result in enumerate(results) if type(result) is tuple]
+    if live:
+        outcomes = run([group[index] for index in live], [results[index] for index in live], policy, *args)
+        for index, result in zip(live, outcomes):
+            results[index] = result
+    return results
+
+
+def _bare_pass(group: list[StateSpec], cuts: list, policy: TruncationPolicy, finish) -> list:
     """``finish`` of each spec's bare series on its ``_cut`` basis, or the FockLabError that series raises; one family.
 
-    The bases, ``_cut`` at tail_tolerance * ``_PASS_HEADROOM`` and capped at
-    max_dim, share one ``_bare_log_amplitudes`` pass (``_by_family`` runs
-    each spec alone where it runs out of log-factorials). Each row is judged
-    on its length: ConvergenceError where its squared norm overflows, then
-    ``_check_cut`` and ``checked_norm``, under one errstate. ``finish(specs,
+    The bases share one ``_bare_log_amplitudes`` pass (``_by_family`` runs
+    each spec alone where it runs out of log-factorials). ``checked_norm``
+    judges each row on its length, under one errstate. ``finish(specs,
     policy, raw, lengths, norms, bounds)`` maps the pass to a result per row.
     """
-    cuts = [_cut(spec, policy.tail_tolerance * _PASS_HEADROOM, policy.max_dim) for spec in group]
     count = len(group)
     results: list = [None] * count
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         log_b, phase = _bare_log_amplitudes(group, max(size for size, _ in cuts))
         raw_rows = (np.exp(log_b) * phase).reshape(count, -1)
         lengths, norms, bounds = [0] * count, [0.0] * count, [bound for _, bound in cuts]
-        for row, (spec, (size, bound)) in enumerate(zip(group, cuts)):
+        for row, (size, _) in enumerate(cuts):
             nrm = norms[row] = _norm(raw_rows[row, :size])
             try:
-                # The undamped bare series reach e^{|alpha|^2/2}: refuse before their squared norm overflows.
-                if not math.isfinite(nrm * nrm):
-                    raise ConvergenceError(f"{spec.family} bare series norm leaves the float range at {spec}")
-                _check_cut(spec, policy, bound)
-                checked_norm(nrm)
+                checked_norm(nrm)  # the undamped bare series reach e^{|alpha|^2/2}, past the float range
             except FockLabError as exc:
                 results[row] = exc
             else:
@@ -619,12 +639,6 @@ def _sized_bare(group: list[StateSpec], policy: TruncationPolicy, finish) -> lis
             if lengths[row]:
                 results[row] = result
     return results
-
-
-def _check_cut(spec: StateSpec, policy: TruncationPolicy, bound: float) -> None:
-    """TruncationOverflowError where max_dim cuts a series whose tail bound, with the trim's tolerance, reaches 1."""
-    if not bound + policy.tail_tolerance < 1.0:
-        raise TruncationOverflowError(f"{spec.family} series still grows where max_dim={policy.max_dim} cuts it at {spec}")
 
 
 def _norm(x: np.ndarray) -> float:
@@ -689,11 +703,10 @@ def build_by_composition(spec: StateSpec, policy: TruncationPolicy = DEFAULT_POL
 
     ``compositions`` with one spec. Photon addition/subtraction is literal
     repeated ladder application; vacuum filtration literally zeroes c_0 and
-    renormalizes. Raises ConvergenceError where the composition leaves the
-    float range (n! from n = 171, or an overflowing recurrence or norm),
-    TruncationOverflowError where max_dim caps the basis so far below the
-    state that its starting vector is empty, and AnnihilatedStateError for
-    an empty state.
+    renormalizes. Raises TruncationOverflowError where ``build_state`` does
+    (``_sized``), ConvergenceError where the composition leaves the float
+    range (n! from n = 171, or an overflowing recurrence or norm), and
+    AnnihilatedStateError for an empty state.
     """
     return _alone(compositions([spec], policy))
 
@@ -704,24 +717,24 @@ def compositions(
     """For each spec in order, its ``build_by_composition`` vector or the FockLabError that call raises.
 
     Specs of one family are composed as one block at the widest of their
-    bases: ``oracle.composed`` applies the family's operator word to the
+    starts: ``oracle.composed`` applies the family's operator word to the
     block ``_start`` forms. Each row is then cut to its own basis and checked
     on its own, and the rows that pass are trimmed and normalized as one
     block (``_finished``), so every state is bitwise the one-spec one. A DFS
     group runs its (a† - alpha*) steps to the group's largest n for every
     row, so one large n makes its whole family pay for it.
     """
-    return _by_family(specs, _composed_group, policy)
+    return _by_family(specs, _sized, policy, _composed_group)
 
 
-def _composed_group(group: list[StateSpec], policy: TruncationPolicy) -> list:
+def _composed_group(group: list[StateSpec], cuts: list, policy: TruncationPolicy) -> list:
     """``compositions`` of specs of one family: one ``oracle.composed`` block, finished as one block by ``_finished``.
 
     A spec whose n! leaves the float range fails before any arithmetic.
-    Each row is composed on its ``_cut`` basis plus k + q (at most max_dim);
-    a squared norm of 0 or subnormal at max_dim whose start already is means
-    max_dim cut the state away (TruncationOverflowError), else
-    ``checked_norm`` and ``_check_cut`` judge it, under one errstate.
+    Each row is composed from a start of its ``_cut`` basis plus k + q, so
+    that its first cut + 2k entries are exact, and keeps min(cut + 2k,
+    max_dim) of them, never fewer than its cut; ``checked_norm`` judges it,
+    under one errstate.
     """
     info = group[0].info
     if info.group == "fock":  # D(0)|n> = |n>, exactly
@@ -731,31 +744,20 @@ def _composed_group(group: list[StateSpec], policy: TruncationPolicy) -> list:
         if n > 170:
             results[index] = ConvergenceError(f"{n}! leaves the float range: DFS cannot be composed at n = {n}")
     live = [index for index, result in enumerate(results) if result is None]
-    specs = [group[index] for index in live]
+    specs, cuts = [group[index] for index in live], [cuts[index] for index in live]
     if not specs:
         return results
-    tail = policy.tail_tolerance * _PASS_HEADROOM
-    cuts = [_cut(spec, tail, policy.max_dim) for spec in specs]
     added, subtracted = [spec.param("added") for spec in specs], [spec.param("subtracted") for spec in specs]
-    dims = [min(size + k + q, policy.max_dim) for (size, _), k, q in zip(cuts, added, subtracted)]
-    # Photon addition may have grown a row past the cap; a row shorter than its cut takes the bound at its length.
-    sizes = [min(max(dim + k - q, 0), policy.max_dim) for dim, k, q in zip(dims, added, subtracted)]
-    bounds = [bound if size >= cut else _cut(spec, tail, size)[1] for spec, (cut, bound), size in zip(specs, cuts, sizes)]
-    tiny = sys.float_info.min
+    sizes = [min(size + 2 * k, policy.max_dim) for (size, _), k in zip(cuts, added)]
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-        start = _start(specs, max(dims))
+        start = _start(specs, max(size + k + q for (size, _), k, q in zip(cuts, added, subtracted)))
         rows = {field: [spec.param(field) for spec in specs] for field in ("n", "added", "subtracted", "alpha", "chi")}
         raw = oracle.composed(info.word, start, rows)
-        lengths, norms = [0] * len(specs), [0.0] * len(specs)
-        for row, (index, spec, dim, size) in enumerate(zip(live, specs, dims, sizes)):
+        lengths, norms, bounds = [0] * len(specs), [0.0] * len(specs), [bound for _, bound in cuts]
+        for row, (index, size) in enumerate(zip(live, sizes)):
             nrm = norms[row] = _norm(raw[row, :size])
             try:
-                if nrm * nrm < tiny and dim >= policy.max_dim and _norm(start[row, :dim]) ** 2 < tiny:
-                    raise TruncationOverflowError(
-                        f"{spec.family} composition is cut away where max_dim={policy.max_dim} caps its basis at {spec}"
-                    )
                 checked_norm(nrm)
-                _check_cut(spec, policy, bounds[row])
             except FockLabError as exc:
                 results[index] = exc
             else:
@@ -783,9 +785,9 @@ def normalization_constant(spec: StateSpec, policy: TruncationPolicy = DEFAULT_P
     """Numeric normalization constant: 1 / norm of the family's bare coefficient series.
 
     ``normalization_constants`` with one spec. The series is summed on
-    ``build_state``'s ``_cut`` basis. Raises ConvergenceError where its
-    squared norm leaves the float range, and TruncationOverflowError where
-    max_dim cuts it before its tail bound falls to tail_tolerance * 1e-4.
+    ``build_state``'s ``_cut`` basis, and refused where ``build_state`` is:
+    TruncationOverflowError where that basis does not fit max_dim,
+    ConvergenceError where its squared norm leaves the float range.
     """
     return _alone(normalization_constants([spec], policy))
 
@@ -796,18 +798,12 @@ def normalization_constants(specs: list[StateSpec], policy: TruncationPolicy = D
     Each family's bare series come from one kernel pass, as in
     ``build_states``, so every constant is bitwise the one-spec value.
     """
-    return _by_family(specs, _sized_bare, policy, _normalization_rows)
+    return _by_family(specs, _sized, policy, _bare_pass, _normalization_rows)
 
 
 def _normalization_rows(specs, policy: TruncationPolicy, raw, lengths: list[int], norms: list, bounds: list) -> list:
-    """``normalization_constant`` of each row of a ``_sized_bare`` pass (``raw`` unused); None for a row of length 0."""
-    results: list = []
-    for spec, length, nrm, bound in zip(specs, lengths, norms, bounds):
-        if length and bound > policy.tail_tolerance * _PASS_HEADROOM:
-            results.append(TruncationOverflowError(f"{spec.family} bare series is cut at max_dim={policy.max_dim}, tail bound {bound:.2e}"))
-        else:
-            results.append(1.0 / nrm if length else None)
-    return results
+    """``normalization_constant`` of each row of a ``_bare_pass`` (``raw`` and ``bounds`` unused); None for a row of length 0."""
+    return [1.0 / nrm if length else None for length, nrm in zip(lengths, norms)]
 
 
 def _dfs_norm_sq(lam: float, n: int, k: int, q: int) -> float:

@@ -191,21 +191,25 @@ def _long_double_entropy(s):
     return max(float(1.0 - np.sum(gram.real**2 + gram.imag**2)), 0.0)
 
 
+# At |alpha| = 20 the basis for tail 1e-16 is longer than POLICY's 512 states.
+WINDOW_POLICY = TruncationPolicy(max_dim=1024, tail_tolerance=1e-16)
+
+
 def _window_cases():
     rng = np.random.default_rng(2005)
     for family in ("Coherent", "Kerr", "PADFS", "ECS"):  # ECS has one parity
         for mag in (8.0, 15.0, 20.0):
             spec = StateSpec(family, alpha=mag * np.exp(0.7j), added=1, chi=0.29)
-            yield pytest.param(build_state(spec, POLICY), id=f"{family}-{mag:g}")
+            yield pytest.param(build_state(spec, WINDOW_POLICY), id=f"{family}-{mag:g}")
     for dim in (65, 97, 161, 300):
         yield pytest.param(_random_state(rng, dim), id=f"random-{dim}")
     # Nearly no mass below n = 68, so the window starts past 0 (lo = 6).
-    yield pytest.param(build_state(StateSpec("DFS", alpha=0.5, n=100), POLICY), id="DFS-n100")
+    yield pytest.param(build_state(StateSpec("DFS", alpha=0.5, n=100), WINDOW_POLICY), id="DFS-n100")
 
 
 @pytest.mark.parametrize("s", _window_cases())
 def test_entropy_over_the_mass_window_matches_the_whole_split(s):
-    assert _ONE_PRODUCT_MAX < s.dim <= POLICY.max_dim
+    assert _ONE_PRODUCT_MAX < s.dim <= WINDOW_POLICY.max_dim
     tau = interferometry._WINDOW_MASS
     lo, hi = interferometry._mass_window(s.probabilities(), interferometry._split_weights(s.dim))
     mass = np.abs(beam_splitter_split(s)) ** 2

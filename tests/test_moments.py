@@ -158,10 +158,8 @@ def test_moment_order_cap():
 
 
 def test_truncation_unsafe_detection():
-    # A state chopped hard at the cap cannot support high-order moments.
-    hot = build_state(
-        StateSpec("Coherent", alpha=3.0), TruncationPolicy(max_dim=12, tail_tolerance=1e-12)
-    )
+    # A state built at a loose tail cannot support high-order moments.
+    hot = build_state(StateSpec("Coherent", alpha=3.0), TruncationPolicy(tail_tolerance=1e-3))
     assert hot.tail_mass > 1e-6
     with pytest.raises(TruncationUnsafeError):
         moment_oracle(hot, 4, 4)
@@ -201,9 +199,7 @@ def test_oracle_is_the_vdot_of_lowered_vectors_bitwise(order, rng):
 def test_cached_rows_do_not_bypass_the_truncation_guard():
     # Every row the order-8 moment reads is already on the state; the guard
     # still runs on every call, and a safe order-2 moment stays safe.
-    hot = build_state(
-        StateSpec("Coherent", alpha=3.0), TruncationPolicy(max_dim=12, tail_tolerance=1e-12)
-    )
+    hot = build_state(StateSpec("Coherent", alpha=3.0), TruncationPolicy(tail_tolerance=1e-3))
     hot.lowered(4)
     messages = []
     for _ in range(3):  # the first read computes the verdict, the others read it back
@@ -211,7 +207,7 @@ def test_cached_rows_do_not_bypass_the_truncation_guard():
             moment_oracle(hot, 4, 4)
         messages.append(str(refused.value))
     assert len(set(messages)) == 1 and "order 8" in messages[0]
-    mild = build_state(StateSpec("Coherent", alpha=1.0), TruncationPolicy(max_dim=12, tail_tolerance=1e-12))
+    mild = build_state(StateSpec("Coherent", alpha=1.0), TruncationPolicy(tail_tolerance=1e-9))
     assert 0.0 < mild.tail_mass < 1e-8
     assert moment_oracle(mild, 1, 1).real == pytest.approx(1.0, abs=1e-7)
     assert moment_oracle(mild, 2, 0) == pytest.approx(1.0, abs=1e-6)

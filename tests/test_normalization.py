@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from focklab.core import TruncationPolicy
+from focklab.core import StateVector, TruncationPolicy
 from focklab.exceptions import AnnihilatedStateError, ConvergenceError, FockLabError, TruncationOverflowError
 from focklab.interferometry import linear_entropy, linear_entropy_closed_form
 from focklab.moments import moment_oracle, moment_series
@@ -25,10 +25,13 @@ from focklab.states import (
     StateSpec,
     build_by_composition,
     build_state,
+    build_states,
+    compositions,
     normalization_constant,
     normalization_constant_closed_form,
     state_distance,
 )
+from focklab.witnesses import mandel_q
 
 POLICY = TruncationPolicy(max_dim=512, tail_tolerance=1e-16)
 ORACLE_POLICY = TruncationPolicy(max_dim=512, tail_tolerance=1e-32)
@@ -278,3 +281,56 @@ def test_closed_forms_are_finite_or_refused(family, log_mag, phase, chi, p, M):
     for order, moment in moments.items():
         _assert_moment_close(moment, moment_oracle(state, *order))
     assert abs(entropy - linear_entropy(state)) <= 1e-8
+
+
+_ANY_SPEC = st.builds(
+    StateSpec,
+    family=st.sampled_from(FAMILIES),
+    alpha=st.builds(lambda mag, phase: mag * cmath.exp(1j * phase), st.floats(0.0, 40.0), st.floats(-math.pi, math.pi)),
+    n=st.integers(0, 20),
+    added=st.integers(0, 20),
+    subtracted=st.integers(0, 20),
+    p=st.floats(0.0, 1.0),
+    M=st.integers(0, 2000),
+    chi=st.floats(-math.pi, math.pi),
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    specs=st.lists(_ANY_SPEC, min_size=1, max_size=3),
+    max_dim=st.integers(8, 1024),
+    log_tail=st.floats(-20.0, -6.0),
+)
+def test_a_truncation_policy_is_a_promise(specs, max_dim, log_tail):
+    # One rule refuses alike for builds, compositions and numeric constants,
+    # and every state returned keeps all but tail_tolerance * (1 + 1e-4) of
+    # its mass, up to the rounding of the bound's exp(log).
+    policy = TruncationPolicy(max_dim, 10.0**log_tail)
+    returned = [*build_states(specs, policy), *compositions(specs, policy)]
+    for spec in specs:
+        state, built = _outcome(lambda: build_state(spec, policy))
+        composed, by_composition = _outcome(lambda: build_by_composition(spec, policy))
+        _, numeric = _outcome(lambda: normalization_constant(spec, policy))
+        assert (built is TruncationOverflowError) == (numeric is TruncationOverflowError), (built, numeric)
+        assert built is not TruncationOverflowError or by_composition is TruncationOverflowError, by_composition
+        returned += [state, composed]
+    for state in returned:
+        if isinstance(state, StateVector):
+            assert state.tail_mass <= policy.tail_tolerance * (1.0 + 1e-4) * (1.0 + 1e-12)
+
+
+def test_a_coherent_state_past_max_dim_is_refused_not_read_short():
+    # Under the default max_dim of 512 the coherent states at |alpha| = 22 and
+    # 20 were returned cut: at 22 missing 14% of its mass, with a linear
+    # entropy of 0.109 where the truth is 0; at 20 with a Mandel Q of -1.4e-6,
+    # flagged nonclassical. Both are refused now, and build whole on 1024 states.
+    far, near = StateSpec("Coherent", alpha=22.0), StateSpec("Coherent", alpha=20.0)
+    for spec in (far, near):
+        with pytest.raises(TruncationOverflowError):
+            build_state(spec)
+    wide = TruncationPolicy(max_dim=1024)
+    far_state, near_state = build_state(far, wide), build_state(near, wide)
+    assert (far_state.dim, near_state.dim) == (648, 550)
+    assert 0.0 <= linear_entropy(far_state) <= 1e-11
+    assert abs(mandel_q(near_state).value) <= 1e-9

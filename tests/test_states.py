@@ -206,23 +206,34 @@ def test_composed_dfs_past_the_factorial_float_range_is_refused():
     ids=["norm-overflows", "recurrence-overflows", "ladder-steps-overflow"],
 )
 def test_composed_dfs_past_the_float_range_is_refused_without_a_warning(spec):
-    # The composed amplitudes (or only their squared norm) leave the float range.
+    # The composed amplitudes (or only their squared norm) leave the float
+    # range; PASDFS at |alpha| = 45 needs more than 4096 states, so max_dim is 8192.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceError, match="float range"):
-            build_by_composition(spec, TruncationPolicy(4096))
+            build_by_composition(spec, TruncationPolicy(8192))
 
 
 @pytest.mark.parametrize(
-    "spec",
-    [StateSpec("Coherent", alpha=100.0), StateSpec("DFS", alpha=100.0, n=150), StateSpec("ECS", alpha=100.0)],
+    "spec, error",
+    [
+        (StateSpec("Coherent", alpha=100.0), TruncationOverflowError),
+        (StateSpec("DFS", alpha=100.0, n=150), TruncationOverflowError),
+        (StateSpec("ECS", alpha=100.0), ConvergenceError),
+    ],
     ids=["coherent", "dfs-150", "ecs"],
 )
-def test_composition_cut_away_by_max_dim_names_the_cut(spec):
-    # On 4096 states every amplitude of |alpha = 100> underflows, so the
-    # composed vector is empty because max_dim cuts it, not because the state is.
-    with pytest.raises(TruncationOverflowError, match="max_dim=4096"):
-        build_by_composition(spec, TruncationPolicy(4096))
+def test_composition_cut_away_by_max_dim_names_the_cut(spec, error):
+    # On 4096 states every amplitude of |alpha = 100> underflows. The
+    # composition is refused before it starts, with build_state's error: the
+    # basis past max_dim, or for ECS its N past the float range.
+    policy = TruncationPolicy(4096)
+    with pytest.raises(error) as built:
+        build_state(spec, policy)
+    with pytest.raises(error) as composed:
+        build_by_composition(spec, policy)
+    assert str(composed.value) == str(built.value)
+    assert error is not TruncationOverflowError or "max_dim=4096" in str(built.value)
 
 
 def test_composition_empty_on_every_basis_stays_annihilated_under_a_capping_max_dim():
@@ -309,11 +320,15 @@ def test_batch_matches_per_spec_builds_at_the_edges():
     # would wrap from i = 4 here, alone but not beside a float coupling.
     kerr = [StateSpec("Kerr", alpha=1.3, chi=chi) for chi in (10**18, 0.2)]
     _assert_batch_is_per_spec(kerr, POLICY)
-    # n past the log-factorial table fails each spec of the group, not the batch.
+    # n = 2^22 needs more than max_dim states: refused before any kernel pass.
     past_table = [StateSpec("DFS", alpha=a, n=2**22) for a in (0.5, 1.0)]
+    assert all(isinstance(r, TruncationOverflowError) for r in _assert_batch_is_per_spec(past_table, TruncationPolicy(8)))
+    # M past the log-factorial table fits max_dim at p = 1e-9, but its pass fails
+    # each spec of the group, not the batch.
+    past_table = [StateSpec("Binomial", p=p, M=2**22) for p in (1e-9, 2e-9)]
     assert all(isinstance(r, ConvergenceError) for r in _assert_batch_is_per_spec(past_table, TruncationPolicy(8)))
-    # Beside small-n specs of its family it sends the group back to per-spec builds, and the small specs still build.
-    beside = [StateSpec("DFS", alpha=0.5, n=1), StateSpec("DFS", alpha=1.0, n=2**22), StateSpec("DFS", alpha=0.3j, n=0)]
+    # Beside small-M specs of its family it sends the group back to per-spec builds, and the small specs still build.
+    beside = [StateSpec("Binomial", p=0.5, M=1), StateSpec("Binomial", p=1e-9, M=2**22), StateSpec("Binomial", p=0.3, M=4)]
     batch = _assert_batch_is_per_spec(beside, POLICY)
     assert [type(r) for r in batch] == [StateVector, ConvergenceError, StateVector]
     # The undamped ECS series past |alpha|^2 = 1416 leaves the float range.
@@ -338,51 +353,58 @@ def test_batch_mixes_shapes_within_a_family():
     binomial = [StateSpec("Binomial", p=0.4, M=M) for M in (0, 1, 12, 360)]
     batch = _assert_batch_is_per_spec(binomial, TruncationPolicy(512, 1e-16))
     assert [r.dim for r in batch][:2] == [1, 2]
-    # A NaN in the recurrence of a row past the float range must not stop the
-    # rescaling of its neighbour, which builds alone at |alpha| = 45, n = 600
-    # (a quarter of its mass lies past 4096 states).
+    # |alpha| = 45, n = 600 builds (a quarter of its mass lies past 4096
+    # states); |alpha| = 1e100 is refused before the pass. In the kernel, a NaN
+    # in the recurrence of the row past the float range must not stop the
+    # rescaling of its neighbour.
     far = [StateSpec("DFS", alpha=45.0, n=600), StateSpec("DFS", alpha=1e100, n=600)]
     batch = _assert_batch_is_per_spec(far, TruncationPolicy(8192))
-    assert [type(r) for r in batch] == [StateVector, ConvergenceError]
+    assert [type(r) for r in batch] == [StateVector, TruncationOverflowError]
+    with np.errstate(invalid="ignore", over="ignore"):
+        pair = states._displaced_fock([45.0, 1e100], 600, batch[0].dim)
+    alone = states._displaced_fock([45.0], 600, batch[0].dim)
+    assert pair[0][0].tobytes() == alone[0].tobytes() and pair[1][0].tobytes() == alone[1].tobytes()
     # Mixed added and subtracted counts in one PASDFS group.
     pasdfs = [StateSpec("PASDFS", alpha=a, n=n, added=k, subtracted=q) for a, n, k, q in ((1.2, 0, 2, 0), (0.4j, 3, 0, 4), (2.0, 1, 1, 1))]
     _assert_batch_is_per_spec(pasdfs, POLICY)
 
 
-def test_batch_finishes_trimmed_pinned_and_overflowing_rows_of_one_family():
-    # One VFKS block at tail 1e-300: |alpha| = 1 is trimmed inside its cut,
-    # |alpha|^2 = 700 is pinned at max_dim with the cut's bound there as its
-    # tail, and |alpha|^2 = 750 overflows its squared norm on the pass.
-    policy = TruncationPolicy(1024, 1e-300)
-    specs = [StateSpec("VFKS", alpha=a, chi=0.1) for a in (1.0, math.sqrt(700.0), math.sqrt(750.0))]
+def test_batch_finishes_trimmed_refused_and_overflowing_rows_of_one_family():
+    # One ECS block at tail 1e-300: |alpha| = 1 is trimmed inside its cut,
+    # |alpha|^2 = 700 keeps all but its tolerance, |alpha|^2 = 712 overflows
+    # its squared norm on the pass, and |alpha|^2 = 1000 needs more than
+    # max_dim states, so it is refused before the pass.
+    policy = TruncationPolicy(2048, 1e-300)
+    specs = [StateSpec("ECS", alpha=math.sqrt(x)) for x in (1.0, 700.0, 712.0, 1000.0)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         batch = _assert_batch_is_per_spec(specs, policy)
     assert batch[0].dim < _cut(specs[0], policy.tail_tolerance * 1e-4, policy.max_dim)[0]
-    assert batch[1].dim == policy.max_dim and batch[1].tail_mass > 0.0
-    assert batch[1].tail_mass == _cut(specs[1], policy.tail_tolerance * 1e-4, policy.max_dim)[1]
+    assert batch[1].dim <= _cut(specs[1], policy.tail_tolerance * 1e-4, policy.max_dim)[0] < policy.max_dim
+    assert 0.0 < batch[1].tail_mass <= policy.tail_tolerance * (1.0 + 1e-4)
     assert isinstance(batch[2], ConvergenceError)
+    assert isinstance(batch[3], TruncationOverflowError)
 
 
 def test_one_batch_runs_every_finishing_branch():
     # At tail 1e-300 under max_dim 4096: |alpha| = 1 (VFKS, PSDFS) and PSDFS
-    # (38, n = 170) are trimmed inside their long cuts; |alpha|^2 = 3500 is
-    # pinned at max_dim with its certified tail bound; VFKS at |alpha|^2 = 750
-    # overflows its bare norm, and the composition's 170 steps at |alpha| = 38
-    # overflow; PSDFS from n = 1 with q = 3 at alpha = 0 is empty; Binomial
-    # M = 3 keeps its whole support, and M = 360 at p = 0.05 is trimmed on its
-    # first basis. The specs run as one batch, shuffled, and each as a batch
-    # of one, through both builders.
+    # (30, n = 170, q = 40) are trimmed inside their long cuts; |alpha|^2 =
+    # 3500 needs more than max_dim states and is refused; VFKS at |alpha|^2 =
+    # 750 has a 1/N^2 past the float range, and the composition's 170 and 40
+    # steps at |alpha| = 30 overflow; PSDFS from n = 1 with q = 3 at alpha = 0 is empty;
+    # Binomial M = 3 keeps its whole support, and M = 360 at p = 0.05 is
+    # trimmed on its first basis. The specs run as one batch, shuffled, and
+    # each as a batch of one, through both builders.
     policy = TruncationPolicy(4096, 1e-300)
     deep = StateSpec("VFKS", alpha=1.0, chi=0.1)
     overflowing = StateSpec("VFKS", alpha=math.sqrt(750.0), chi=0.1)
     trimmed_deep = StateSpec("PSDFS", alpha=1.0, n=2, subtracted=1)
-    pinned = StateSpec("PSDFS", alpha=math.sqrt(3500.0))
-    composition_overflows = StateSpec("PSDFS", alpha=38.0, n=170)
+    refused = StateSpec("PSDFS", alpha=math.sqrt(3500.0))
+    composition_overflows = StateSpec("PSDFS", alpha=30.0, n=170, subtracted=40)
     empty = StateSpec("PSDFS", alpha=0, n=1, subtracted=3)
     whole = StateSpec("Binomial", p=0.4, M=3)
     trimmed = StateSpec("Binomial", p=0.05, M=360)
-    specs = [trimmed_deep, trimmed, deep, empty, pinned, whole, overflowing, composition_overflows]
+    specs = [trimmed_deep, trimmed, deep, empty, refused, whole, overflowing, composition_overflows]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         built = dict(zip(specs, _assert_batch_is_per_spec(specs, policy)))
@@ -391,14 +413,12 @@ def test_one_batch_runs_every_finishing_branch():
             assert _outcome(_assert_batch_is_per_spec([spec], policy)[0]) == _outcome(built[spec])
             alone = _assert_batch_is_per_spec([spec], policy, compositions, build_by_composition)[0]
             assert _outcome(alone) == _outcome(composed[spec])
-    # PSDFS (38, n = 170) is cut at max_dim, short of its bound's reach, so its
-    # tail_mass carries the bound at max_dim though its trim keeps 3851 states.
     for spec in (deep, trimmed_deep, composition_overflows):
         size, bound = _cut(spec, policy.tail_tolerance * 1e-4, policy.max_dim)
-        assert built[spec].dim < size and 0.0 < bound <= built[spec].tail_mass
-    for result in (built[pinned], composed[pinned]):
-        assert result.dim == policy.max_dim and result.tail_mass > 0.0
-    assert isinstance(built[overflowing], ConvergenceError) and isinstance(composed[composition_overflows], ConvergenceError)
+        assert built[spec].dim < size and 0.0 < bound <= built[spec].tail_mass <= policy.tail_tolerance * (1.0 + 1e-4)
+    assert isinstance(built[refused], TruncationOverflowError) and isinstance(composed[refused], TruncationOverflowError)
+    assert isinstance(built[overflowing], ConvergenceError) and isinstance(composed[overflowing], ConvergenceError)
+    assert isinstance(composed[composition_overflows], ConvergenceError)
     assert isinstance(built[empty], AnnihilatedStateError) and isinstance(composed[empty], AnnihilatedStateError)
     for result in (built[whole], composed[whole]):
         assert result.dim == whole.M + 1 and result.tail_mass == 0.0
@@ -407,14 +427,14 @@ def test_one_batch_runs_every_finishing_branch():
 
 
 def test_tail_mass_is_a_float_on_every_path():
-    # |alpha|^2 = 700 is pinned at max_dim, where its tail is the cut's bound
-    # there; |alpha| = 1 is not.
-    policy = TruncationPolicy(1024, 1e-300)
-    pinned = StateSpec("VFKS", alpha=math.sqrt(700.0), chi=0.1)
-    alone = build_state(pinned, policy)
-    assert alone.dim == policy.max_dim and alone.tail_mass > 0.0
-    batch = build_states([StateSpec("VFKS", alpha=1.0, chi=0.1), pinned], policy)
-    for state in (alone, *batch, *compositions([pinned, StateSpec("Kerr", alpha=1.0)], policy)):
+    # |alpha|^2 = 700 keeps 1,899 states at tail 1e-300, its tail the trimmed
+    # suffix plus the cut's bound; |alpha| = 1 keeps fewer than its cut.
+    policy = TruncationPolicy(2048, 1e-300)
+    deep = StateSpec("VFKS", alpha=math.sqrt(700.0), chi=0.1)
+    alone = build_state(deep, policy)
+    assert 0.0 < alone.tail_mass <= policy.tail_tolerance * (1.0 + 1e-4)
+    batch = build_states([StateSpec("VFKS", alpha=1.0, chi=0.1), deep], policy)
+    for state in (alone, *batch, *compositions([deep, StateSpec("Kerr", alpha=1.0)], policy)):
         assert type(state.tail_mass) is float
 
 
@@ -441,16 +461,20 @@ def test_tail_mass_bounds_the_mass_a_basis_four_times_larger_puts_past_dim(famil
 
 @pytest.mark.parametrize("subtracted", (1, 2))
 def test_a_composition_cut_by_max_dim_reports_its_tail(subtracted):
-    # A composed photon-subtracted row keeps one entry fewer per subtracted
-    # photon than the max_dim basis it was composed on; it is still pinned.
-    policy = TruncationPolicy(1024, 1e-14)
+    # Under max_dim 1024 the 1,176-state cut does not fit: the composition is
+    # refused as the build is. Under a max_dim of exactly its cut, a composed
+    # photon-subtracted row starts q entries past max_dim, so it still keeps
+    # its whole cut, and reports a tail within the policy, as the build does.
     spec = StateSpec("PSDFS", alpha=30.0, subtracted=subtracted)
+    for evaluate in (build_state, build_by_composition):
+        with pytest.raises(TruncationOverflowError):
+            evaluate(spec, TruncationPolicy(1024, 1e-14))
+    policy = TruncationPolicy(_cut(spec, 1e-18)[0], 1e-14)
     built, composed = build_state(spec, policy), build_by_composition(spec, policy)
-    assert composed.dim == policy.max_dim - subtracted
-    assert built.tail_mass / 2.0 <= composed.tail_mass <= 2.0 * built.tail_mass
+    assert state_distance(built, composed) <= 1e-10
     for state in (built, composed):
-        with pytest.raises(TruncationUnsafeError):
-            moment_oracle(state, 1, 1)
+        assert 0.0 < state.tail_mass <= policy.tail_tolerance * (1.0 + 1e-4)
+        assert moment_oracle(state, 1, 1).real == pytest.approx(moment_series(spec, 1, 1).real, rel=1e-10)
 
 
 def _batch_normalization_is_per_spec(specs, policy):
@@ -535,10 +559,11 @@ def test_batched_ladders_mix_every_family_and_their_errors():
 
 def test_every_batch_returns_a_failing_pass_as_its_specs_entries():
     # The binomial series at M = 5e6 needs more log-factorials than core
-    # serves. Alone, or beside a live spec of its family and one of another,
-    # every batch function returns that error as the spec's entry, in order,
-    # and each other entry as its one-spec call gives it.
-    past_cap = StateSpec("Binomial", p=0.3, M=5_000_000)
+    # serves; at p = 1e-9 its basis fits max_dim, so its pass runs and fails.
+    # Alone, or beside a live spec of its family and one of another, every
+    # batch function returns that error as the spec's entry, in order, and
+    # each other entry as its one-spec call gives it.
+    past_cap = StateSpec("Binomial", p=1e-9, M=5_000_000)
     message = "5000001 log-factorials requested"
     for specs in ([past_cap], [StateSpec("Coherent", alpha=1.0), past_cap, StateSpec("Binomial", p=0.3, M=5)]):
         where = specs.index(past_cap)
@@ -612,7 +637,7 @@ def test_batched_compositions_keep_their_errors_in_draw_order():
         4: (StateSpec("DFS", alpha=0.5, n=171), ConvergenceError),
         19: (StateSpec("PSDFS", alpha=0, n=1, subtracted=3), AnnihilatedStateError),
         33: (StateSpec("DFS", alpha=38.0, n=170), ConvergenceError),
-        40: (StateSpec("Binomial", p=0.5, M=2**22), ConvergenceError),
+        40: (StateSpec("Binomial", p=1e-9, M=2**22), ConvergenceError),
     }
     for index, (spec, _) in errors.items():
         specs[index:index] = [spec]
@@ -633,12 +658,15 @@ def test_dfs_composition_refuses_n_past_170_before_forming_n_factorial(monkeypat
         return factorial(n)
 
     monkeypatch.setattr(math, "factorial", bounded)
+    # n = 10^6 takes 1,149,159 states at the default tail: under a max_dim that
+    # holds them, the composition is refused for its n, not for its basis.
+    policy = TruncationPolicy(max_dim=2**21)
     for n in (171, 10**6):
         message = f"{n}! leaves the float range: DFS cannot be composed at n = {n}"
         with pytest.raises(ConvergenceError) as caught:
-            build_by_composition(StateSpec("DFS", alpha=0.5, n=n))
+            build_by_composition(StateSpec("DFS", alpha=0.5, n=n), policy)
         assert str(caught.value) == message
-        refused, live = compositions([StateSpec("DFS", alpha=0.5, n=n), StateSpec("DFS", alpha=0.5, n=2)])
+        refused, live = compositions([StateSpec("DFS", alpha=0.5, n=n), StateSpec("DFS", alpha=0.5, n=2)], policy)
         assert type(refused) is ConvergenceError and str(refused) == message and isinstance(live, StateVector)
     assert oracle._sqrt_factorial(170) == math.sqrt(factorial(170))
 
