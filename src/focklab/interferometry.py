@@ -19,7 +19,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .core import DEFAULT_POLICY, StateVector, log_factorials
 from .exceptions import ConvergenceError, FockLabError, StationaryPointError
-from .states import StateSpec, ladders
+from .states import StateSpec, ladder_log_amplitudes
 
 # Longest s = n + r < 2 cut - 1 the closed-form entropy sums over (|alpha| ~ 38,
 # M = 2047). Its cut x (2 cut - 1) weight and term grids take 48 cut^2 bytes,
@@ -214,9 +214,10 @@ def linear_entropy_closed_form(spec: StateSpec) -> float:
     amplitudes c_n (``_entropy_sum``). Agrees with
     ``linear_entropy(build_state(spec))`` within 1e-8; raises what the
     ladder raises, and ConvergenceError for a series of more than
-    ``_ENTROPY_MAX_TERMS`` terms.
+    ``_ENTROPY_MAX_TERMS`` terms. It reads the held ladder of
+    ``ladder_log_amplitudes`` (see there).
     """
-    return _entropy_sum(ladders([spec])[0])
+    return _entropy_sum(ladder_log_amplitudes(spec))
 
 
 def _two_copy_weights(d: int) -> np.ndarray:

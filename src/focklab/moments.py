@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import DEFAULT_POLICY, StateVector, TruncationPolicy
 from .exceptions import FockLabError, InvalidParameterError, TruncationUnsafeError
-from .states import StateSpec, _alone, ladders
+from .states import StateSpec, ladder_log_amplitudes, ladders
 
 # Power budget: truncation error grows with t + j, so cap the order.
 MAX_TOTAL_ORDER = 16
@@ -96,10 +96,11 @@ def moment_series(
     normalized amplitudes of ``states.ladder_log_amplitudes``, whose errors
     (AnnihilatedStateError, ConvergenceError) it passes on once the powers
     pass. ``policy`` is unused: the ladder sets its own length. It stays
-    because ``perfbench/workloads.py`` passes it.
+    because ``perfbench/workloads.py`` passes it. The orders of one spec
+    read one held ladder (see ``ladder_log_amplitudes``).
     """
     _check_powers(t, j)
-    return _moment_pass([_alone(ladders([spec]))], t, j)[0]
+    return _moment_pass([ladder_log_amplitudes(spec)], t, j)[0]
 
 
 def moment_sums(points: list[tuple[StateSpec, int, int]]) -> list[complex | FockLabError]:

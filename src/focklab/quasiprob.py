@@ -136,7 +136,9 @@ def q_function_closed_form(spec: StateSpec, beta: complex) -> float:
     The c_m are the closed-form amplitudes of ``states.ladder_log_amplitudes``,
     read from the spec parameters alone, and the coherent-state weights are
     assembled here in log space, not by ``_overlap_weights``; used to
-    cross-check ``q_function`` on every family.
+    cross-check ``q_function`` on every family. A Q map read point by point
+    computes one ladder: the beta of one spec read the ladder
+    ``ladder_log_amplitudes`` holds (see there).
     """
     log_c, phase = ladder_log_amplitudes(spec)
     beta = complex(beta)

@@ -498,15 +498,16 @@ def _cut(spec: StateSpec, tail: float, cap: int | None = None, norm: float | Non
     log_x = math.log(mean) - math.log(x)  # mean / x underflows where |alpha|^2 is subnormal
     x -= (x * log_x + x - mean - 0.5 * math.log(2 * math.pi * x) - log_tail) / (log_x - 0.5 / x)
     i = min(max(first + step * math.ceil((x - first) / step), first), last)
-    table = log_factorials(min(2 * (i + q + n) + 4, MAX_LOG_FACTORIALS))
+    # Twice the highest index this probe reads (max(i + q, n)), as core's table doubles: room for the probes above it.
+    table = log_factorials(min(2 * max(i + q, n) + 2, MAX_LOG_FACTORIALS))
     lo, hi = first, last + step  # live terms below lo fail; hi is the first known to pass
     while lo < hi:
         try:
             log_r = log_ratio(i) + (log_ratio(i + 1) if step == 2 else 0.0)
             log_b = log_term(i) - math.log(-math.expm1(log_r)) if log_r < 0.0 else math.inf
-        except IndexError:  # past the log-factorials fetched so far: fetch twice as far, or fail past core's cap
+        except IndexError:  # past the log-factorials fetched so far: fetch twice this probe's, or fail past core's cap
             if len(table) < MAX_LOG_FACTORIALS:
-                table = log_factorials(min(2 * (i + q + n) + 4, MAX_LOG_FACTORIALS))
+                table = log_factorials(min(2 * max(i + q, n) + 2, MAX_LOG_FACTORIALS))
                 continue
             log_b = math.inf
         if log_b <= log_tail:
@@ -850,8 +851,11 @@ def normalization_constant_closed_form(spec: StateSpec) -> float:
     Fock and the plain Kerr and binomial series are normalized as written.
     Raises AnnihilatedStateError where filtration or subtraction leaves
     nothing to normalize (1/N^2 = 0, e.g. the vacuum-filtered vacuum), and
-    ConvergenceError where 1/N^2 overflows or goes subnormal, or N itself
-    goes subnormal (ECS past |alpha|^2 ~ 1416).
+    ConvergenceError where 1/N^2 overflows or goes subnormal. Plain ECS
+    writes N itself and raises only where N goes subnormal, past
+    |alpha|^2 ~ 1416: from |alpha|^2 ~ 709.1, where its 1/N^2 overflows, it
+    returns the N its ladder reads, while ``build_state`` and
+    ``normalization_constant`` raise ConvergenceError.
     """
     key = (spec.info.group, spec.info.hole)
     lam = abs(spec.param("alpha")) ** 2
@@ -873,6 +877,10 @@ def normalization_constant_closed_form(spec: StateSpec) -> float:
     raise ConvergenceError(f"{spec.family} normalization leaves the float range at {spec}")
 
 
+# (key, ladder) of the last spec ``ladder_log_amplitudes`` computed, or None.
+_held: tuple | None = None
+
+
 def ladder_log_amplitudes(spec: StateSpec) -> tuple[np.ndarray, np.ndarray]:
     """(log|c_i|, e^{i arg c_i}) of the normalized closed-form amplitudes of any family.
 
@@ -884,8 +892,26 @@ def ladder_log_amplitudes(spec: StateSpec) -> tuple[np.ndarray, np.ndarray]:
     operator oracle checks its sum. The ladder runs to its ``_cut`` length
     at ``_LADDER_TAIL``; log|c_i| is -inf where c_i = 0. Raises what N raises,
     and ConvergenceError where it needs more log-factorials than core serves.
+
+    It holds one ladder, that of the last spec it computed, so a run of
+    closed forms over one spec (the orders of a moment table, the beta of
+    a Q map) pays for one N, one ``_cut`` and one kernel pass. The next
+    spec's ladder replaces it. Its key matches the spec bit for bit: it
+    tells signed zeros apart in alpha, p and chi, which compare equal but
+    can move the ladder's bits (alpha = -1+0j and -1-0j give phases of +pi
+    and -pi). Both arrays it hands out are read-only. An error is never
+    held: a spec that raises raises on every call and leaves the held
+    ladder as it was. The batched ``ladders`` holds nothing.
     """
-    return _alone(ladders([spec]))
+    global _held
+    key = (spec, *(math.copysign(1.0, x) for x in (spec.alpha.real, spec.alpha.imag, spec.p, spec.chi)))
+    held = _held
+    if held is None or held[0] != key:
+        ladder = _alone(ladders([spec]))
+        for array in ladder:
+            array.flags.writeable = False
+        held = _held = key, ladder  # one assignment: a racing thread reads the old entry or the new
+    return held[1]
 
 
 def ladders(specs: list[StateSpec]) -> list[tuple[np.ndarray, np.ndarray] | FockLabError]:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
+from focklab import states
 from focklab.config import DumpConfig
 from focklab.core import TruncationPolicy, make_fock, state_from_amplitudes
 from focklab.harness import dump_state
@@ -96,12 +97,18 @@ def test_q_total_mass(spec):
         StateSpec("PAKS", alpha=5.0 * cmath.exp(0.7j), chi=-1.3),
     ],
 )
-def test_q_closed_form_matches_direct(spec):
+def test_q_closed_form_matches_direct(spec, monkeypatch):
     s = build_state(spec, TruncationPolicy(max_dim=512, tail_tolerance=1e-20))
+    # From an empty hold, the five beta of one spec run one kernel pass.
+    passes = []
+    bare = states._bare_log_amplitudes
+    monkeypatch.setattr(states, "_bare_log_amplitudes", lambda *args: passes.append(args) or bare(*args))
+    monkeypatch.setattr(states, "_held", None)
     for beta in (0.0, 0.4 - 0.3j, 1.0, -1.2j, 2.0 + 1.0j):
         assert q_function_closed_form(spec, beta) == pytest.approx(
             float(q_function(s, beta)), abs=1e-8
         )
+    assert len(passes) == 1
 
 
 def test_angular_q_uniform_for_fock():

@@ -1,14 +1,23 @@
 """The truncation and entropy-limit facts README.md states, each checked."""
 
 import csv
+import math
 
 import pytest
 
 from focklab.config import sweep_config_from_text
+from focklab.core import TruncationPolicy
 from focklab.exceptions import ConvergenceError, TruncationOverflowError
 from focklab.harness import run_sweep
 from focklab.interferometry import linear_entropy_closed_form
-from focklab.states import StateSpec, build_by_composition, build_state, ladders, normalization_constant
+from focklab.states import (
+    StateSpec,
+    build_by_composition,
+    build_state,
+    ladders,
+    normalization_constant,
+    normalization_constant_closed_form,
+)
 
 
 def test_entropy_ladders_are_their_cut_lengths():
@@ -64,3 +73,15 @@ output = {out}
         inside, past = list(csv.reader(handle))[1:]
     assert inside[1] and inside[2] and inside[3] == ""
     assert past[1:3] == ["", ""] and past[3].startswith("TruncationOverflowError")
+
+
+def test_plain_ecs_between_the_overflow_of_one_over_n_squared_and_a_subnormal_n():
+    # At |alpha|^2 = 712, past 709.1 where 1/N^2 overflows: the bare series'
+    # squared norm overflows too, but N = 1.74e-155 is a normal float, and
+    # the composition builds the state.
+    spec, policy = StateSpec("ECS", alpha=math.sqrt(712.0)), TruncationPolicy(2048, 1e-300)
+    for evaluate in (build_state, normalization_constant):
+        with pytest.raises(ConvergenceError):
+            evaluate(spec, policy)
+    assert normalization_constant_closed_form(spec) == pytest.approx(1.74e-155, rel=1e-3)
+    assert build_by_composition(spec, policy).dim == 1911

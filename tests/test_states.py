@@ -524,7 +524,12 @@ def _assert_ladders_are_per_spec(specs):
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(specs=_batches())
 def test_batched_ladders_are_each_spec_alone(specs):
-    _assert_ladders_are_per_spec(specs)
+    batch = _assert_ladders_are_per_spec(specs)
+    # Laddered alone twice more, after another spec and then at once, each
+    # spec still reads its batch entry: the held ladder is its own.
+    for spec, other, result in zip(specs, [specs[-1], *specs[:-1]], batch):
+        _ladder_alone(other)
+        assert _ladder_outcome(_ladder_alone(spec)) == _ladder_outcome(_ladder_alone(spec)) == _ladder_outcome(result)
 
 
 def _three_of_every_family():
@@ -601,6 +606,42 @@ def test_ladders_of_one_family_past_the_widest_pass_each_take_their_own(monkeypa
     specs = [StateSpec("PSDFS", alpha=2.5, n=0), StateSpec("PSDFS", alpha=0.5, n=0, subtracted=30)]
     batch = _assert_ladders_are_per_spec(specs)
     assert [len(log_c) for log_c, _ in batch] == [58, 22]
+
+
+def test_the_held_ladder_tells_signed_zeros_apart():
+    # alpha = -1+0j and -1-0j compare equal, but cmath.phase gives them +pi
+    # and -pi, so their ladder phases differ. In either order, each reads
+    # its own ladders entry.
+    plus, minus = StateSpec("Coherent", alpha=complex(-1.0, 0.0)), StateSpec("Coherent", alpha=complex(-1.0, -0.0))
+    assert plus == minus and hash(plus) == hash(minus)
+    batch = [_ladder_outcome(ladders([spec])[0]) for spec in (plus, minus)]
+    assert batch[0] != batch[1]
+    for order in ((0, 1), (1, 0)):
+        for index in order:
+            assert _ladder_outcome(ladder_log_amplitudes((plus, minus)[index])) == batch[index]
+
+
+def test_the_held_ladder_is_read_only_and_never_an_error():
+    coherent = StateSpec("Coherent", alpha=1.0)
+    held = ladder_log_amplitudes(coherent)
+    for array in held:
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    # A ladder past the log-factorial cap raises on every call and leaves
+    # the held ladder as it was.
+    refused = StateSpec("Binomial", p=0.3, M=5_000_000)
+    for _ in range(2):
+        with pytest.raises(ConvergenceError):
+            ladder_log_amplitudes(refused)
+    assert all(again is array for again, array in zip(ladder_log_amplitudes(coherent), held))
+
+
+def test_cut_fetches_only_the_log_factorials_its_probes_read(monkeypatch):
+    # DFS at alpha = 0.5, n = 10^6: every probe reads below about 1.15 M
+    # log-factorials, so a fresh table stays within twice that.
+    monkeypatch.setattr(core, "_log_factorial_table", np.zeros(1))
+    assert _cut(StateSpec("DFS", alpha=0.5, n=10**6), 1e-16, 2**21) == (1149159, 2.3131419859271707e-22)
+    assert len(core._log_factorial_table) <= 2 * 1_150_000 < core.MAX_LOG_FACTORIALS
 
 
 # --- batched compositions -----------------------------------------------------

@@ -11,11 +11,16 @@ one line per digest, "<sha256>  <label>":
 * each of the nine shipped outputs of ``configs/``;
 * ``repr(run_verification(seed))`` for seeds 42 and 2011;
 * the combined digest of every CSV of one round of the benchmark's sweeps
-  and phase_space workloads at seed 606, shipped outputs included.
+  and phase_space workloads at seed 606, shipped outputs included;
+* the bytes of the closed-form side of two consecutive rounds of the verify
+  workload's pair ops at seed 606: each one-spec ``moment_series``,
+  ``linear_entropy_closed_form``, ``phase_distribution_closed_form`` and
+  ``q_function_closed_form`` value, cold and warm.
 
-The CSVs are written by the benchmark's own ops (``perfbench/workloads.py``'s
-``build_ops``, digested by its ``Digests``). Run it on two trees and ``diff``
-the outputs: the lines that differ are the digests that moved.
+The CSVs are written and the pairs run by the benchmark's own ops
+(``perfbench/workloads.py``'s ``build_ops``, CSVs digested by its
+``Digests``). Run it on two trees and ``diff`` the outputs: the lines that
+differ are the digests that moved.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ def digest_lines(src: str) -> list[str]:
 
     if not os.path.realpath(focklab.__file__).startswith(os.path.realpath(src) + os.sep):
         raise SystemExit(f"contract_digest: imported focklab from {focklab.__file__}, not from {src}")
+    import numpy as np
     from focklab.harness import QUANTITY_NAMES
     from focklab.verify import run_verification
     from workloads import VERIFY_SEEDS, Digests, build_ops, generate
@@ -58,6 +64,15 @@ def digest_lines(src: str) -> list[str]:
     for seed in VERIFY_SEEDS:
         report = repr(run_verification(seed)).encode()
         lines.append(f"{hashlib.sha256(report).hexdigest()}  verify report, seed {seed}")
+    pairs = build_ops("verify", {"pairs": generate("verify", SEED)["pairs"], "verify_seeds": ()}, root, "", Digests())
+    closed = hashlib.sha256()
+    for _ in range(2):
+        for op in pairs:
+            result = op.call()
+            for failure in op.check(result):
+                print(f"contract_digest: {failure}", file=sys.stderr)
+            closed.update(np.asarray(result[0]).tobytes())
+    lines.append(f"{closed.hexdigest()}  verify pair closed forms, two rounds, seed {SEED}")
     return lines
 
 
