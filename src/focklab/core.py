@@ -273,3 +273,17 @@ def log_factorials(n: int) -> np.ndarray:
         table.setflags(write=False)
         _log_factorial_table = table
     return table[:n]
+
+
+def log_factorial_entry(k: int) -> float:
+    """log k!, bitwise entry k of the ``log_factorials`` table, read without growing it.
+
+    For a few entries far past the table, as ``states._cut`` reads judging
+    a binomial at its cap. A k at or past MAX_LOG_FACTORIALS, which the
+    table never holds, raises IndexError, as reading the full table would.
+    """
+    if k < len(_log_factorial_table):
+        return _log_factorial_table.item(k)
+    if k >= MAX_LOG_FACTORIALS:
+        raise IndexError(f"log {k}! is past the {MAX_LOG_FACTORIALS}-entry cap")
+    return math.lgamma(k + 1)

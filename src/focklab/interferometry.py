@@ -12,6 +12,7 @@ photon statistics of |s> (Yurke, McCall & Klauder, PRA 33, 4033 (1986)).
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -99,11 +100,16 @@ def beam_splitter_split(s: StateVector) -> np.ndarray:
 # band computes its whole diagonal block, so the bands do about band * e^2/2
 # multiply-adds beyond the e^3/6 ideal of an e-row window: 1.3x the ideal at
 # e = 351 with 32-row bands, 1.6x with 64. 16- and 24-row bands read 0-7%
-# below 32, and not at every dim. Median ms per call, split included, whole
-# split vs mass window (one BLAS thread, 2-core x86-64 host, 15 interleaved
-# runs): Kerr at |alpha| = 8, 11, 15 (dim 129, 207, 339) 0.27/0.24, 0.67/0.51
-# and 2.23/1.17; one-parity ECS at |alpha| = 5 (dim 69) 0.052/0.059, where
-# the marginal costs more than the window [0, 58) saves.
+# below 32, and not at every dim. Median ms per call, split included, complex
+# vs real Gram over the mass window (one BLAS thread, 2-core x86-64 host, 41
+# interleaved runs): coherent at |alpha| = 15 (dim 339) 1.58/0.87, DFS at
+# |alpha| = 15, n = 3 (dim 365) 2.06/1.06, one-parity ECS at |alpha| = 15
+# (dim 339) 0.88/0.65. The Kerr group keeps the complex Gram and pays the
+# turn's one-entry test: Kerr at |alpha| = 8, 11, 15 (dim 129, 207, 339)
+# 0.31/0.33, 0.67/0.71 and 1.57/1.61. At one-parity ECS at |alpha| = 5
+# (dim 69) one product over the whole split takes 0.119, the complex window
+# 0.123 and the real one 0.133: the marginal and the turn cost more than
+# the window [0, 58) and the real blocks save.
 _ONE_PRODUCT_MAX = 64
 _GRAM_BAND = 32
 
@@ -119,7 +125,8 @@ def _split_purity(split: np.ndarray, reach: int) -> float:
     A band of rows starting at a needs only the first reach - a columns.
     M M^H is Hermitian, so each band is multiplied only against the rows
     above it and itself: the block above the band counts twice and the
-    diagonal block once, about len(M)^3/6 complex multiply-adds.
+    diagonal block once, about len(M)^3/6 multiply-adds, real or complex
+    as M is.
     """
     rows = len(split)
     # A parity block of a one-row window has no rows: its purity is 0.
@@ -165,36 +172,93 @@ def _split_block(c: np.ndarray, weights: np.ndarray, j0: int, m0: int, step: int
     return _hankel(head)[: w.shape[0], : w.shape[1]] * w, reach
 
 
+def _real_turn(c: np.ndarray, p: np.ndarray) -> np.ndarray | None:
+    """The real part of c_n e^{-i(phi n + theta)}, or None where its imaginary part holds more than ``_WINDOW_MASS``.
+
+    It is real wherever c_n = g r_n e^{i n phi} with every r_n real.
+    phi = arg(c_j / c_k) / (j - k) is read from the largest amplitude c_k
+    and its nearest neighbour c_j of nonzero mass, one or two places away
+    (the larger on a tie), and theta = arg c_k - phi k, so c_k turns to
+    |c_k|. A sign of r_j / r_k shifts phi by pi / (j - k), which for
+    j - k = +-1, or +-2 on a one-parity state, only multiplies the turned
+    vector by a sign per entry. With no such neighbour phi = 0. The entry
+    across c_k from c_j is turned first: where it alone holds more than
+    ``_WINDOW_MASS`` of imaginary part, as in the Kerr group, so does the
+    whole. The d factors are the outer product of two tables of about
+    sqrt(d) exponentials, e^{-i(phi w a + theta)} e^{-i phi b} for n = w a + b.
+    """
+    d, k = len(c), int(p.argmax())
+    j = k
+    for near in ((k - 1, k + 1), (k - 2, k + 2)):
+        near = [i for i in near if 0 <= i < d and p[i]]
+        if near:
+            j = max(near, key=p.__getitem__)
+            break
+    phi = cmath.phase(c[j] / c[k]) / (j - k) if j != k else 0.0
+    theta = cmath.phase(c[k]) - phi * k
+    x = 2 * k - j
+    if 0 <= x < d and (c[x] * cmath.exp(-1j * (phi * x + theta))).imag ** 2 > _WINDOW_MASS:
+        return None
+    width = math.isqrt(d) + 1
+    steps = np.arange(width)
+    factors = np.multiply.outer(np.exp(-1j * (phi * width * steps + theta)), np.exp(-1j * phi * steps))
+    turned = c * factors.ravel()[:d]
+    return turned.real if float(turned.imag @ turned.imag) <= _WINDOW_MASS else None
+
+
 def linear_entropy(s: StateVector) -> float:
     """Entanglement potential: 1 - Tr(rho_A^2) after splitting s against vacuum.
 
     rho_A = M M^H is the partial trace of the split M over the second mode,
-    and Tr(rho_A^2) = ||rho_A||_F^2 (``_split_purity``). Up to dim
-    ``_ONE_PRODUCT_MAX`` that is one product over the whole split. Past it
-    the split is formed, and its Gram taken, only over the mass window
-    [lo, hi) of ``_mass_window``, rows and columns alike. In exact
-    arithmetic this can only lower the purity P, and by less than 1e-19:
-    dropping columns of mass delta_c lowers it by at most
+    and Tr(rho_A^2) = ||rho_A||_F^2 (``_split_purity``). M is read as a
+    strided Hankel view of the amplitudes times the cached split weights,
+    no SVD. Up to dim ``_ONE_PRODUCT_MAX`` that is one product over the
+    whole split. Past it the Gram is triangular, in ``_GRAM_BAND``-row
+    bands (``_split_purity``), and two cuts apply, each of which can only
+    lower the purity P.
+
+    The mass window. The split is formed, and its Gram taken, only over the
+    mode-A photon numbers [lo, hi) of ``_mass_window``, rows and columns
+    alike. Dropping columns of mass delta_c lowers P by at most
     2 delta_c + delta_c^2, and dropping rows of mass delta_r by at most
     2 delta_r, since |rho_jk|^2 <= rho_jj rho_kk. Each side of the window
     drops at most ``_WINDOW_MASS`` = 1e-20, so delta_r, delta_c <= 2e-20
-    and 0 <= Delta P <= 8e-20 < 1e-19, about three orders below half an
-    ulp of P near 1.
+    and 0 <= Delta P <= 8e-20.
 
-    A state of one parity p (c_n = 0 unless n = p mod 2, as for the even
-    and odd cat states) has M[j, m] = 0 unless j + m = p mod 2, so rho_A
-    is block-diagonal between even and odd j; past ``_ONE_PRODUCT_MAX``
-    each block is taken from the same window, and the two together cost a
-    quarter of the whole. A state past ``_SPLIT_MAX_DIM`` raises
-    ConvergenceError.
+    The real turn. The amplitudes are turned by one global phase and by
+    e^{-i phi N} (``_real_turn``). The turn is exact: the splitter conserves
+    N_a + N_b and port b holds vacuum, so U (e^{-i phi N} x 1)|s, 0> =
+    (e^{-i phi N_a} x e^{-i phi N_b}) U |s, 0>, the original output up to
+    local unitaries, and rho_A keeps its spectrum. Where the turned
+    imaginary part holds at most ``_WINDOW_MASS`` of the mass (every
+    c_n = g r_n e^{i n phi} with r_n real: the displaced-Fock, ECS and
+    binomial groups), only the real part is split, and the Gram is a real
+    product, a quarter of the complex flops. M is symmetric, so with
+    M = A + iB, rho_A = A^2 + B^2 + i[B, A] and
+    P - ||A^2||_F^2 = 2 ||AB||_F^2 + ||B^2||_F^2 + ||[B, A]||_F^2 >= 0.
+    ||M||_F = 1 bounds ||A||_2 <= 1, and ||B||_F^2 <= delta, the imaginary
+    mass (the weights of each antidiagonal j + m = n sum to 1 in square),
+    so dropping B lowers P by at most 2 delta + delta^2 + 4 delta =
+    6 delta + delta^2 <= 6e-20 + 1e-40.
+    Any other state (the Kerr group, whose phase chi n(n-1) is not linear
+    in n) keeps its complex amplitudes. With the window, 0 <= Delta P <
+    1.5e-19, about three orders below half an ulp of P near 1.
+
+    One parity. A state of one parity p (c_n = 0 unless n = p mod 2, as for
+    the even and odd cat states) has M[j, m] = 0 unless j + m = p mod 2, so
+    rho_A is block-diagonal between even and odd j, exactly; each block is
+    taken from the same window, and the two together cost a quarter of the
+    whole. A state past ``_SPLIT_MAX_DIM`` raises ConvergenceError.
     """
     d = s.dim
     if d <= _ONE_PRODUCT_MAX:
         # Clip the roundoff of exactly-product outputs.
         return max(1.0 - _split_purity(beam_splitter_split(s), d), 0.0)
     weights = _split_weights(d)
-    lo, hi = _mass_window(s.probabilities(), weights)
-    c = s.amplitudes
+    p = s.probabilities()
+    lo, hi = _mass_window(p, weights)
+    real = _real_turn(s.amplitudes, p)
+    c = s.amplitudes if real is None else real
     odd = int(c[1::2].any())
     if odd and c[::2].any():
         blocks = [(lo, lo, 1)]

@@ -33,6 +33,7 @@ from .core import (
     StateVector,
     TruncationPolicy,
     checked_norm,
+    log_factorial_entry,
     log_factorials,
     make_fock,
 )
@@ -481,7 +482,7 @@ def _cut(spec: StateSpec, tail: float, cap: int | None = None, norm: float | Non
     def log_term(i):
         """log t_i N^2."""
         m = i + q - k
-        log_t = log_t0 + i * log_y - table.item(i) + 2.0 * (table.item(i + q) - table.item(m)) - table.item(n)
+        log_t = log_t0 + i * log_y - read(i) + 2.0 * (read(i + q) - read(m)) - read(n)
         return log_t + 2 * n * math.log(lam + m) if n else log_t
 
     def log_ratio(i):
@@ -499,15 +500,18 @@ def _cut(spec: StateSpec, tail: float, cap: int | None = None, norm: float | Non
     x -= (x * log_x + x - mean - 0.5 * math.log(2 * math.pi * x) - log_tail) / (log_x - 0.5 / x)
     i = min(max(first + step * math.ceil((x - first) / step), first), last)
     # Twice the highest index this probe reads (max(i + q, n)), as core's table doubles: room for the probes above it.
-    table = log_factorials(min(2 * max(i + q, n) + 2, MAX_LOG_FACTORIALS))
+    # A binomial, judged at cap alone, reads its few log-factorials singly: no table of cap entries to refuse M.
+    table = None if info.group == "binomial" else log_factorials(min(2 * max(i + q, n) + 2, MAX_LOG_FACTORIALS))
+    read = log_factorial_entry if table is None else table.item
     lo, hi = first, last + step  # live terms below lo fail; hi is the first known to pass
     while lo < hi:
         try:
             log_r = log_ratio(i) + (log_ratio(i + 1) if step == 2 else 0.0)
             log_b = log_term(i) - math.log(-math.expm1(log_r)) if log_r < 0.0 else math.inf
         except IndexError:  # past the log-factorials fetched so far: fetch twice this probe's, or fail past core's cap
-            if len(table) < MAX_LOG_FACTORIALS:
+            if table is not None and len(table) < MAX_LOG_FACTORIALS:
                 table = log_factorials(min(2 * max(i + q, n) + 2, MAX_LOG_FACTORIALS))
+                read = table.item
                 continue
             log_b = math.inf
         if log_b <= log_tail:

@@ -411,8 +411,8 @@ def test_truncation_policy_takes_numpy_integers():
 
 
 def test_only_core_builds_log_factorials():
-    # Every log n! is read from core.log_factorials; no other module calls
-    # lgamma or keeps a running sum of logs.
+    # Every log n! is read from core (log_factorials, or log_factorial_entry
+    # for one entry); no other module calls lgamma or keeps a running sum of logs.
     pattern = re.compile(r"lgamma|gammaln|cumsum\(\s*np\.log|log\(\s*math\.factorial|\blog_factorial\b")
     package = Path(focklab.__file__).parent
     offenders = [

@@ -201,6 +201,12 @@ def _window_cases():
         for mag in (8.0, 15.0, 20.0):
             spec = StateSpec(family, alpha=mag * np.exp(0.7j), added=1, chi=0.29)
             yield pytest.param(build_state(spec, WINDOW_POLICY), id=f"{family}-{mag:g}")
+    for family in ("DFS", "PASDFS"):  # real Laguerre factors of both signs
+        for mag in (8.0, 15.0, 20.0):
+            spec = StateSpec(family, alpha=mag * np.exp(0.7j), n=2, added=1, subtracted=1)
+            yield pytest.param(build_state(spec, WINDOW_POLICY), id=f"{family}-{mag:g}")
+    for p in (0.37, 0.9):
+        yield pytest.param(build_state(StateSpec("Binomial", p=p, M=360), WINDOW_POLICY), id=f"Binomial-360-{p:g}")
     for dim in (65, 97, 161, 300):
         yield pytest.param(_random_state(rng, dim), id=f"random-{dim}")
     # Nearly no mass below n = 68, so the window starts past 0 (lo = 6).
@@ -216,6 +222,77 @@ def test_entropy_over_the_mass_window_matches_the_whole_split(s):
     for dropped in (mass[:lo], mass[hi:], mass[:, :lo], mass[:, hi:]):
         assert dropped.sum() <= tau
     assert mass[: lo + 1].sum() > tau and mass[hi - 1 :].sum() > tau  # the tightest such window
+    assert abs(linear_entropy(s) - _long_double_entropy(s)) <= 1e-15
+
+
+def _split_kinds(monkeypatch, s):
+    """The dtype kinds of the splits whose Gram ``linear_entropy(s)`` takes: 'f' real, 'c' complex."""
+    kinds = []
+    purity = interferometry._split_purity
+
+    def spy(split, reach):
+        kinds.append(split.dtype.kind)
+        return purity(split, reach)
+
+    monkeypatch.setattr(interferometry, "_split_purity", spy)
+    linear_entropy(s)
+    monkeypatch.setattr(interferometry, "_split_purity", purity)
+    return set(kinds)
+
+
+def _past_one_product_spec(family):
+    if FAMILY_INFO[family].group == "binomial":
+        return StateSpec(family, p=0.37, M=360)
+    if family == "Fock":
+        return StateSpec(family, n=80)
+    return StateSpec(family, alpha=8.0 * np.exp(0.7j), n=2, added=1, subtracted=1, chi=0.29)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_phase_linear_state_takes_the_real_gram_past_the_one_product_limit(family, monkeypatch):
+    # c_n = g r_n e^{i n phi} with r_n real turns real under e^{-i phi N}; the
+    # Kerr phase chi n(n - 1) is not linear in n, so its group stays complex.
+    s = build_state(_past_one_product_spec(family), WINDOW_POLICY)
+    assert s.dim > _ONE_PRODUCT_MAX
+    expected = {"c"} if FAMILY_INFO[family].group == "kerr" else {"f"}
+    assert _split_kinds(monkeypatch, s) == expected
+    assert abs(linear_entropy(s) - _long_double_entropy(s)) <= 1e-15
+
+
+@pytest.mark.parametrize("dim", [65, 97, 300])
+def test_a_random_complex_state_keeps_the_complex_gram(dim, monkeypatch, rng):
+    assert _split_kinds(monkeypatch, _random_state(rng, dim)) == {"c"}
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        pytest.param(build_state(StateSpec("Coherent", alpha=15.0 * np.exp(0.7j))), id="Coherent-15"),
+        pytest.param(build_state(StateSpec("ECS", alpha=8.0 * np.exp(-2.1j))), id="ECS-8"),
+        pytest.param(build_state(StateSpec("PASDFS", alpha=8.0, n=3, added=2, subtracted=1)), id="PASDFS-8"),
+        pytest.param(build_state(StateSpec("Kerr", alpha=8.0, chi=0.29)), id="Kerr-8"),
+        pytest.param(state_from_amplitudes(np.exp(1j * np.random.default_rng(33).uniform(0, 7, 150))), id="random-150"),
+    ],
+)
+def test_entropy_is_unchanged_by_a_phase_rotation(s):
+    # e^{i theta N} commutes with the splitter up to local unitaries.
+    value = linear_entropy(s)
+    n = np.arange(s.dim)
+    for theta in (0.3, 1.1, -2.0, 2.9, math.pi):
+        turned = state_from_amplitudes(s.amplitudes * np.exp(1j * theta * n))
+        assert abs(linear_entropy(turned) - value) <= 1e-15, theta
+
+
+@pytest.mark.parametrize("scale, kind", [(0.5, "f"), (2.0, "c")])
+def test_the_real_gram_drops_at_most_the_window_mass_of_imaginary_part(scale, kind, monkeypatch):
+    # A real coherent state given an imaginary part of mass just below and
+    # just above 1e-20, away from the peak so that the turn is the identity.
+    c = build_state(StateSpec("Coherent", alpha=8.0)).amplitudes.copy()
+    peak = int(np.argmax(np.abs(c)))
+    c[peak + 5] += 1j * math.sqrt(scale * interferometry._WINDOW_MASS)
+    s = state_from_amplitudes(c)
+    assert s.dim > _ONE_PRODUCT_MAX
+    assert _split_kinds(monkeypatch, s) == {kind}
     assert abs(linear_entropy(s) - _long_double_entropy(s)) <= 1e-15
 
 
@@ -671,9 +748,11 @@ def test_linear_entropy_past_4096_states():
     finally:
         tracemalloc.stop()
     assert abs(value - reference) <= 1e-10
-    # The weights (128 MiB) and the split over the mass window [0, 2323)
-    # (82 MiB) peaked at 213.6 MiB; the whole split peaked at 384.5 MiB.
-    assert peak < 240 * 2**20
+    # The state is real, so its split over the mass window [0, 2323) is a
+    # real 41 MiB beside the 128 MiB of weights: a peak of 170.4 MiB. The
+    # complex split over the window peaked at 213.6 MiB, the whole split at
+    # 384.5 MiB.
+    assert peak < 190 * 2**20
 
 
 def test_closed_form_entropy_point_values():

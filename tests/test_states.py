@@ -644,6 +644,47 @@ def test_cut_fetches_only_the_log_factorials_its_probes_read(monkeypatch):
     assert len(core._log_factorial_table) <= 2 * 1_150_000 < core.MAX_LOG_FACTORIALS
 
 
+@pytest.mark.parametrize(
+    "call, spec, error, message",
+    [
+        (ladder_log_amplitudes, StateSpec("Binomial", p=0.3, M=5_000_000), ConvergenceError, "5000001 log-factorials requested"),
+        (ladder_log_amplitudes, StateSpec("VFBS", p=1e-9, M=5_000_000), ConvergenceError, "5000001 log-factorials requested"),
+        (ladder_log_amplitudes, StateSpec("PABS", p=0.99, M=5_000_000), ConvergenceError, "PABS ladder needs more than"),
+        (
+            lambda spec: build_state(spec, TruncationPolicy(4_194_304)),
+            StateSpec("Binomial", p=0.3, M=5_000_000),
+            TruncationOverflowError,
+            "Binomial needs more than max_dim=4194304",
+        ),
+        (
+            lambda spec: build_state(spec, TruncationPolicy(4_000_000)),
+            StateSpec("Binomial", p=0.3, M=5_000_000),
+            ConvergenceError,
+            "5000001 log-factorials requested",
+        ),
+    ],
+    ids=["ladder", "VFBS-ladder", "PABS-ladder-past-cap", "build-at-cap", "build-below-cap"],
+)
+def test_a_binomial_past_the_log_factorial_cap_is_refused_on_a_small_table(monkeypatch, call, spec, error, message):
+    # _cut judges such a binomial at its cap alone and reads those few
+    # log-factorials singly, so a fresh table is not grown towards its
+    # 4,194,304-entry cap before M refuses the spec.
+    monkeypatch.setattr(core, "_log_factorial_table", np.zeros(1))
+    with pytest.raises(error, match=message):
+        call(spec)
+    assert len(core._log_factorial_table) <= 1024
+
+
+def test_a_log_factorial_entry_is_the_table_entry_and_leaves_the_table_alone(monkeypatch):
+    table = core.log_factorials(4096)
+    monkeypatch.setattr(core, "_log_factorial_table", np.zeros(1))
+    assert [core.log_factorial_entry(k) for k in (0, 1, 7, 4095)] == [table[k] for k in (0, 1, 7, 4095)]
+    assert core.log_factorial_entry(core.MAX_LOG_FACTORIALS - 1) == math.lgamma(core.MAX_LOG_FACTORIALS)
+    with pytest.raises(IndexError):
+        core.log_factorial_entry(core.MAX_LOG_FACTORIALS)
+    assert len(core._log_factorial_table) == 1
+
+
 # --- batched compositions -----------------------------------------------------
 
 
